@@ -23,7 +23,7 @@ from .analysis import (
     trim_slack,
     truncate_breakaway,
 )
-from .config import TOOL_VERSION, default_config, load_config
+from .config import TOOL_VERSION, Bench, default_config, default_subject_bank, load_config
 from .hand import (
     Digit,
     HandModel,
@@ -41,7 +41,6 @@ from .spasticity import (
     SubjectBank,
     SubjectProfile,
     calibrate_stiffness,
-    default_subject_bank,
     resistance_force_n,
 )
 from .tendons import (

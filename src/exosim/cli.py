@@ -16,20 +16,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import config as cfgmod
-from .actuation import coupling_for_magnet
 from .analysis import analyze, batch_report
-from .config import ConfigError, TOOL_VERSION
+from .config import Bench, ConfigError, TOOL_VERSION
 from .hand import Digit, JointKind
 from .reproduce import run_reproduction
 from .spasticity import calibrate_stiffness
 from .tendons import (
     DepthCalibrationError,
     calibrate_depth,
-    config1_extension,
     full_flexion_excursion_mm,
     index_branch,
 )
@@ -40,20 +37,9 @@ from .traceio import (
     write_text_atomic,
     write_trace,
 )
-from .trial import TrialConfig, derive_seed, run_trial
+from .trial import derive_seed, run_trial
 
 ENV_CONFIG = "EXOSIM_CONFIG"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What one invocation is about to do, resolved from flags and env."""
-
-    command: str
-    config_path: Path | None
-    output_dir: Path
-    seed: int
-    overrides: dict[str, str] = field(default_factory=dict)
 
 
 class CliError(Exception):
@@ -113,51 +99,30 @@ def _effective_config(args) -> dict:
             raise CliError(f"override must look like section.key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if getattr(args, "noise_sigma", None) is not None:
-        overrides["trial.noise_sigma_n"] = str(args.noise_sigma)
-    if getattr(args, "magnet", None) is not None:
-        overrides["coupling.magnet"] = args.magnet
-    if getattr(args, "tendon_config", None) is not None:
-        overrides["network.kind"] = args.tendon_config
+    flags = {"noise_sigma": "trial.noise_sigma_n", "magnet": "coupling.magnet",
+             "tendon_config": "network.kind"}
+    for flag, key in flags.items():
+        if getattr(args, flag, None) is not None:
+            overrides[key] = str(getattr(args, flag))
     return cfgmod.apply_overrides(cfg, overrides)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _effective_config(args)
     chash = cfgmod.config_hash(cfg)
-    hand = cfgmod.hand_from_config(cfg)
-    network = cfgmod.network_from_config(cfg, hand)
-    actuator = cfgmod.actuator_from_config(cfg)
-    cell = cfgmod.load_cell_from_config(cfg)
-    bank = cfgmod.subject_bank_from_config(cfg, hand)
-    subjects = _parse_subjects(args.subjects, bank.ids())
+    bench = Bench.from_config(cfg)
+    subjects = _parse_subjects(args.subjects, bench.bank.ids())
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
 
     # Resolve everything before the first write so an invalid request
     # leaves no files behind.
-    magnet_override = args.magnet
-    plans = []
-    for sid in subjects:
-        profile = bank.by_id(sid)
-        plans.append(
-            TrialConfig(
-                hand=hand,
-                network=network,
-                subject=profile,
-                actuator=actuator,
-                coupling=coupling_for_magnet(magnet_override or profile.magnet),
-                cell=cell,
-                sample_rate_hz=float(cfg["trial"]["sample_rate_hz"]),
-                noise_sigma_n=float(cfg["trial"]["noise_sigma_n"]),
-                functional_flexion_deg=float(cfg["trial"]["functional_flexion_deg"]),
-            )
-        )
+    plans = [bench.trial_config(bench.bank.by_id(sid), args.magnet) for sid in subjects]
 
     out = Path(args.out)
     written = []
     for trial_cfg in plans:
-        s_idx = bank.ids().index(trial_cfg.subject.subject_id)
+        s_idx = bench.bank.ids().index(trial_cfg.subject.subject_id)
         for t_idx in range(args.trials):
             trace = run_trial(trial_cfg, derive_seed(args.seed, s_idx, t_idx))
             name = f"{trial_cfg.subject.subject_id}_{trace.network}_t{t_idx:02d}.csv"
@@ -180,20 +145,14 @@ def _cmd_analyze(args) -> int:
     paths = [p for p in paths if not p.name.endswith("_fit.csv")]
     if not paths:
         raise CliError("no trace CSVs to analyze")
-    cfg = _effective_config(args)
+    bench = Bench.from_config(_effective_config(args))
     out = Path(args.out)
     reports = []
     for p in paths:
         trace, warnings = read_trace(p)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        report = analyze(
-            trace,
-            label=p.stem,
-            trim_threshold_n=float(cfg["analysis"]["trim_threshold_n"]),
-            drop_threshold_n=float(cfg["analysis"]["drop_threshold_n"]),
-            drop_floor_n=float(cfg["analysis"]["drop_floor_n"]),
-        )
+        report = analyze(trace, label=p.stem, **bench.analysis)
         write_text_atomic(out / f"{p.stem}.report.yaml", render_report_yaml(report))
         write_text_atomic(out / f"{p.stem}_fit.csv", render_fit_csv(report))
         reports.append(report)
@@ -205,35 +164,33 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _effective_config(args)
-    target = float(cfg["calibration"]["excursion_target_mm"])
-    tol = float(cfg["calibration"].get("depth_tolerance_mm", 0.01))
-    travel = float(cfg["calibration"]["effective_travel_mm"])
-    hand0 = cfgmod.hand_from_config(cfg)
+    bench = Bench.from_config(cfg)
+    target, travel = bench.excursion_target_mm, bench.effective_travel_mm
     try:
-        hand = calibrate_depth(hand0, target, tol_mm=tol)
+        hand = calibrate_depth(
+            bench.hand, bench.extension, target, tol_mm=bench.depth_tolerance_mm
+        )
     except DepthCalibrationError as err:
         lo, hi = err.bracket_mm
         raise CliError(f"{err} (achievable excursion {lo:.3f}..{hi:.3f} mm)") from err
     depth = hand.depth((Digit.INDEX, JointKind.MCP))
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
 
-    derived = dict(cfg)
-    derived["hand"] = dict(cfg["hand"])
-    derived["hand"]["joint_center_depth_mm"] = depth
-    derived["subjects"] = {}
+    derived = {**cfg, "hand": {**cfg["hand"], "joint_center_depth_mm": depth}, "subjects": {}}
     provenance = [
         f"exosim calibrate {TOOL_VERSION}",
         f"config: {cfgmod.config_hash(cfg)}",
         f"joint_center_depth_mm = {depth:.6f} "
         f"(index extension excursion {excursion:.4f} mm, target {target} mm)",
     ]
-    for sid, s in cfg["subjects"].items():
-        entry = dict(s)
-        band = s.get("peak_band_n")
+    for profile in bench.bank:
+        sid = profile.subject_id
+        entry = dict(cfg["subjects"][sid])
+        band = profile.peak_band_n
         if band and band[1] is not None:
-            midpoint = 0.5 * (float(band[0]) + float(band[1]))
+            midpoint = 0.5 * (band[0] + band[1])
             entry["stiffness_n_per_mm"] = calibrate_stiffness(
-                midpoint, travel, float(s.get("engage_slack_mm", 0.0))
+                midpoint, travel, profile.engage_slack_mm
             )
             provenance.append(
                 f"subject {sid}: stiffness for a {midpoint:g} N peak over "

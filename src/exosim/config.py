@@ -1,4 +1,4 @@
-"""Plain-text configuration: defaults, file loading, overrides, hashing.
+"""Plain-text configuration: defaults, file loading, overrides, hashing, Bench.
 
 Config files are YAML with nested sections; any value can be overridden from
 the command line with dotted keys (``trial.noise_sigma_n=0.2``).  The hash of
@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
-from .actuation import ActuatorSpec, CouplingSpec, LoadCellSpec, coupling_for_magnet
+from .actuation import ActuatorSpec, LoadCellSpec
+from .analysis import analyze
 from .hand import (
     DEFAULT_FLEXION_RANGES_DEG,
+    DEFAULT_JOINT_DEPTH_MM,
     Digit,
     HandModel,
     default_hand,
@@ -24,12 +28,26 @@ from .hand import (
 )
 from .spasticity import (
     BANK_PARAMS,
+    DEFAULT_TOTAL_TRAVEL_MM,
     MasLevel,
     SubjectBank,
     SubjectProfile,
-    bank_stiffness_n_per_mm,
 )
-from .tendons import NetworkKind, TendonNetwork, config1_extension, config2_pinch
+from .tendons import (
+    DEFAULT_BRANCH_SLACK_MM,
+    DEFAULT_DEPTH_TOLERANCE_MM,
+    DEFAULT_EXCURSION_TARGET_MM,
+    NetworkKind,
+    TendonNetwork,
+    config1_extension,
+    config2_pinch,
+)
+from .trial import (
+    DEFAULT_FUNCTIONAL_FLEXION_DEG,
+    DEFAULT_SAMPLE_RATE_HZ,
+    TrialConfig,
+    trial_config_for,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -37,70 +55,53 @@ TOOL_VERSION = "0.1.0"
 # stays noiseless unless asked.
 DEFAULT_NOISE_SIGMA_N = 0.4
 
+# Read at import: a wrapper put in analyze()'s place later (perfbench's tracer)
+# would hide its keywords and so change the default config.
+_ANALYZE = inspect.signature(analyze)
+
+
+def _keyword_defaults(signature: inspect.Signature, *skip: str) -> dict:
+    """Keyword-only parameter defaults: the values the library itself uses."""
+    return {
+        name: p.default
+        for name, p in signature.parameters.items()
+        if p.kind is p.KEYWORD_ONLY and name not in skip
+    }
+
 
 def default_config() -> dict:
-    """The complete default configuration as a plain nested dict."""
-    subjects: dict[str, Any] = {}
-    for sid, params in BANK_PARAMS.items():
-        fraction = params["fraction"]
-        if isinstance(fraction, Mapping):
-            fraction_cfg: Any = {
-                (k.value if isinstance(k, Digit) else k): float(v)
-                for k, v in fraction.items()
-            }
-        else:
-            fraction_cfg = float(fraction)
-        band = params["band"]
-        subjects[sid] = {
-            "mas": params["mas"].value,
-            "stiffness_n_per_mm": bank_stiffness_n_per_mm(params),
-            "rest_flexion_fraction": fraction_cfg,
-            "engage_slack_mm": 0.0,
-            "magnet": params["magnet"],
-            "peak_band_n": [band[0], band[1]],
-            "notes": params["notes"],
-        }
+    """The complete default configuration, each value the library's own."""
     return {
         "hand": {
-            "joint_center_depth_mm": 9.215,
+            "joint_center_depth_mm": DEFAULT_JOINT_DEPTH_MM,
             "flexion_ranges_deg": {
                 k: [v[0], v[1]] for k, v in sorted(DEFAULT_FLEXION_RANGES_DEG.items())
             },
         },
         "network": {
-            "kind": "extension",
-            "branch_slack_mm": 2.0,
-            "extension": {
-                "mcp_guide_mm": 8.5,
-                "pip_guide_mm": 7.5,
-                "ring_protrusion_mm": 1.5,
-            },
-            "pinch": {
-                "pip_guide_mm": 7.5,
-                "dip_guide_mm": 7.5,
-                "thumb_mcp_guide_mm": 8.5,
-                "thumb_ip_guide_mm": 7.5,
-            },
+            "kind": NetworkKind.EXTENSION.value,
+            "branch_slack_mm": DEFAULT_BRANCH_SLACK_MM,
+            "extension": _keyword_defaults(inspect.signature(config1_extension), "slack_mm"),
+            "pinch": _keyword_defaults(inspect.signature(config2_pinch), "slack_mm"),
         },
-        "actuator": {"stroke_mm": 50.0, "max_speed_mm_s": 5.0, "peak_force_n": 50.0},
+        "actuator": asdict(ActuatorSpec()),
         "coupling": {"magnet": "standard"},
-        "load_cell": {"resolution_n": 0.196, "range_max_n": 50.0},
+        "load_cell": asdict(LoadCellSpec()),
         "trial": {
-            "sample_rate_hz": 100.0,
+            "sample_rate_hz": DEFAULT_SAMPLE_RATE_HZ,
             "noise_sigma_n": DEFAULT_NOISE_SIGMA_N,
-            "functional_flexion_deg": 110.0,
+            "functional_flexion_deg": DEFAULT_FUNCTIONAL_FLEXION_DEG,
         },
         "calibration": {
-            "excursion_target_mm": 57.0,
-            "effective_travel_mm": 48.0,
-            "depth_tolerance_mm": 0.01,
+            "excursion_target_mm": DEFAULT_EXCURSION_TARGET_MM,
+            "effective_travel_mm": DEFAULT_TOTAL_TRAVEL_MM,
+            "depth_tolerance_mm": DEFAULT_DEPTH_TOLERANCE_MM,
         },
-        "analysis": {
-            "trim_threshold_n": 3.0,
-            "drop_threshold_n": 10.0,
-            "drop_floor_n": 1.0,
+        "analysis": _keyword_defaults(_ANALYZE, "label"),
+        "subjects": {
+            sid: dict(copy.deepcopy(params), engage_slack_mm=SubjectProfile.engage_slack_mm)
+            for sid, params in BANK_PARAMS.items()
         },
-        "subjects": subjects,
     }
 
 
@@ -147,7 +148,10 @@ def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
                 nxt = {}
                 node[key] = nxt
             node = nxt
-        node[keys[-1]] = yaml.safe_load(raw) if isinstance(raw, str) else raw
+        try:
+            node[keys[-1]] = yaml.safe_load(raw) if isinstance(raw, str) else raw
+        except yaml.YAMLError as err:
+            raise ConfigError(f"cannot parse override {dotted}={raw}: {err}") from None
     return merged
 
 
@@ -157,67 +161,6 @@ def canonical_yaml(cfg: Mapping) -> str:
 
 def config_hash(cfg: Mapping) -> str:
     return hashlib.sha256(canonical_yaml(cfg).encode()).hexdigest()[:12]
-
-
-def hand_from_config(cfg: Mapping) -> HandModel:
-    section = cfg["hand"]
-    ranges = {
-        k: (float(v[0]), float(v[1]))
-        for k, v in section.get("flexion_ranges_deg", {}).items()
-    }
-    return default_hand(float(section["joint_center_depth_mm"]), ranges)
-
-
-def network_from_config(
-    cfg: Mapping, hand: HandModel, kind: str | None = None
-) -> TendonNetwork:
-    section = cfg["network"]
-    kind_value = kind or section.get("kind", "extension")
-    try:
-        nk = NetworkKind(kind_value)
-    except ValueError:
-        raise ConfigError(
-            f"unknown network kind {kind_value!r}; choose extension or pinch"
-        ) from None
-    slack = float(section.get("branch_slack_mm", 2.0))
-    if nk is NetworkKind.EXTENSION:
-        p = section.get("extension", {})
-        return config1_extension(
-            hand,
-            mcp_guide_mm=float(p.get("mcp_guide_mm", 8.5)),
-            pip_guide_mm=float(p.get("pip_guide_mm", 7.5)),
-            ring_protrusion_mm=float(p.get("ring_protrusion_mm", 1.5)),
-            slack_mm=slack,
-        )
-    p = section.get("pinch", {})
-    return config2_pinch(
-        hand,
-        pip_guide_mm=float(p.get("pip_guide_mm", 7.5)),
-        dip_guide_mm=float(p.get("dip_guide_mm", 7.5)),
-        thumb_mcp_guide_mm=float(p.get("thumb_mcp_guide_mm", 8.5)),
-        thumb_ip_guide_mm=float(p.get("thumb_ip_guide_mm", 7.5)),
-        slack_mm=slack,
-    )
-
-
-def actuator_from_config(cfg: Mapping) -> ActuatorSpec:
-    a = cfg["actuator"]
-    return ActuatorSpec(
-        stroke_mm=float(a["stroke_mm"]),
-        max_speed_mm_s=float(a["max_speed_mm_s"]),
-        peak_force_n=float(a["peak_force_n"]),
-    )
-
-
-def load_cell_from_config(cfg: Mapping) -> LoadCellSpec:
-    c = cfg["load_cell"]
-    return LoadCellSpec(
-        resolution_n=float(c["resolution_n"]), range_max_n=float(c["range_max_n"])
-    )
-
-
-def coupling_from_config(cfg: Mapping, magnet: str | None = None) -> CouplingSpec:
-    return coupling_for_magnet(magnet or cfg["coupling"]["magnet"])
 
 
 def _fraction_from_config(raw: Any):
@@ -253,6 +196,93 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
             )
         )
     return SubjectBank(tuple(profiles))
+
+
+def default_subject_bank(hand: HandModel | None = None) -> SubjectBank:
+    """The five-subject synthetic cohort spanning tone grades 1-3."""
+    return subject_bank_from_config(default_config(), hand or default_hand())
+
+
+def _floats(section: Mapping, name: str) -> dict[str, float]:
+    try:
+        return {key: float(value) for key, value in section.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"section {name} must map keys to numbers, got {section!r}") from None
+
+
+def _keywords(section: Mapping, name: str, signature, *taken: str) -> dict[str, float]:
+    """Numeric keywords that callers pass on beside the ``taken`` arguments;
+    binding them now makes a misspelled key fail here, not mid-run."""
+    kwargs = _floats(section, name)
+    signature.bind_partial(**dict.fromkeys(taken), **kwargs)
+    return kwargs
+
+
+@dataclass(frozen=True)
+class Bench:
+    """Everything a command drives, read once from an effective config.
+
+    ``from_config`` is the only reader of the config's sections, so every
+    malformed config fails in one place, with a ConfigError.
+    """
+
+    hand: HandModel
+    kind: NetworkKind
+    extension: TendonNetwork
+    pinch: TendonNetwork
+    actuator: ActuatorSpec
+    cell: LoadCellSpec
+    bank: SubjectBank
+    trial: Mapping[str, float]  # further TrialConfig fields
+    analysis: Mapping[str, float]  # analyze() thresholds
+    excursion_target_mm: float
+    effective_travel_mm: float
+    depth_tolerance_mm: float
+
+    @classmethod
+    def from_config(cls, cfg: Mapping) -> "Bench":
+        try:
+            hand = default_hand(
+                float(cfg["hand"]["joint_center_depth_mm"]),
+                cfg["hand"]["flexion_ranges_deg"],
+            )
+            net = cfg["network"]
+            slack = float(net["branch_slack_mm"])
+            return cls(
+                hand=hand,
+                kind=NetworkKind(net["kind"]),
+                extension=config1_extension(
+                    hand, slack_mm=slack, **_floats(net["extension"], "network.extension")
+                ),
+                pinch=config2_pinch(
+                    hand, slack_mm=slack, **_floats(net["pinch"], "network.pinch")
+                ),
+                actuator=ActuatorSpec(**_floats(cfg["actuator"], "actuator")),
+                cell=LoadCellSpec(**_floats(cfg["load_cell"], "load_cell")),
+                bank=subject_bank_from_config(cfg, hand),
+                trial=_keywords(
+                    cfg["trial"], "trial", inspect.signature(TrialConfig),
+                    "hand", "network", "subject", "actuator", "coupling", "cell",
+                ),
+                analysis=_keywords(cfg["analysis"], "analysis", _ANALYZE, "label"),
+                **_floats(cfg["calibration"], "calibration"),
+            )
+        except KeyError as err:
+            raise ConfigError(f"config is missing key {err}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as err:
+            raise ConfigError(f"invalid config: {err}") from None
+
+    @property
+    def network(self) -> TendonNetwork:
+        """The network that ``kind`` selects."""
+        return self.extension if self.kind is NetworkKind.EXTENSION else self.pinch
+
+    def trial_config(self, subject: SubjectProfile, magnet: str | None) -> TrialConfig:
+        """A trial of ``subject`` on the selected network; magnet None keeps theirs."""
+        return trial_config_for(
+            self.hand, self.network, subject, magnet=magnet,
+            actuator=self.actuator, cell=self.cell, **self.trial,
+        )
 
 
 def write_config(cfg: Mapping, path: str | Path, provenance: list[str] | None = None) -> None:

@@ -9,32 +9,21 @@ motion of the pinch-shaping network.  Results land in a pass/fail manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .actuation import coupling_for_magnet
 from .analysis import analyze, batch_report
-from .config import (
-    DEFAULT_NOISE_SIGMA_N,
-    config_hash,
-    default_config,
-    hand_from_config,
-    network_from_config,
-    actuator_from_config,
-    load_cell_from_config,
-    subject_bank_from_config,
-)
+from .config import Bench, config_hash, default_config
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
 from .tendons import (
+    NetworkKind,
     branch_excursion_mm,
     calibrate_depth,
-    config1_extension,
-    config2_pinch,
     full_flexion_excursion_mm,
     index_branch,
 )
-from .trial import PoseResponse, TrialConfig, derive_seed, run_trial
+from .trial import PoseResponse, derive_seed, run_trial
 from .traceio import render_fit_csv, render_report_yaml, write_text_atomic, write_trace
 
 R_BAND = (0.97, 1.0)
@@ -52,12 +41,11 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _check_pinch_directions(hand, cfg) -> CheckResult:
+def _check_pinch_directions(bench: Bench) -> CheckResult:
     """Pinch network: MCPs advance toward flexion, PIP/DIP straighten, and
     the thumb adducts, monotonically in displacement."""
-    net = network_from_config(cfg, hand, "pinch")
-    rest = spastic_rest_pose(hand, 0.6)
-    response = PoseResponse(hand, net, rest)
+    rest = spastic_rest_pose(bench.hand, 0.6)
+    response = PoseResponse(bench.hand, bench.pinch, rest)
     displacements = [i * 0.5 for i in range(101)]
     poses = [response.at(d) for d in displacements]
     problems = []
@@ -84,16 +72,16 @@ def _check_pinch_directions(hand, cfg) -> CheckResult:
     return CheckResult("pinch_directions", ok, detail if ok else "; ".join(problems))
 
 
-def _check_abduction_neutrality(hand, cfg) -> CheckResult:
+def _check_abduction_neutrality(bench: Bench) -> CheckResult:
     """Extension branches must be exactly insensitive to abduction."""
-    net = config1_extension(hand)
+    hand = bench.hand
     rest = spastic_rest_pose(hand, 0.75)
     deltas = []
     for offset in (-10.0, -3.0, 5.0, 15.0):
         moved = rest.replace_angles(
             {(d, JointKind.ABDUCTION): offset for d in FINGERS}
         )
-        for b in net.branches:
+        for b in bench.extension.branches:
             deltas.append(
                 branch_excursion_mm(hand, b, moved) - branch_excursion_mm(hand, b, rest)
             )
@@ -113,24 +101,24 @@ def run_reproduction(
     base_seed: int = 0,
     cfg: dict | None = None,
     magnet: str | None = None,
-    noise_sigma_n: float | None = None,
     trials_per_subject: int = 1,
 ) -> tuple[list[CheckResult], Path]:
     """Run the campaign and write traces, reports, summary, and manifest.
 
     Returns the check list and the manifest path.  ``magnet`` forces one
-    coupling for every subject (the per-subject choice is the default);
-    ``noise_sigma_n`` overrides the configured sensor noise.
+    coupling for every subject (the per-subject choice is the default).
+    The trials drive the extension network whatever ``network.kind`` says.
     """
     out = Path(out_dir)
     cfg = cfg if cfg is not None else default_config()
     chash = config_hash(cfg)
+    bench = Bench.from_config(cfg)
     checks: list[CheckResult] = []
 
-    target = float(cfg["calibration"]["excursion_target_mm"])
-    tol = float(cfg["calibration"].get("depth_tolerance_mm", 0.01))
-    hand = calibrate_depth(hand_from_config(cfg), target, tol_mm=tol)
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
+    hand = calibrate_depth(bench.hand, bench.extension, target, tol_mm=tol)
+    bench = replace(bench, hand=hand, kind=NetworkKind.EXTENSION)
+    excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
     checks.append(
         CheckResult(
             "excursion_calibration",
@@ -140,45 +128,17 @@ def run_reproduction(
         )
     )
 
-    network = network_from_config(cfg, hand, "extension")
-    actuator = actuator_from_config(cfg)
-    cell = load_cell_from_config(cfg)
-    bank = subject_bank_from_config(cfg, hand)
-    sigma = (
-        float(cfg["trial"]["noise_sigma_n"])
-        if noise_sigma_n is None
-        else float(noise_sigma_n)
-    )
-    rate = float(cfg["trial"]["sample_rate_hz"])
-    theta_func = float(cfg["trial"]["functional_flexion_deg"])
-
     traces_dir = out / "traces"
     reports_dir = out / "reports"
     reports = []
     traces = {}
-    for s_idx, profile in enumerate(bank):
-        trial_cfg = TrialConfig(
-            hand=hand,
-            network=network,
-            subject=profile,
-            actuator=actuator,
-            coupling=coupling_for_magnet(magnet or profile.magnet),
-            cell=cell,
-            sample_rate_hz=rate,
-            noise_sigma_n=sigma,
-            functional_flexion_deg=theta_func,
-        )
+    for s_idx, profile in enumerate(bench.bank):
+        trial_cfg = bench.trial_config(profile, magnet)
         for t_idx in range(trials_per_subject):
             trace = run_trial(trial_cfg, derive_seed(base_seed, s_idx, t_idx))
             label = f"{profile.subject_id}_t{t_idx:02d}"
             write_trace(trace, traces_dir / f"{label}.csv", config_hash=chash)
-            report = analyze(
-                trace,
-                label=label,
-                trim_threshold_n=float(cfg["analysis"]["trim_threshold_n"]),
-                drop_threshold_n=float(cfg["analysis"]["drop_threshold_n"]),
-                drop_floor_n=float(cfg["analysis"]["drop_floor_n"]),
-            )
+            report = analyze(trace, label=label, **bench.analysis)
             write_text_atomic(reports_dir / f"{label}.report.yaml", render_report_yaml(report))
             write_text_atomic(reports_dir / f"{label}_fit.csv", render_fit_csv(report))
             reports.append(report)
@@ -188,7 +148,7 @@ def run_reproduction(
     summary = batch_report(reports)
     write_text_atomic(out / "summary.txt", summary.render())
 
-    for profile in bank:
+    for profile in bench.bank:
         report = next(r for r in reports if r.subject_id == profile.subject_id)
         peak = report.peak_force_n if report.peak_force_n is not None else float("nan")
         band = profile.peak_band_n
@@ -263,8 +223,8 @@ def run_reproduction(
         )
     )
 
-    checks.append(_check_pinch_directions(hand, cfg))
-    checks.append(_check_abduction_neutrality(hand, cfg))
+    checks.append(_check_pinch_directions(bench))
+    checks.append(_check_abduction_neutrality(bench))
 
     manifest_path = out / "manifest.txt"
     overall = all(c.passed for c in checks)

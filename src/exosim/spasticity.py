@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
-from .hand import Digit, HandModel, HandPose, default_hand, spastic_rest_pose
+from .hand import Digit, HandPose
 
 # Effective spring travel with the default 50 mm stroke and 2 mm branch
 # slack: the junction moves 48 mm past slack at full retraction.
@@ -98,78 +97,54 @@ class SubjectBank:
         raise KeyError(f"no such subject: {subject_id}")
 
 
-# Parameters of the five synthetic subjects.  Peak midpoints for S1-S3 pin
-# the stiffness through calibrate_stiffness; S4/S5 are specified by stiffness
-# directly, high enough that the coupling releases during the trial, and are
-# paired with the stronger magnet so the recorded peak clears 35 N.
-# ``fraction`` is the resting flexion fraction of each digit's range.
+# The five synthetic subjects, in the shape of the config's ``subjects``
+# section.  Peak midpoints for S1-S3 pin the stiffness through
+# calibrate_stiffness; S4/S5 are specified by stiffness directly, high enough
+# that the coupling releases during the trial, and are paired with the
+# stronger magnet so the recorded peak clears 35 N.
+# ``rest_flexion_fraction`` is the resting flexion fraction of each digit's range.
 BANK_PARAMS: dict[str, dict] = {
     "S1": dict(
-        mas=MasLevel.TWO,
-        peak_midpoint_n=17.5,
-        fraction=0.75,
+        mas=MasLevel.TWO.value,
+        stiffness_n_per_mm=calibrate_stiffness(17.5, DEFAULT_TOTAL_TRAVEL_MM),
+        rest_flexion_fraction=0.75,
         magnet="standard",
-        band=(15.0, 20.0),
+        peak_band_n=[15.0, 20.0],
         notes="",
     ),
     "S2": dict(
-        mas=MasLevel.ONE,
-        peak_midpoint_n=27.5,
-        fraction=0.60,
+        mas=MasLevel.ONE.value,
+        stiffness_n_per_mm=calibrate_stiffness(27.5, DEFAULT_TOTAL_TRAVEL_MM),
+        rest_flexion_fraction=0.60,
         magnet="standard",
-        band=(25.0, 30.0),
+        peak_band_n=[25.0, 30.0],
         notes="",
     ),
     "S3": dict(
-        mas=MasLevel.ONE,
-        peak_midpoint_n=17.5,
-        fraction={"default": 0.60, Digit.INDEX: 0.75},
+        mas=MasLevel.ONE.value,
+        stiffness_n_per_mm=calibrate_stiffness(17.5, DEFAULT_TOTAL_TRAVEL_MM),
+        rest_flexion_fraction={"default": 0.60, Digit.INDEX.value: 0.75},
         magnet="standard",
-        band=(15.0, 20.0),
+        peak_band_n=[15.0, 20.0],
         notes="index finger graded 2",
     ),
     "S4": dict(
-        mas=MasLevel.THREE,
+        mas=MasLevel.THREE.value,
         stiffness_n_per_mm=1.5,
-        fraction=0.95,
+        rest_flexion_fraction=0.95,
         magnet="strong",
-        band=(35.0, None),
+        peak_band_n=[35.0, None],
         notes="coupling expected to release before a functional opening",
     ),
     "S5": dict(
-        mas=MasLevel.TWO,
+        mas=MasLevel.TWO.value,
         stiffness_n_per_mm=1.0,
-        fraction=0.75,
+        rest_flexion_fraction=0.75,
         magnet="strong",
-        band=(35.0, None),
+        peak_band_n=[35.0, None],
         notes="coupling expected to release after a functional opening",
     ),
 }
-
-
-def bank_stiffness_n_per_mm(params: Mapping) -> float:
-    if "stiffness_n_per_mm" in params:
-        return float(params["stiffness_n_per_mm"])
-    return calibrate_stiffness(params["peak_midpoint_n"], DEFAULT_TOTAL_TRAVEL_MM)
-
-
-def default_subject_bank(hand: HandModel | None = None) -> SubjectBank:
-    """The five-subject synthetic cohort spanning tone grades 1-3."""
-    hand = hand if hand is not None else default_hand()
-    profiles = []
-    for sid, params in BANK_PARAMS.items():
-        profiles.append(
-            SubjectProfile(
-                subject_id=sid,
-                mas=params["mas"],
-                stiffness_n_per_mm=bank_stiffness_n_per_mm(params),
-                rest_pose=spastic_rest_pose(hand, params["fraction"]),
-                peak_band_n=params["band"],
-                magnet=params["magnet"],
-                notes=params["notes"],
-            )
-        )
-    return SubjectBank(tuple(profiles))
 
 
 def in_peak_band(peak_n: float, band: tuple[float, float | None] | None) -> bool:

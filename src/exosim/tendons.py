@@ -34,6 +34,7 @@ RING_PROTRUSION_MM = 1.5
 
 DEFAULT_BRANCH_SLACK_MM = 2.0
 DEFAULT_EXCURSION_TARGET_MM = 57.0
+DEFAULT_DEPTH_TOLERANCE_MM = 0.01
 
 # A branch whose elastic demand is within this of zero counts as taut: the
 # branch that is actively driving the pose sits exactly at zero demand.
@@ -94,11 +95,6 @@ class TendonNetwork:
     def __post_init__(self) -> None:
         if not self.branches:
             raise ValueError("network needs at least one branch")
-
-    def with_slack(self, slack_mm: float) -> "TendonNetwork":
-        return TendonNetwork(
-            self.kind, tuple(replace(b, slack_mm=slack_mm) for b in self.branches)
-        )
 
 
 def moment_arm_mm(hand: HandModel, point: RoutingPoint) -> float:
@@ -198,13 +194,6 @@ def config2_pinch(
     return TendonNetwork(NetworkKind.PINCH, tuple(branches))
 
 
-def network_for(hand: HandModel, kind: NetworkKind | str, **kwargs) -> TendonNetwork:
-    kind = NetworkKind(kind) if isinstance(kind, str) else kind
-    if kind is NetworkKind.EXTENSION:
-        return config1_extension(hand, **kwargs)
-    return config2_pinch(hand, **kwargs)
-
-
 def index_branch(net: TendonNetwork) -> TendonBranch:
     for b in net.branches:
         if b.digit is Digit.INDEX:
@@ -229,20 +218,21 @@ class DepthCalibrationError(ValueError):
 
 def calibrate_depth(
     hand: HandModel,
+    extension: TendonNetwork,
     target_mm: float = DEFAULT_EXCURSION_TARGET_MM,
     *,
     depth_max_mm: float = 30.0,
-    tol_mm: float = 0.01,
+    tol_mm: float = DEFAULT_DEPTH_TOLERANCE_MM,
 ) -> HandModel:
-    """Solve the uniform joint depth so the index extension branch pays out
-    ``target_mm`` over the full flexion range.
+    """Solve the uniform joint depth so the index branch of the extension
+    network pays out ``target_mm`` over the full flexion range.
 
     The excursion is affine and strictly increasing in depth, so bisection on
     (0, depth_max_mm] converges; the result satisfies
     ``|excursion - target| <= tol_mm``.  Targets outside the achievable
     bracket raise DepthCalibrationError carrying the interval examined.
     """
-    branch = index_branch(config1_extension(hand))
+    branch = index_branch(extension)
     thetas = [
         math.radians(hand.joint(pt.joint).flexion_max_deg) for pt in branch.routing
     ]

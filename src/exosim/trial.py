@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -80,23 +80,17 @@ def trial_config_for(
     subject: SubjectProfile,
     *,
     magnet: str | None = None,
-    noise_sigma_n: float = 0.0,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-    functional_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG,
-    actuator: ActuatorSpec | None = None,
-    cell: LoadCellSpec | None = None,
+    **settings: Any,
 ) -> TrialConfig:
-    """Convenience builder that picks the subject's own magnet by default."""
+    """The only code that assembles a TrialConfig: the coupling is the subject's own
+    magnet unless ``magnet`` names another, and every TrialConfig field not
+    given in ``settings`` keeps its default."""
     return TrialConfig(
         hand=hand,
         network=network,
         subject=subject,
-        actuator=actuator if actuator is not None else ActuatorSpec(),
         coupling=coupling_for_magnet(magnet if magnet is not None else subject.magnet),
-        cell=cell if cell is not None else LoadCellSpec(),
-        sample_rate_hz=sample_rate_hz,
-        noise_sigma_n=noise_sigma_n,
-        functional_flexion_deg=functional_flexion_deg,
+        **settings,
     )
 
 

@@ -1,19 +1,19 @@
 import pytest
 
 from exosim.hand import default_hand
-from exosim.spasticity import default_subject_bank
+from exosim.config import default_subject_bank
 from exosim.tendons import calibrate_depth, config1_extension, config2_pinch
 from exosim.trial import run_trial, trial_config_for
 
 
 @pytest.fixture(scope="session")
-def hand():
-    return calibrate_depth(default_hand(), 57.0)
+def extension_net():
+    return config1_extension(default_hand())
 
 
 @pytest.fixture(scope="session")
-def extension_net(hand):
-    return config1_extension(hand)
+def hand(extension_net):
+    return calibrate_depth(default_hand(), extension_net, 57.0)
 
 
 @pytest.fixture(scope="session")

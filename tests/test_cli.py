@@ -4,6 +4,8 @@ import pytest
 import yaml
 
 from exosim.cli import main
+from exosim.hand import default_hand
+from exosim.tendons import config1_extension, full_flexion_excursion_mm, index_branch
 
 
 def run_cli(args):
@@ -193,3 +195,56 @@ def test_reproduce_detects_broken_setup(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "FAIL peak_band_S1" in manifest
     assert "RESULT: FAIL" in manifest
+
+
+MALFORMED = [
+    "hand=3",
+    "trial=5",
+    "subjects.S1=3",
+    "trial.noise_sigma_n.x=1",
+    "trial.noise_sigma_n=null",
+    "hand.flexion_ranges_deg.finger_mcp=5",
+    "subjects.S1.peak_band_n=3",
+    "calibration=2",
+    "trial.noise_sigm=0.2",  # misspelled key of a section passed on as keywords
+    "analysis.trim_threshold=2",
+    "actuator.stroke=40",
+    "trial.noise_sigma_n=[",  # not parseable
+    None,  # a config file with `hand: 3`
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "calibrate", "reproduce"])
+@pytest.mark.parametrize("override", MALFORMED)
+def test_malformed_config_fails_cleanly(tmp_path, capsys, command, override):
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_s,actuator_mm,force_N\n0.0,50.0,0.0\n0.1,49.5,4.0\n")
+        args.append(str(trace))
+    if override is None:
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text("hand: 3\n")
+        args += ["--config", str(cfg_file)]
+    else:
+        args += ["--set", override]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibration_solves_for_configured_extension_network(tmp_path):
+    """Depth calibration, its self-check and the trials share one network:
+    the configured guide heights, not the module defaults."""
+    guide = ["--set", "network.extension.mcp_guide_mm=9.5"]
+    assert run_cli(["calibrate", "--out", str(tmp_path / "cal")] + guide) == 0
+    derived = yaml.safe_load((tmp_path / "cal" / "calibrated_config.yaml").read_text())
+    depth = derived["hand"]["joint_center_depth_mm"]
+    hand = default_hand(depth)
+    branch = index_branch(config1_extension(hand, mcp_guide_mm=9.5))
+    assert full_flexion_excursion_mm(hand, branch) == pytest.approx(57.0, abs=0.01)
+
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out)] + guide) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert f"(depth {depth:.4f} mm)" in manifest

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from exosim.config import (
+    Bench,
     ConfigError,
     apply_overrides,
     config_hash,
     default_config,
-    hand_from_config,
     load_config,
-    network_from_config,
-    subject_bank_from_config,
     write_config,
 )
 from exosim.hand import Digit, JointKind
@@ -23,13 +21,13 @@ from exosim.traceio import (
 
 
 def test_default_config_builds_everything():
-    cfg = default_config()
-    hand = hand_from_config(cfg)
+    bench = Bench.from_config(default_config())
+    hand = bench.hand
     assert len(hand.joints) == 20
     assert hand.depth((Digit.INDEX, JointKind.MCP)) == pytest.approx(9.215)
-    net = network_from_config(cfg, hand)
-    assert net.kind is NetworkKind.EXTENSION
-    bank = subject_bank_from_config(cfg, hand)
+    assert bench.network.kind is NetworkKind.EXTENSION
+    assert bench.pinch.kind is NetworkKind.PINCH
+    bank = bench.bank
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
     assert bank.by_id("S3").rest_pose.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(67.5)
     assert bank.by_id("S4").peak_band_n == (35.0, None)
@@ -66,10 +64,9 @@ def test_config_hash_tracks_content():
 
 
 def test_unknown_network_kind_rejected():
-    cfg = default_config()
-    hand = hand_from_config(cfg)
+    cfg = apply_overrides(default_config(), {"network.kind": "lasso"})
     with pytest.raises(ConfigError):
-        network_from_config(cfg, hand, "lasso")
+        Bench.from_config(cfg)
 
 
 def test_write_config_round_trip(tmp_path):

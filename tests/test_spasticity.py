@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from exosim.config import default_subject_bank
 from exosim.hand import Digit, JointKind, default_hand, spastic_rest_pose
 from exosim.spasticity import (
     DEFAULT_TOTAL_TRAVEL_MM,
@@ -8,7 +9,6 @@ from exosim.spasticity import (
     SubjectBank,
     SubjectProfile,
     calibrate_stiffness,
-    default_subject_bank,
     in_peak_band,
     resistance_force_n,
 )

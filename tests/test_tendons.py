@@ -164,7 +164,7 @@ def closed_form_depth(target):
 
 
 def test_calibrate_depth_matches_closed_form():
-    hand = calibrate_depth(default_hand(), 57.0)
+    hand = calibrate_depth(default_hand(), config1_extension(default_hand()), 57.0)
     depth = hand.depth(IDX_MCP)
     assert depth == pytest.approx(closed_form_depth(57.0), abs=1e-6)
     excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
@@ -173,7 +173,7 @@ def test_calibrate_depth_matches_closed_form():
 
 @given(st.floats(min_value=27.0, max_value=120.0))
 def test_calibrate_depth_meets_tolerance(target):
-    hand = calibrate_depth(default_hand(), target)
+    hand = calibrate_depth(default_hand(), config1_extension(default_hand()), target)
     excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
     assert abs(excursion - target) <= 0.01
     assert hand.depth(IDX_MCP) == pytest.approx(closed_form_depth(target), abs=1e-6)
@@ -182,13 +182,13 @@ def test_calibrate_depth_meets_tolerance(target):
 def test_calibrate_depth_unreachable_targets():
     hand = default_hand()
     with pytest.raises(DepthCalibrationError) as info:
-        calibrate_depth(hand, 1000.0)
+        calibrate_depth(hand, config1_extension(hand), 1000.0)
     lo, hi = info.value.bracket_mm
     assert lo < hi < 1000.0
     with pytest.raises(DepthCalibrationError):
-        calibrate_depth(hand, 5.0)  # below the zero-depth excursion
+        calibrate_depth(hand, config1_extension(hand), 5.0)  # below the zero-depth excursion
     with pytest.raises(DepthCalibrationError):
-        calibrate_depth(hand, 0.0)
+        calibrate_depth(hand, config1_extension(hand), 0.0)
 
 
 def test_default_depth_constant_matches_target():

@@ -304,8 +304,8 @@ def test_trial_invariants_random_subjects(stiffness, fraction, seed):
     from exosim.spasticity import MasLevel, SubjectProfile
     from exosim.tendons import calibrate_depth, config1_extension
 
-    hand = calibrate_depth(default_hand(), 57.0)
-    net = config1_extension(hand)
+    net = config1_extension(default_hand())
+    hand = calibrate_depth(default_hand(), net, 57.0)
     profile = SubjectProfile(
         subject_id="X",
         mas=MasLevel.TWO,
