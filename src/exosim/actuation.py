@@ -1,9 +1,15 @@
-"""Actuator, breakaway coupling, and load-cell hardware models."""
+"""Actuator, breakaway coupling, and load-cell hardware models.
+
+Times and forces may be numbers or arrays over a trial's sample grid; each
+law returns the same shape it is given.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -63,18 +69,19 @@ class CouplingState:
     disengage_time_s: float | None = None
 
 
-def actuator_position_mm(t_s: float, spec: ActuatorSpec) -> float:
+def actuator_position_mm(t_s, spec: ActuatorSpec):
     """Position at time t: linear retraction from full stroke, floored at 0."""
-    if t_s < 0.0:
-        raise ValueError(f"time must be >= 0, got {t_s}")
-    return max(0.0, spec.stroke_mm - spec.max_speed_mm_s * t_s)
+    earliest = np.min(t_s)
+    if earliest < 0.0:
+        raise ValueError(f"time must be >= 0, got {earliest}")
+    return np.maximum(0.0, spec.stroke_mm - spec.max_speed_mm_s * t_s)
 
 
 def retraction_duration_s(spec: ActuatorSpec) -> float:
     return spec.stroke_mm / spec.max_speed_mm_s
 
 
-def measure(force_n: float, cell: LoadCellSpec = LoadCellSpec()) -> float:
+def measure(force_n, cell: LoadCellSpec = LoadCellSpec()):
     """Quantized load-cell reading: nearest output code, ties rounding up.
 
     The output codes are the non-negative multiples of the resolution plus
@@ -82,27 +89,29 @@ def measure(force_n: float, cell: LoadCellSpec = LoadCellSpec()) -> float:
     multiple of the resolution).  This keeps re-measurement a fixed point:
     every value the cell can report maps back to itself.
     """
-    if force_n < 0.0:
-        raise ValueError(f"load cell force must be >= 0, got {force_n}")
+    lowest = np.min(force_n)
+    if lowest < 0.0:
+        raise ValueError(f"load cell force must be >= 0, got {lowest}")
     res = cell.resolution_n
     full = cell.range_max_n
-    if force_n >= full:
-        return full
-    q = res * math.floor(force_n / res + 0.5)
-    if q >= full:
-        return full
+    q = res * np.floor(force_n / res + 0.5)
     top = res * math.floor(full / res)  # largest regular code below full scale
-    if q == top and force_n - top >= full - force_n:
-        return full
-    return q
+    at_full = (
+        (force_n >= full)
+        | (q >= full)
+        | ((q == top) & (force_n - top >= full - force_n))
+    )
+    return np.where(at_full, full, q)[()]
 
 
 def update_coupling(
-    state: CouplingState, true_force_n: float, spec: CouplingSpec, t_s: float
+    state: CouplingState, true_force_n, spec: CouplingSpec, t_s
 ) -> CouplingState:
-    """Advance the coupling one sample: it opens the first time the true
-    (unquantized) tension reaches the breakaway force, and never re-engages.
+    """Advance the coupling over one sample, or over a block of samples at
+    times ``t_s``: it opens at the first sample whose true (unquantized)
+    tension reaches the breakaway force, and never re-engages.
     """
-    if state.engaged and true_force_n >= spec.breakaway_force_n:
-        return CouplingState(engaged=False, disengage_time_s=t_s)
+    crossed = np.flatnonzero(np.asarray(true_force_n) >= spec.breakaway_force_n)
+    if state.engaged and crossed.size:
+        return CouplingState(engaged=False, disengage_time_s=float(np.ravel(t_s)[crossed[0]]))
     return state

@@ -85,12 +85,16 @@ class NormalizedSeries(NamedTuple):
 def normalize(trace: TrialTrace) -> NormalizedSeries:
     """Express retraction and force as fractions of their own trial maxima.
 
-    Retraction is stroke minus actuator position.  Raises on an empty window
-    or an all-zero channel, where the fractions are undefined.
+    Retraction is stroke minus actuator position.  Raises on an empty window,
+    a non-finite value or an all-zero channel, where the fractions are
+    undefined.
     """
     if len(trace) == 0:
         raise AnalysisError("empty trace window, nothing to normalize")
     retraction = trace.retraction_mm
+    for name, channel in (("retraction", retraction), ("force", trace.force_n)):
+        if not np.all(np.isfinite(channel)):
+            raise AnalysisError(f"non-finite {name} in window, normalization undefined")
     peak_retraction = float(np.max(retraction))
     peak_force = float(np.max(trace.force_n))
     if peak_retraction <= 0.0:

@@ -210,12 +210,19 @@ def _floats(section: Mapping, name: str) -> dict[str, float]:
         raise ValueError(f"section {name} must map keys to numbers, got {section!r}") from None
 
 
-def _keywords(section: Mapping, name: str, signature, *taken: str) -> dict[str, float]:
-    """Numeric keywords that callers pass on beside the ``taken`` arguments;
-    binding them now makes a misspelled key fail here, not mid-run."""
-    kwargs = _floats(section, name)
-    signature.bind_partial(**dict.fromkeys(taken), **kwargs)
-    return kwargs
+def _check_keys(section: Any, known: Mapping, name: str) -> None:
+    """Reject a section that is not a mapping, and a key that its default
+    section ``known`` lacks, here and in every nested default section."""
+    if not isinstance(section, Mapping):
+        raise ValueError(f"section {name} must be a mapping, got {section!r}")
+    for key, value in section.items():
+        path = f"{name}.{key}".lstrip(".")
+        if key not in known:
+            raise ValueError(
+                f"unknown key {path!r}; known keys: {', '.join(map(str, known))}"
+            )
+        if isinstance(known[key], dict):
+            _check_keys(value, known[key], path)
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,11 @@ class Bench:
     @classmethod
     def from_config(cls, cfg: Mapping) -> "Bench":
         try:
+            defaults = default_config()
+            # Subject ids are free; each subject takes the default subjects' keys.
+            ids = cfg["subjects"] if isinstance(cfg["subjects"], Mapping) else ()
+            entry = {key: None for params in defaults["subjects"].values() for key in params}
+            _check_keys(cfg, {**defaults, "subjects": dict.fromkeys(ids, entry)}, "")
             hand = default_hand(
                 float(cfg["hand"]["joint_center_depth_mm"]),
                 cfg["hand"]["flexion_ranges_deg"],
@@ -252,19 +264,14 @@ class Bench:
                 hand=hand,
                 kind=NetworkKind(net["kind"]),
                 extension=config1_extension(
-                    hand, slack_mm=slack, **_floats(net["extension"], "network.extension")
+                    slack_mm=slack, **_floats(net["extension"], "network.extension")
                 ),
-                pinch=config2_pinch(
-                    hand, slack_mm=slack, **_floats(net["pinch"], "network.pinch")
-                ),
+                pinch=config2_pinch(slack_mm=slack, **_floats(net["pinch"], "network.pinch")),
                 actuator=ActuatorSpec(**_floats(cfg["actuator"], "actuator")),
                 cell=LoadCellSpec(**_floats(cfg["load_cell"], "load_cell")),
                 bank=subject_bank_from_config(cfg, hand),
-                trial=_keywords(
-                    cfg["trial"], "trial", inspect.signature(TrialConfig),
-                    "hand", "network", "subject", "actuator", "coupling", "cell",
-                ),
-                analysis=_keywords(cfg["analysis"], "analysis", _ANALYZE, "label"),
+                trial=_floats(cfg["trial"], "trial"),
+                analysis=_floats(cfg["analysis"], "analysis"),
                 **_floats(cfg["calibration"], "calibration"),
             )
         except KeyError as err:

@@ -1,8 +1,10 @@
 """Kinematic description of a five-digit hand: joints, angle limits, poses.
 
-Angles are in degrees throughout, flexion positive.  The wrist is held at a
-fixed extension angle by the orthosis shell and is not an articulation of the
-model; it is carried on the pose only so downstream records state it.
+Angles are in degrees throughout, flexion positive.  An angle is a number,
+or a column of numbers with one entry per sample of a trial.  The wrist is
+held at a fixed extension angle by the orthosis shell and is not an
+articulation of the model; it is carried on the pose only so downstream
+records state it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
+
+import numpy as np
 
 WRIST_EXTENSION_DEG = 30.0
 
@@ -88,8 +92,9 @@ class Joint:
     def clamp(self, angle_deg: float) -> float:
         return min(self.flexion_max_deg, max(self.flexion_min_deg, angle_deg))
 
-    def contains(self, angle_deg: float) -> bool:
-        return self.flexion_min_deg <= angle_deg <= self.flexion_max_deg
+    def contains(self, angle_deg):
+        """True where the angle (a number or an array) lies within the range."""
+        return (self.flexion_min_deg <= angle_deg) & (angle_deg <= self.flexion_max_deg)
 
 
 @dataclass(frozen=True)
@@ -158,12 +163,15 @@ class HandModel:
         return HandModel(self.joints, {j.jid: depth_mm for j in self.joints})
 
     def validate_pose(self, pose: HandPose) -> None:
-        """Raise ValueError if any pose angle is outside its joint's limits."""
+        """Raise ValueError if any pose angle, or any sample of an angle
+        column, is outside its joint's limits."""
         for jid, angle in pose.angles_deg.items():
             joint = self.joint(jid)
-            if not joint.contains(angle):
+            inside = np.asarray(joint.contains(angle))
+            if not inside.all():
+                bad = np.asarray(angle)[~inside][0]
                 raise ValueError(
-                    f"angle {angle:.3f} deg outside "
+                    f"angle {bad:.3f} deg outside "
                     f"[{joint.flexion_min_deg}, {joint.flexion_max_deg}] "
                     f"for {jid[0].value}/{jid[1].value}"
                 )

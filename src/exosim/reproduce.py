@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import analyze, batch_report
 from .config import Bench, config_hash, default_config
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
@@ -44,28 +46,28 @@ class CheckResult:
 def _check_pinch_directions(bench: Bench) -> CheckResult:
     """Pinch network: MCPs advance toward flexion, PIP/DIP straighten, and
     the thumb adducts, monotonically in displacement."""
-    rest = spastic_rest_pose(bench.hand, 0.6)
-    response = PoseResponse(bench.hand, bench.pinch, rest)
-    displacements = [i * 0.5 for i in range(101)]
-    poses = [response.at(d) for d in displacements]
+    response = PoseResponse(bench.hand, bench.pinch, spastic_rest_pose(bench.hand, 0.6))
+    angles = response.angles(np.arange(101) * 0.5)
+
+    def column(digit: Digit, kind: JointKind) -> np.ndarray:
+        return angles[:, response.joints.index((digit, kind))]
+
     problems = []
     for digit in FINGERS:
-        mcp = [p.get((digit, JointKind.MCP)) for p in poses]
-        pip = [p.get((digit, JointKind.PIP)) for p in poses]
-        dip = [p.get((digit, JointKind.DIP)) for p in poses]
-        if any(b < a - 1e-9 for a, b in zip(mcp, mcp[1:])):
+        mcp, pip, dip = (
+            column(digit, kind) for kind in (JointKind.MCP, JointKind.PIP, JointKind.DIP)
+        )
+        if np.any(mcp[1:] < mcp[:-1] - 1e-9):
             problems.append(f"{digit.value} MCP not non-decreasing")
-        if any(b > a + 1e-9 for a, b in zip(pip, pip[1:])):
+        if np.any(pip[1:] > pip[:-1] + 1e-9):
             problems.append(f"{digit.value} PIP not non-increasing")
-        if any(b > a + 1e-9 for a, b in zip(dip, dip[1:])):
+        if np.any(dip[1:] > dip[:-1] + 1e-9):
             problems.append(f"{digit.value} DIP not non-increasing")
-    thumb_adduction = [p.get((Digit.THUMB, JointKind.ABDUCTION)) for p in poses]
-    if any(b < a - 1e-9 for a, b in zip(thumb_adduction, thumb_adduction[1:])):
+    thumb_adduction = column(Digit.THUMB, JointKind.ABDUCTION)
+    if np.any(thumb_adduction[1:] < thumb_adduction[:-1] - 1e-9):
         problems.append("thumb adduction not non-decreasing")
-    mcp_span = poses[-1].get((FINGERS[0], JointKind.MCP)) - poses[0].get(
-        (FINGERS[0], JointKind.MCP)
-    )
-    if not mcp_span > 0:
+    index_mcp = column(FINGERS[0], JointKind.MCP)
+    if not index_mcp[-1] - index_mcp[0] > 0:
         problems.append("index MCP never moved")
     ok = not problems
     detail = "MCP flexes, PIP/DIP extend, thumb adducts, all monotone"

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .hand import Digit, HandPose
 
 # Effective spring travel with the default 50 mm stroke and 2 mm branch
@@ -48,13 +50,11 @@ class SubjectProfile:
             raise ValueError("engage_slack_mm must be >= 0")
 
 
-def resistance_force_n(profile: SubjectProfile, net_elongation_mm: float) -> float:
-    """Spring force against a net tendon elongation; zero until the muscle's
-    own engagement slack is taken up, linear beyond."""
+def resistance_force_n(profile: SubjectProfile, net_elongation_mm):
+    """Spring force against a net tendon elongation (a number or an array);
+    zero until the muscle's own engagement slack is taken up, linear beyond."""
     stretch = net_elongation_mm - profile.engage_slack_mm
-    if stretch <= 0.0:
-        return 0.0
-    return profile.stiffness_n_per_mm * stretch
+    return profile.stiffness_n_per_mm * np.maximum(0.0, stretch)
 
 
 def calibrate_stiffness(

@@ -8,6 +8,10 @@ crosses rotates by ``theta``, the tendon path length over that joint changes by
 at the guide height above the skin, and the joint's rotation axis sits below
 the skin surface.  Dorsal routing pays out tendon as the joint flexes
 (positive excursion), palmar routing the opposite.
+
+Every law here takes one sample or a whole sample grid: displacements,
+tensions and pose angles may be numbers or equal-length arrays, and the
+results come back in the same shape.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 from .hand import (
     Digit,
@@ -118,13 +124,12 @@ def branch_excursion_mm(
     total = 0.0
     for pt in branch.routing:
         r = moment_arm_mm(hand, pt)
-        theta = math.radians(pose.get(pt.joint))
+        theta = np.radians(pose.get(pt.joint))
         total += EXCURSION_SIGN[pt.side] * r * theta
     return total
 
 
 def config1_extension(
-    hand: HandModel,
     *,
     mcp_guide_mm: float = MCP_GUIDE_HEIGHT_MM,
     pip_guide_mm: float = PIP_GUIDE_HEIGHT_MM,
@@ -156,7 +161,6 @@ def config1_extension(
 
 
 def config2_pinch(
-    hand: HandModel,
     *,
     pip_guide_mm: float = PIP_GUIDE_HEIGHT_MM,
     dip_guide_mm: float = PIP_GUIDE_HEIGHT_MM,
@@ -271,54 +275,69 @@ def calibrate_depth(
 
 @dataclass(frozen=True)
 class BranchState:
-    """One branch at a given junction displacement.
+    """One branch at a junction displacement, each field a number or, over a
+    sample grid, an array with one entry per sample.
 
     ``imposed_mm`` is the displacement the rigid junction pushes past this
     branch's slack; ``elongation_mm`` is the elastic demand left after the
     pose has paid out its share of tendon (zero while the pose keeps up).
     """
 
-    taut: bool
-    imposed_mm: float
-    elongation_mm: float
-    tension_n: float
+    taut: bool | np.ndarray
+    imposed_mm: float | np.ndarray
+    elongation_mm: float | np.ndarray
+    tension_n: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class NetworkState:
     branches: tuple[BranchState, ...]
-    actuator_tension_n: float
-    net_elongation_mm: float
+    actuator_tension_n: float | np.ndarray
+    net_elongation_mm: float | np.ndarray
 
-    def with_total_tension(self, total_tension_n: float) -> "NetworkState":
+    def with_total_tension(self, total_tension_n) -> "NetworkState":
         """Split a total junction tension over the taut branches.
 
         Weights are the imposed displacements, so branches that have been
         engaged longer carry proportionally more; slack branches carry zero.
         The actuator-side tension is the exact sum of the branch tensions.
         """
-        weights = [b.imposed_mm if b.taut else 0.0 for b in self.branches]
+        weights = [np.where(b.taut, b.imposed_mm, 0.0) for b in self.branches]
         total_w = sum(weights)
-        if total_w <= 0.0:
-            tensions = [0.0 for _ in self.branches]
-        else:
-            tensions = [total_tension_n * w / total_w for w in weights]
+        # No taut branch: every weight is zero, so any non-zero divisor gives
+        # every branch a zero share.
+        divisor = np.where(total_w > 0.0, total_w, 1.0)
+        tensions = [total_tension_n * w / divisor for w in weights]
         branches = tuple(
             replace(b, tension_n=t) for b, t in zip(self.branches, tensions)
         )
         return NetworkState(branches, sum(tensions), self.net_elongation_mm)
 
 
+def imposed_mm(branch: TendonBranch, displacement_mm):
+    """Displacement the rigid junction pushes past one branch's slack."""
+    return np.maximum(0.0, displacement_mm - branch.slack_mm)
+
+
+def net_elongation_mm(net: TendonNetwork, displacement_mm):
+    """The largest displacement imposed past any branch's slack (the least
+    slack branch's): what a series elastic element downstream of the
+    junction sees, whatever the pose."""
+    return imposed_mm(min(net.branches, key=lambda b: b.slack_mm), displacement_mm)
+
+
 def network_state(
     hand: HandModel,
     net: TendonNetwork,
     pose: HandPose,
-    displacement_mm: float,
+    displacement_mm,
     *,
     rest_pose: HandPose | None = None,
-    total_tension_n: float = 0.0,
+    total_tension_n=0.0,
 ) -> NetworkState:
-    """Quasi-static state of the junction at one actuator displacement.
+    """Quasi-static state of the junction at one actuator displacement, or at
+    every sample of a grid (a pose of angle columns, displacement and tension
+    arrays).
 
     All branches share the junction displacement (rigid tie).  A branch is
     taut once the displacement exceeds its slack plus the free length released
@@ -326,23 +345,21 @@ def network_state(
     ``net_elongation_mm`` is the largest displacement imposed past any
     branch's slack and is what a series elastic element downstream sees.
     """
-    if displacement_mm < 0.0:
-        raise ValueError(f"displacement must be >= 0, got {displacement_mm}")
+    lowest = np.min(displacement_mm)
+    if lowest < 0.0:
+        raise ValueError(f"displacement must be >= 0, got {lowest}")
     hand.validate_pose(pose)
     rest = pose if rest_pose is None else rest_pose
     if rest_pose is not None:
         hand.validate_pose(rest)
     states = []
-    net_elongation = 0.0
     for b in net.branches:
         free = branch_excursion_mm(hand, b, rest, validate=False) - branch_excursion_mm(
             hand, b, pose, validate=False
         )
         margin = displacement_mm - b.slack_mm - free
         taut = margin > -TAUT_TOL_MM
-        elongation = max(0.0, margin)
-        imposed = max(0.0, displacement_mm - b.slack_mm)
-        net_elongation = max(net_elongation, imposed)
-        states.append(BranchState(taut, imposed, elongation, 0.0))
-    state = NetworkState(tuple(states), 0.0, net_elongation)
+        elongation = np.maximum(0.0, margin)
+        states.append(BranchState(taut, imposed_mm(b, displacement_mm), elongation, 0.0))
+    state = NetworkState(tuple(states), 0.0, net_elongation_mm(net, displacement_mm))
     return state.with_total_tension(total_tension_n)

@@ -9,6 +9,7 @@ crash never leaves a half-written artifact.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -98,9 +99,10 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
 def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     """Load a trace CSV (and sidecar when present).
 
-    Malformed data rows are skipped and reported as warnings with their line
-    numbers; the rest of the file still loads.  Without a sidecar the stroke
-    is taken as the largest recorded actuator position.
+    Malformed data rows (wrong column count, non-numeric or non-finite
+    values) are skipped and reported as warnings with their line numbers;
+    the rest of the file still loads.  Without a sidecar the stroke is taken
+    as the largest recorded actuator position.
     """
     csv_path = Path(csv_path)
     warnings: list[str] = []
@@ -129,6 +131,9 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
             values = [float(p) for p in parts]
         except ValueError:
             warnings.append(f"{csv_path.name}:{lineno}: non-numeric row {stripped!r}")
+            continue
+        if not all(map(math.isfinite, values)):
+            warnings.append(f"{csv_path.name}:{lineno}: non-finite row {stripped!r}")
             continue
         t.append(values[0])
         position.append(values[1])

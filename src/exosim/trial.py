@@ -1,17 +1,20 @@
 """Quasi-static trial simulation: one actuator retraction over a spastic hand.
 
-Each sample advances the actuator along its constant-speed retraction, lets
-the hand pose respond to the displacement reaching the tendon junction,
-evaluates the spring resistance of the aggregate spastic muscle, passes the
-true tension through the breakaway coupling, and records the quantized
-load-cell reading.  Inertia and friction are neglected: at 5 mm/s the system
-moves through a sequence of force-balanced states.
+The actuator retracts at constant speed and one rigid junction passes its
+displacement to every tendon branch, so a trial is a sweep of one scalar and
+every stage is evaluated once over the whole sample grid: the hand pose
+responds to the displacement reaching the tendon junction, the aggregate
+spastic muscle resists as a spring, the true tension passes through the
+breakaway coupling, and the load cell quantizes what reaches it.  Inertia and
+friction are neglected: at 5 mm/s the system moves through a sequence of
+force-balanced states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from .actuation import (
     update_coupling,
 )
 from .hand import (
+    WRIST_EXTENSION_DEG,
     Digit,
     HandModel,
     HandPose,
@@ -37,11 +41,10 @@ from .hand import (
 )
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
-    NetworkKind,
     Side,
     TendonNetwork,
-    branch_excursion_mm,
     moment_arm_mm,
+    net_elongation_mm,
     network_state,
 )
 
@@ -96,126 +99,90 @@ def trial_config_for(
 
 def is_functional_extension(
     pose: HandPose, max_total_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG
-) -> bool:
-    """True when every finger's MCP+PIP+DIP flexion sum is at or below the
-    threshold — the opening needed to pass a grasp-diameter test object."""
-    return all(
-        pose.total_finger_flexion(d) <= max_total_flexion_deg for d in FINGERS
+):
+    """True where every finger's MCP+PIP+DIP flexion sum is at or below the
+    threshold — the opening needed to pass a grasp-diameter test object.
+    One answer per sample for a pose of angle columns."""
+    return np.all(
+        [pose.total_finger_flexion(d) <= max_total_flexion_deg for d in FINGERS], axis=0
     )
 
 
 @dataclass(frozen=True)
-class _ExtensionDrive:
-    """One extension branch: scale the finger's rest flexion down uniformly."""
+class _Drive:
+    """One branch's pull on the pose.
+
+    Past its slack the branch spends a share s = min(1, past-slack / scale_mm)
+    of its range: each ``straighten`` joint goes to (1 - s)·rest and each
+    ``advance`` joint to rest + s·(limit - rest).  Joints are pose columns.
+    """
 
     slack_mm: float
-    rest_excursion_mm: float
-    joints: tuple[JointId, ...]
-    rest_angles: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class _PinchDrive:
-    """One pinch branch: proximal joint toward max, distal joints toward zero."""
-
-    slack_mm: float
-    denom_mm: float
-    proximal: JointId
-    proximal_rest: float
-    proximal_max: float
-    distal: tuple[JointId, ...]
-    distal_rest: tuple[float, ...]
+    scale_mm: float
+    straighten: list[int]
+    advance: list[int]
 
 
 class PoseResponse:
     """Kinematic response of the hand to junction displacement.
 
     The hand yields freely (no elastic stretch) until each branch's geometry
-    runs out: for an extension branch the finger's flexion scales down so the
-    branch's excursion deficit exactly matches the displacement past slack;
-    for a pinch branch the proximal joint advances toward its limit while the
-    routed distal joints straighten, parameterized by one scalar per branch.
-    Poses never leave joint limits and saturate once a branch's range is spent.
+    runs out.  A branch's first palmar routing point advances its joint toward
+    the flexion limit; every other routed joint, and a finger's unrouted DIP
+    (which follows the PIP through soft-tissue coupling), straightens.  All
+    of a branch's joints move by one share of their range, sized so the
+    tendon the pose pays out matches the displacement past slack: an
+    extension branch opens its finger uniformly, a pinch branch flexes the
+    MCP (or adducts the thumb) while the distal joints straighten.  Poses
+    never leave joint limits and saturate once a branch's range is spent.
     """
 
     def __init__(self, hand: HandModel, network: TendonNetwork, rest: HandPose):
         hand.validate_pose(rest)
-        self.hand = hand
-        self.network = network
         self.rest = rest
-        self._extension: list[_ExtensionDrive] = []
-        self._pinch: list[_PinchDrive] = []
+        self.joints: tuple[JointId, ...] = hand.joint_ids()
+        self._rest = np.array([rest.get(j) for j in self.joints])
+        self._limit = np.array([hand.joint(j).flexion_max_deg for j in self.joints])
+        self._drives: list[_Drive] = []
         for branch in network.branches:
-            if network.kind is NetworkKind.EXTENSION:
-                joints = [pt.joint for pt in branch.routing]
-                coupled_dip = (branch.digit, JointKind.DIP)
-                if (
-                    branch.digit is not Digit.THUMB
-                    and coupled_dip not in joints
-                    and hand.has_joint(coupled_dip)
-                ):
-                    joints.append(coupled_dip)
-                self._extension.append(
-                    _ExtensionDrive(
-                        slack_mm=branch.slack_mm,
-                        rest_excursion_mm=branch_excursion_mm(hand, branch, rest),
-                        joints=tuple(joints),
-                        rest_angles=tuple(rest.get(j) for j in joints),
-                    )
-                )
-            else:
-                proximal = None
-                distal: list[tuple[JointId, float]] = []
-                denom = 0.0
-                for pt in branch.routing:
-                    r = moment_arm_mm(hand, pt)
-                    if pt.side is Side.PALMAR and proximal is None:
-                        proximal = pt.joint
-                        prox_rest = rest.get(pt.joint)
-                        prox_max = hand.joint(pt.joint).flexion_max_deg
-                        denom += r * math.radians(prox_max - prox_rest)
-                    else:
-                        distal.append((pt.joint, rest.get(pt.joint)))
-                        denom += r * math.radians(rest.get(pt.joint))
-                if proximal is None:
-                    raise ValueError(
-                        f"pinch branch on {branch.digit.value} has no palmar "
-                        "routing point to drive"
-                    )
-                self._pinch.append(
-                    _PinchDrive(
-                        slack_mm=branch.slack_mm,
-                        denom_mm=denom,
-                        proximal=proximal,
-                        proximal_rest=prox_rest,
-                        proximal_max=prox_max,
-                        distal=tuple(j for j, _ in distal),
-                        distal_rest=tuple(a for _, a in distal),
-                    )
-                )
+            straighten: list[int] = []
+            advance: list[int] = []
+            scale = 0.0
+            for pt in branch.routing:
+                r = moment_arm_mm(hand, pt)
+                col = self.joints.index(pt.joint)
+                if pt.side is Side.PALMAR and not advance:
+                    advance.append(col)
+                    scale += r * math.radians(self._limit[col] - self._rest[col])
+                else:
+                    straighten.append(col)
+                    scale += r * math.radians(self._rest[col])
+            dip = (branch.digit, JointKind.DIP)
+            if branch.digit is not Digit.THUMB and hand.has_joint(dip):
+                col = self.joints.index(dip)
+                if col not in straighten + advance:
+                    straighten.append(col)
+            if scale > 0.0:
+                self._drives.append(_Drive(branch.slack_mm, scale, straighten, advance))
+
+    def angles(self, displacements_mm) -> np.ndarray:
+        """Joint angles at each displacement, columns in ``joints`` order:
+        shape ``(n_joints,)`` for one displacement, ``(n, n_joints)`` for n."""
+        d = np.asarray(displacements_mm, dtype=float)
+        if np.any(d < 0.0):
+            raise ValueError("displacement must be >= 0")
+        out = np.tile(self._rest, d.shape + (1,))
+        rest, limit = self._rest, self._limit
+        for drive in self._drives:
+            s = np.clip((d - drive.slack_mm) / drive.scale_mm, 0.0, 1.0)[..., None]
+            straighten, advance = drive.straighten, drive.advance
+            out[..., straighten] = (1.0 - s) * rest[straighten]
+            out[..., advance] = rest[advance] + s * (limit[advance] - rest[advance])
+        return out
 
     def at(self, displacement_mm: float) -> HandPose:
-        if displacement_mm < 0.0:
-            raise ValueError("displacement must be >= 0")
-        angles = dict(self.rest.angles_deg)
-        for drive in self._extension:
-            avail = displacement_mm - drive.slack_mm
-            if avail <= 0.0 or drive.rest_excursion_mm <= 0.0:
-                continue
-            alpha = max(0.0, 1.0 - avail / drive.rest_excursion_mm)
-            for jid, rest_angle in zip(drive.joints, drive.rest_angles):
-                angles[jid] = alpha * rest_angle
-        for drive in self._pinch:
-            avail = displacement_mm - drive.slack_mm
-            if avail <= 0.0 or drive.denom_mm <= 0.0:
-                continue
-            beta = min(1.0, avail / drive.denom_mm)
-            angles[drive.proximal] = drive.proximal_rest + beta * (
-                drive.proximal_max - drive.proximal_rest
-            )
-            for jid, rest_angle in zip(drive.distal, drive.distal_rest):
-                angles[jid] = (1.0 - beta) * rest_angle
-        return HandPose(angles, self.rest.wrist_extension_deg)
+        row = self.angles(displacement_mm).tolist()
+        return HandPose(dict(zip(self.joints, row)), self.rest.wrist_extension_deg)
 
 
 @dataclass
@@ -223,8 +190,9 @@ class TrialTrace:
     """Sampled record of one trial plus per-sample internals.
 
     ``force_n`` is the quantized load-cell channel that an analysis sees;
-    the unquantized tension, junction states, and poses are kept alongside so
-    recorded samples can be re-checked against the constitutive relations.
+    the unquantized tension, junction states, and joint angles (one column
+    per joint in ``joints``) are kept alongside so recorded samples can be
+    re-checked against the constitutive relations.
     """
 
     t_s: np.ndarray
@@ -240,8 +208,9 @@ class TrialTrace:
     breakaway_time_s: float | None = None
     functional_extension: bool | None = None
     functional_time_s: float | None = None
-    final_pose: HandPose | None = None
-    poses: list[HandPose] | None = None
+    joints: tuple[JointId, ...] = ()
+    angles_deg: np.ndarray | None = None
+    wrist_extension_deg: float = WRIST_EXTENSION_DEG
     true_force_n: np.ndarray | None = None
     actuator_tension_n: np.ndarray | None = None
     branch_taut: np.ndarray | None = None
@@ -255,24 +224,30 @@ class TrialTrace:
     def retraction_mm(self) -> np.ndarray:
         return self.stroke_mm - self.actuator_mm
 
+    @cached_property
+    def poses(self) -> tuple[HandPose, ...] | None:
+        """One HandPose per sample, read from ``angles_deg`` on first use."""
+        if self.angles_deg is None:
+            return None
+        return tuple(
+            HandPose(dict(zip(self.joints, row)), self.wrist_extension_deg)
+            for row in self.angles_deg.tolist()
+        )
+
+    @property
+    def final_pose(self) -> HandPose | None:
+        return self.poses[-1] if self.poses else None
+
     def window(self, start: int, stop: int) -> "TrialTrace":
-        """Contiguous sample window with all channels sliced consistently."""
+        """Contiguous sample window with every array channel sliced alike."""
         sl = slice(start, stop)
-
-        def cut(a):
-            return None if a is None else a[sl]
-
         return replace(
             self,
-            t_s=self.t_s[sl],
-            actuator_mm=self.actuator_mm[sl],
-            force_n=self.force_n[sl],
-            poses=None if self.poses is None else self.poses[sl],
-            true_force_n=cut(self.true_force_n),
-            actuator_tension_n=cut(self.actuator_tension_n),
-            branch_taut=cut(self.branch_taut),
-            branch_elongation_mm=cut(self.branch_elongation_mm),
-            branch_tension_n=cut(self.branch_tension_n),
+            **{
+                f.name: value[sl]
+                for f in fields(self)
+                if isinstance(value := getattr(self, f.name), np.ndarray)
+            },
         )
 
 
@@ -296,12 +271,7 @@ def run_trial(
     the coupling and the quantizer see it.
     """
     n = trial_sample_count(cfg)
-    if isinstance(seed, np.random.SeedSequence):
-        seed_entropy = seed.entropy
-        rng = np.random.default_rng(seed)
-    else:
-        seed_entropy = seed
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     noise = (
         rng.normal(0.0, cfg.noise_sigma_n, n)
         if cfg.noise_sigma_n > 0.0
@@ -310,84 +280,56 @@ def run_trial(
 
     rest = cfg.subject.rest_pose
     response = PoseResponse(cfg.hand, cfg.network, rest)
-    coupling = CouplingState()
-    n_branches = len(cfg.network.branches)
+    t = np.arange(n) / cfg.sample_rate_hz
+    position = actuator_position_mm(t, cfg.actuator)
+    disp = cfg.actuator.stroke_mm - position
 
-    t = np.empty(n)
-    position = np.empty(n)
-    force = np.empty(n)
-    true_force = np.empty(n)
-    actuator_tension = np.empty(n)
-    taut = np.zeros((n, n_branches), dtype=bool)
-    elongation = np.zeros((n, n_branches))
-    branch_tension = np.zeros((n, n_branches))
-    poses: list[HandPose] = []
+    # The spring sees the junction's pull past slack whatever the pose, so
+    # the release is known before the pose: the first sample whose true
+    # tension reaches the breakaway force.
+    spring = resistance_force_n(cfg.subject, net_elongation_mm(cfg.network, disp))
+    coupling = update_coupling(CouplingState(), spring + noise, cfg.coupling, t)
+    release_s = math.inf if coupling.engaged else coupling.disengage_time_s
+    held = t <= release_s  # coupling engaged as the sample begins
+    transmits = t < release_s  # ... and still engaged as it ends
 
-    functional = False
-    functional_time: float | None = None
+    # Once the coupling is open the tendon side is free: no displacement
+    # reaches the hand, which relaxes back to rest, and the muscle no longer
+    # loads the actuator.
+    angles = response.angles(np.where(held, disp, 0.0))
+    pose = HandPose(dict(zip(response.joints, angles.T)), rest.wrist_extension_deg)
+    true_force = np.where(held, spring, 0.0) + noise
+    transmitted = np.where(transmits, np.maximum(0.0, true_force), 0.0)
+    kin = network_state(
+        cfg.hand, cfg.network, pose, disp, rest_pose=rest, total_tension_n=transmitted
+    )
+    functional = np.flatnonzero(
+        held & is_functional_extension(pose, cfg.functional_flexion_deg)
+    )
 
-    for i in range(n):
-        t_i = i / cfg.sample_rate_hz
-        pos = actuator_position_mm(t_i, cfg.actuator)
-        disp = cfg.actuator.stroke_mm - pos
-        engaged_at_entry = coupling.engaged
-
-        if engaged_at_entry:
-            pose = response.at(disp)
-            spring = None  # filled from the junction state below
-        else:
-            # Tendon side is free: the hand has relaxed back to rest and the
-            # muscle no longer loads the actuator.
-            pose = rest
-            spring = 0.0
-
-        kin = network_state(cfg.hand, cfg.network, pose, disp, rest_pose=rest)
-        if spring is None:
-            spring = resistance_force_n(cfg.subject, kin.net_elongation_mm)
-
-        tf = spring + noise[i]
-        coupling = update_coupling(coupling, tf, cfg.coupling, t_i)
-        transmitted = max(0.0, tf) if coupling.engaged else 0.0
-        kin = kin.with_total_tension(transmitted)
-
-        if (
-            engaged_at_entry
-            and not functional
-            and is_functional_extension(pose, cfg.functional_flexion_deg)
-        ):
-            functional = True
-            functional_time = t_i
-
-        t[i] = t_i
-        position[i] = pos
-        force[i] = measure(transmitted, cfg.cell)
-        true_force[i] = tf
-        actuator_tension[i] = kin.actuator_tension_n
-        for b, bs in enumerate(kin.branches):
-            taut[i, b] = bs.taut
-            elongation[i, b] = bs.elongation_mm
-            branch_tension[i, b] = bs.tension_n
-        poses.append(pose)
+    def branch_columns(name: str) -> np.ndarray:
+        return np.column_stack([getattr(b, name) for b in kin.branches])
 
     return TrialTrace(
         t_s=t,
         actuator_mm=position,
-        force_n=force,
+        force_n=measure(transmitted, cfg.cell),
         subject_id=cfg.subject.subject_id,
         network=cfg.network.kind.value,
         stroke_mm=cfg.actuator.stroke_mm,
         sample_rate_hz=cfg.sample_rate_hz,
         noise_sigma_n=cfg.noise_sigma_n,
-        seed=seed_entropy,
+        seed=seed.entropy if isinstance(seed, np.random.SeedSequence) else seed,
         breakaway=not coupling.engaged,
         breakaway_time_s=coupling.disengage_time_s,
-        functional_extension=functional,
-        functional_time_s=functional_time,
-        final_pose=poses[-1] if poses else None,
-        poses=poses,
+        functional_extension=bool(functional.size),
+        functional_time_s=float(t[functional[0]]) if functional.size else None,
+        joints=response.joints,
+        angles_deg=angles,
+        wrist_extension_deg=rest.wrist_extension_deg,
         true_force_n=true_force,
-        actuator_tension_n=actuator_tension,
-        branch_taut=taut,
-        branch_elongation_mm=elongation,
-        branch_tension_n=branch_tension,
+        actuator_tension_n=kin.actuator_tension_n,
+        branch_taut=branch_columns("taut"),
+        branch_elongation_mm=branch_columns("elongation_mm"),
+        branch_tension_n=branch_columns("tension_n"),
     )

@@ -8,7 +8,7 @@ from exosim.trial import run_trial, trial_config_for
 
 @pytest.fixture(scope="session")
 def extension_net():
-    return config1_extension(default_hand())
+    return config1_extension()
 
 
 @pytest.fixture(scope="session")
@@ -17,8 +17,8 @@ def hand(extension_net):
 
 
 @pytest.fixture(scope="session")
-def pinch_net(hand):
-    return config2_pinch(hand)
+def pinch_net():
+    return config2_pinch()
 
 
 @pytest.fixture(scope="session")

@@ -35,11 +35,11 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 
 def test_c01_depth_calibration(hand):
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
     depth = hand.depth((Digit.INDEX, JointKind.MCP))
     ok = abs(excursion - 57.0) <= 0.01 and depth > 0.0
     try:
-        calibrate_depth(default_hand(), config1_extension(default_hand()), 1000.0)
+        calibrate_depth(default_hand(), config1_extension(), 1000.0)
         ok = False
         bracket = "no error raised"
     except DepthCalibrationError as err:
@@ -313,7 +313,7 @@ def test_c09_trace_constraint_consistency(hand, extension_net, bank):
 
 def test_c10_reproduction_determinism(tmp_path):
     t0 = time.perf_counter()
-    hand = calibrate_depth(default_hand(), config1_extension(default_hand()), 57.0)
+    hand = calibrate_depth(default_hand(), config1_extension(), 57.0)
     calibration_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -131,6 +131,20 @@ def test_normalize_rejects_empty_and_zero():
         normalize(synthetic_trace([0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_force(bad):
+    with pytest.raises(AnalysisError, match="non-finite force"):
+        normalize(synthetic_trace([4.0, 5.0, bad, 7.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])  # -inf reads as a breakaway
+def test_non_finite_force_gives_degenerate_report(bad):
+    report = analyze(synthetic_trace([4.0, 5.0, bad, 7.0]))
+    assert report.degenerate
+    assert report.correlation is None
+    assert "non-finite" in report.degenerate_reason
+
+
 @given(st.floats(min_value=0.1, max_value=5.0))
 def test_normalized_shape_scale_invariant(scale):
     """Scaling the force channel must not move the normalized curve."""

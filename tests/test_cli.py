@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -132,6 +133,32 @@ def test_analyze_warns_on_malformed_rows(tmp_path, capsys):
     assert "bad.csv:3" in err
 
 
+def test_analyze_skips_non_finite_rows(tmp_path, capsys):
+    """nan/inf force rows are dropped with file:line warnings, so the fit is
+    made on the finite rows and its numbers are finite."""
+    trace = tmp_path / "nonfinite.csv"
+    trace.write_text(
+        "t_s,actuator_mm,force_N\n"
+        "0.0,50.0,0.0\n"
+        "0.1,49.5,4.0\n"
+        "0.2,49.0,nan\n"
+        "0.3,48.5,inf\n"
+        "0.4,48.0,8.0\n"
+        "0.5,47.5,-inf\n"
+        "0.6,47.0,12.0\n"
+    )
+    assert run_cli(["analyze", str(trace), "--out", str(tmp_path / "an")]) == 0
+    err = capsys.readouterr().err
+    for line in (4, 5, 7):
+        assert f"nonfinite.csv:{line}: non-finite row" in err
+    report = yaml.safe_load((tmp_path / "an" / "nonfinite.report.yaml").read_text())
+    assert report["used_samples"] == 3
+    assert not report["degenerate"]
+    for key in ("correlation", "slope", "intercept", "peak_force_n"):
+        assert math.isfinite(report[key])
+    assert report["peak_force_n"] == 12.0
+
+
 def test_analyze_missing_input_errors(tmp_path, capsys):
     assert run_cli(["analyze", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "an")]) == 1
@@ -211,6 +238,12 @@ MALFORMED = [
     "actuator.stroke=40",
     "trial.noise_sigma_n=[",  # not parseable
     None,  # a config file with `hand: 3`
+    # keys that the defaults lack
+    "hand.joint_depth=3",
+    "hand.flexion_ranges_deg.finger_mpc=[0,80]",
+    "network.extention.x=3",
+    "coupling.magnit=strong",
+    "subjects.S1.stifness_n_per_mm=3",
 ]
 
 
@@ -241,7 +274,7 @@ def test_calibration_solves_for_configured_extension_network(tmp_path):
     derived = yaml.safe_load((tmp_path / "cal" / "calibrated_config.yaml").read_text())
     depth = derived["hand"]["joint_center_depth_mm"]
     hand = default_hand(depth)
-    branch = index_branch(config1_extension(hand, mcp_guide_mm=9.5))
+    branch = index_branch(config1_extension(mcp_guide_mm=9.5))
     assert full_flexion_excursion_mm(hand, branch) == pytest.approx(57.0, abs=0.01)
 
     out = tmp_path / "rep"

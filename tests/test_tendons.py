@@ -69,14 +69,14 @@ def test_palmar_routing_flips_sign():
 
 def test_excursion_zero_at_zero_pose():
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     for b in net.branches:
         assert branch_excursion_mm(hand, b, zero_pose(hand)) == 0.0
 
 
 def test_excursion_rejects_pose_outside_limits():
     hand = default_hand()
-    branch = index_branch(config1_extension(hand))
+    branch = index_branch(config1_extension())
     bad = zero_pose(hand).replace_angles({IDX_MCP: 91.0})
     with pytest.raises(ValueError):
         branch_excursion_mm(hand, branch, bad)
@@ -86,7 +86,7 @@ def test_excursion_rejects_pose_outside_limits():
 def test_excursion_linear_in_pose(scale_a, scale_b):
     """Superposition: excursion of a scaled pose is the scaled excursion."""
     hand = default_hand()
-    branch = index_branch(config1_extension(hand))
+    branch = index_branch(config1_extension())
     base = spastic_rest_pose(hand, 1.0)
     e_base = branch_excursion_mm(hand, branch, base)
 
@@ -104,7 +104,7 @@ def test_excursion_linear_in_pose(scale_a, scale_b):
 @given(st.floats(min_value=-15.0, max_value=15.0))
 def test_extension_excursion_ignores_abduction(abduction_deg):
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     rest = spastic_rest_pose(hand, 0.7)
     moved = rest.replace_angles(
         {(d, JointKind.ABDUCTION): abduction_deg for d in FINGERS}
@@ -117,7 +117,7 @@ def test_extension_excursion_ignores_abduction(abduction_deg):
 
 def test_config1_shape():
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     assert len(net.branches) == 4
     assert {b.digit for b in net.branches} == set(FINGERS)
     for b in net.branches:
@@ -128,7 +128,7 @@ def test_config1_shape():
         assert b.slack_mm == 2.0
     # the ring protrusion locates the anchor; it must not change excursion
     flex = full_flexion_pose(hand)
-    tall = config1_extension(hand, ring_protrusion_mm=9.9)
+    tall = config1_extension(ring_protrusion_mm=9.9)
     for b_a, b_b in zip(net.branches, tall.branches):
         assert branch_excursion_mm(hand, b_a, flex) == branch_excursion_mm(
             hand, b_b, flex
@@ -137,7 +137,7 @@ def test_config1_shape():
 
 def test_config2_shape():
     hand = default_hand()
-    net = config2_pinch(hand)
+    net = config2_pinch()
     assert len(net.branches) == 5
     thumb = [b for b in net.branches if b.digit is Digit.THUMB][0]
     assert thumb.routing[0].joint == (Digit.THUMB, JointKind.ABDUCTION)
@@ -164,17 +164,17 @@ def closed_form_depth(target):
 
 
 def test_calibrate_depth_matches_closed_form():
-    hand = calibrate_depth(default_hand(), config1_extension(default_hand()), 57.0)
+    hand = calibrate_depth(default_hand(), config1_extension(), 57.0)
     depth = hand.depth(IDX_MCP)
     assert depth == pytest.approx(closed_form_depth(57.0), abs=1e-6)
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
     assert abs(excursion - 57.0) <= 0.01
 
 
 @given(st.floats(min_value=27.0, max_value=120.0))
 def test_calibrate_depth_meets_tolerance(target):
-    hand = calibrate_depth(default_hand(), config1_extension(default_hand()), target)
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    hand = calibrate_depth(default_hand(), config1_extension(), target)
+    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
     assert abs(excursion - target) <= 0.01
     assert hand.depth(IDX_MCP) == pytest.approx(closed_form_depth(target), abs=1e-6)
 
@@ -182,18 +182,18 @@ def test_calibrate_depth_meets_tolerance(target):
 def test_calibrate_depth_unreachable_targets():
     hand = default_hand()
     with pytest.raises(DepthCalibrationError) as info:
-        calibrate_depth(hand, config1_extension(hand), 1000.0)
+        calibrate_depth(hand, config1_extension(), 1000.0)
     lo, hi = info.value.bracket_mm
     assert lo < hi < 1000.0
     with pytest.raises(DepthCalibrationError):
-        calibrate_depth(hand, config1_extension(hand), 5.0)  # below the zero-depth excursion
+        calibrate_depth(hand, config1_extension(), 5.0)  # below the zero-depth excursion
     with pytest.raises(DepthCalibrationError):
-        calibrate_depth(hand, config1_extension(hand), 0.0)
+        calibrate_depth(hand, config1_extension(), 0.0)
 
 
 def test_default_depth_constant_matches_target():
     hand = default_hand()  # ships with the solved depth baked in
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension(hand)))
+    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
     assert abs(excursion - 57.0) <= 0.01
 
 
@@ -235,7 +235,7 @@ def test_network_state_slack_split_example():
 
 def test_network_state_zero_displacement():
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 0.0, total_tension_n=0.0)
     assert all(not b.taut for b in state.branches)
@@ -245,14 +245,14 @@ def test_network_state_zero_displacement():
 
 def test_network_state_rejects_negative_displacement():
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     with pytest.raises(ValueError):
         network_state(hand, net, spastic_rest_pose(hand, 0.5), -0.1)
 
 
 def test_identical_branches_share_equally():
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 30.0, total_tension_n=12.0)
     tensions = [b.tension_n for b in state.branches]
@@ -299,7 +299,7 @@ def test_taut_monotone_in_displacement(d_small, d_large):
     if d_small > d_large:
         d_small, d_large = d_large, d_small
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     pose = spastic_rest_pose(hand, 0.6)
     s_small = network_state(hand, net, pose, d_small)
     s_large = network_state(hand, net, pose, d_large)
@@ -314,7 +314,7 @@ def test_taut_monotone_in_displacement(d_small, d_large):
 )
 def test_force_balance_exact(displacement, total_tension):
     hand = default_hand()
-    net = config1_extension(hand)
+    net = config1_extension()
     pose = spastic_rest_pose(hand, 0.6)
     state = network_state(
         hand, net, pose, displacement, total_tension_n=total_tension

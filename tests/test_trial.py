@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exosim.actuation import ActuatorSpec, coupling_for_magnet
+from exosim.actuation import (
+    ActuatorSpec,
+    CouplingState,
+    coupling_for_magnet,
+    measure,
+    update_coupling,
+)
 from exosim.hand import Digit, FINGERS, JointKind, spastic_rest_pose
 from exosim.spasticity import resistance_force_n
 from exosim.tendons import branch_excursion_mm, network_state
@@ -291,6 +297,56 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
         )
 
 
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+@pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4", "S5"])
+def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, network, sid):
+    """The whole-grid trial against each law called one sample at a time, in
+    the order one retraction steps through them; every recorded value is
+    equal, not just close."""
+    net = request.getfixturevalue(network)
+    profile = bank.by_id(sid)
+    rest = profile.rest_pose
+    cfg = trial_config_for(hand, net, profile, noise_sigma_n=0.4)
+    trace = run_trial(cfg, seed=5)
+    noise = np.random.default_rng(5).normal(0.0, 0.4, len(trace))
+    response = PoseResponse(hand, net, rest)
+    coupling = CouplingState()
+    functional_time = None
+    for i, t in enumerate(trace.t_s):
+        held = coupling.engaged
+        d = trace.stroke_mm - trace.actuator_mm[i]
+        pose = response.at(d) if held else rest
+        assert trace.poses[i].angles_deg == pose.angles_deg
+        assert trace.angles_deg[i].tolist() == [pose.angle(j) for j in trace.joints]
+        kin = network_state(hand, net, pose, d, rest_pose=rest)
+        spring = resistance_force_n(profile, kin.net_elongation_mm) if held else 0.0
+        true_force = spring + noise[i]
+        coupling = update_coupling(coupling, true_force, cfg.coupling, t)
+        transmitted = max(0.0, true_force) if coupling.engaged else 0.0
+        kin = kin.with_total_tension(transmitted)
+        assert trace.true_force_n[i] == true_force
+        assert trace.force_n[i] == measure(transmitted, cfg.cell)
+        assert trace.branch_taut[i].tolist() == [b.taut for b in kin.branches]
+        assert trace.branch_elongation_mm[i].tolist() == [
+            b.elongation_mm for b in kin.branches
+        ]
+        assert trace.branch_tension_n[i].tolist() == [b.tension_n for b in kin.branches]
+        assert trace.actuator_tension_n[i] == kin.actuator_tension_n
+        if held and functional_time is None and is_functional_extension(pose):
+            functional_time = t
+    assert trace.breakaway == (not coupling.engaged)
+    assert trace.breakaway_time_s == coupling.disengage_time_s
+    assert trace.functional_time_s == functional_time
+    assert trace.functional_extension == (functional_time is not None)
+    assert trace.final_pose.angles_deg == pose.angles_deg
+
+    window = trace.window(150, 700)
+    assert window.joints == trace.joints
+    assert window.poses == trace.poses[150:700]
+    for name in ("t_s", "force_n", "angles_deg", "branch_taut", "branch_tension_n"):
+        assert np.array_equal(getattr(window, name), getattr(trace, name)[150:700])
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     st.floats(min_value=0.05, max_value=2.5),
@@ -304,7 +360,7 @@ def test_trial_invariants_random_subjects(stiffness, fraction, seed):
     from exosim.spasticity import MasLevel, SubjectProfile
     from exosim.tendons import calibrate_depth, config1_extension
 
-    net = config1_extension(default_hand())
+    net = config1_extension()
     hand = calibrate_depth(default_hand(), net, 57.0)
     profile = SubjectProfile(
         subject_id="X",
