@@ -43,7 +43,7 @@ MAGNET_BREAKAWAY_N = {"standard": 34.0, "strong": 41.0}
 def coupling_for_magnet(name: str) -> CouplingSpec:
     try:
         return CouplingSpec(MAGNET_BREAKAWAY_N[name])
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise ValueError(
             f"unknown magnet {name!r}; choose from {sorted(MAGNET_BREAKAWAY_N)}"
         ) from None

@@ -24,12 +24,7 @@ from .config import Bench, ConfigError, TOOL_VERSION
 from .hand import Digit, JointKind
 from .reproduce import run_reproduction
 from .spasticity import calibrate_stiffness
-from .tendons import (
-    DepthCalibrationError,
-    calibrate_depth,
-    full_flexion_excursion_mm,
-    index_branch,
-)
+from .tendons import full_flexion_excursion_mm, index_branch
 from .traceio import (
     read_trace,
     render_fit_csv,
@@ -117,7 +112,7 @@ def _cmd_simulate(args) -> int:
 
     # Resolve everything before the first write so an invalid request
     # leaves no files behind.
-    plans = [bench.trial_config(bench.bank.by_id(sid), args.magnet) for sid in subjects]
+    plans = [bench.trial_config(bench.bank.by_id(sid)) for sid in subjects]
 
     out = Path(args.out)
     written = []
@@ -166,13 +161,7 @@ def _cmd_calibrate(args) -> int:
     cfg = _effective_config(args)
     bench = Bench.from_config(cfg)
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
-    try:
-        hand = calibrate_depth(
-            bench.hand, bench.extension, target, tol_mm=bench.depth_tolerance_mm
-        )
-    except DepthCalibrationError as err:
-        lo, hi = err.bracket_mm
-        raise CliError(f"{err} (achievable excursion {lo:.3f}..{hi:.3f} mm)") from err
+    hand = bench.calibrated().hand
     depth = hand.depth((Digit.INDEX, JointKind.MCP))
     excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
 
@@ -217,7 +206,6 @@ def _cmd_reproduce(args) -> int:
             run_dir,
             base_seed=seed,
             cfg=cfg,
-            magnet=args.magnet,
             trials_per_subject=args.trials,
         )
         prefix = f"[seed {seed}] " if len(seeds) > 1 else ""
@@ -250,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list and/or ranges, e.g. S1,S3 or S1..S5")
     p_sim.add_argument("--trials", type=int, default=1, help="trials per subject")
     p_sim.add_argument("--magnet", choices=["standard", "strong"],
-                       help="force one coupling for all subjects")
+                       help="one coupling for all subjects (sets coupling.magnet)")
     p_sim.add_argument("--noise-sigma", type=float, help="sensor noise sigma, N")
     p_sim.add_argument("--tendon-config", choices=["extension", "pinch"],
                        help="which tendon network to drive")
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", default="0", help="base seed or range, e.g. 1..20")
     p_rep.add_argument("--trials", type=int, default=1, help="trials per subject")
     p_rep.add_argument("--magnet", choices=["standard", "strong"],
-                       help="force one coupling for all subjects")
+                       help="one coupling for all subjects (sets coupling.magnet)")
     p_rep.add_argument("--noise-sigma", type=float, help="sensor noise sigma, N")
 
     return parser
@@ -291,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, DepthCalibrationError, ValueError) as err:
+    except (CliError, ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import inspect
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
-from .actuation import ActuatorSpec, LoadCellSpec
+from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
 from .analysis import analyze
 from .hand import (
     DEFAULT_FLEXION_RANGES_DEG,
@@ -26,21 +26,17 @@ from .hand import (
     default_hand,
     spastic_rest_pose,
 )
-from .spasticity import (
-    BANK_PARAMS,
-    DEFAULT_TOTAL_TRAVEL_MM,
-    MasLevel,
-    SubjectBank,
-    SubjectProfile,
-)
+from .spasticity import BANK_PARAMS, MasLevel, SubjectBank, SubjectProfile
 from .tendons import (
     DEFAULT_BRANCH_SLACK_MM,
     DEFAULT_DEPTH_TOLERANCE_MM,
     DEFAULT_EXCURSION_TARGET_MM,
     NetworkKind,
     TendonNetwork,
+    calibrate_depth,
     config1_extension,
     config2_pinch,
+    net_elongation_mm,
 )
 from .trial import (
     DEFAULT_FUNCTIONAL_FLEXION_DEG,
@@ -85,7 +81,7 @@ def default_config() -> dict:
             "pinch": _keyword_defaults(inspect.signature(config2_pinch), "slack_mm"),
         },
         "actuator": asdict(ActuatorSpec()),
-        "coupling": {"magnet": "standard"},
+        "coupling": {"magnet": None},  # None: each subject's own magnet
         "load_cell": asdict(LoadCellSpec()),
         "trial": {
             "sample_rate_hz": DEFAULT_SAMPLE_RATE_HZ,
@@ -94,7 +90,6 @@ def default_config() -> dict:
         },
         "calibration": {
             "excursion_target_mm": DEFAULT_EXCURSION_TARGET_MM,
-            "effective_travel_mm": DEFAULT_TOTAL_TRAVEL_MM,
             "depth_tolerance_mm": DEFAULT_DEPTH_TOLERANCE_MM,
         },
         "analysis": _keyword_defaults(_ANALYZE, "label"),
@@ -173,14 +168,19 @@ def _fraction_from_config(raw: Any):
     return float(raw)
 
 
+def _band(raw: Any) -> tuple[float, float | None] | None:
+    if raw is None:
+        return None
+    lo, hi = raw
+    return (float(lo), None if hi is None else float(hi))
+
+
 def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
+    # Readers of the keys a subject may leave out; those keep their
+    # SubjectProfile defaults.
+    optional = {"engage_slack_mm": float, "peak_band_n": _band, "magnet": str, "notes": str}
     profiles = []
     for sid, s in cfg["subjects"].items():
-        band_raw = s.get("peak_band_n")
-        band = None
-        if band_raw is not None:
-            lo, hi = band_raw
-            band = (float(lo), None if hi is None else float(hi))
         profiles.append(
             SubjectProfile(
                 subject_id=sid,
@@ -189,10 +189,7 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
                 rest_pose=spastic_rest_pose(
                     hand, _fraction_from_config(s["rest_flexion_fraction"])
                 ),
-                engage_slack_mm=float(s.get("engage_slack_mm", 0.0)),
-                peak_band_n=band,
-                magnet=s.get("magnet", "standard"),
-                notes=s.get("notes", ""),
+                **{key: read(s[key]) for key, read in optional.items() if key in s},
             )
         )
     return SubjectBank(tuple(profiles))
@@ -240,10 +237,10 @@ class Bench:
     actuator: ActuatorSpec
     cell: LoadCellSpec
     bank: SubjectBank
+    magnet: str | None  # one coupling for every subject; None keeps each one's own
     trial: Mapping[str, float]  # further TrialConfig fields
     analysis: Mapping[str, float]  # analyze() thresholds
     excursion_target_mm: float
-    effective_travel_mm: float
     depth_tolerance_mm: float
 
     @classmethod
@@ -260,6 +257,9 @@ class Bench:
             )
             net = cfg["network"]
             slack = float(net["branch_slack_mm"])
+            magnet = cfg["coupling"]["magnet"]
+            if magnet is not None:
+                coupling_for_magnet(magnet)  # an unknown magnet fails here
             return cls(
                 hand=hand,
                 kind=NetworkKind(net["kind"]),
@@ -270,6 +270,7 @@ class Bench:
                 actuator=ActuatorSpec(**_floats(cfg["actuator"], "actuator")),
                 cell=LoadCellSpec(**_floats(cfg["load_cell"], "load_cell")),
                 bank=subject_bank_from_config(cfg, hand),
+                magnet=magnet,
                 trial=_floats(cfg["trial"], "trial"),
                 analysis=_floats(cfg["analysis"], "analysis"),
                 **_floats(cfg["calibration"], "calibration"),
@@ -284,10 +285,21 @@ class Bench:
         """The network that ``kind`` selects."""
         return self.extension if self.kind is NetworkKind.EXTENSION else self.pinch
 
-    def trial_config(self, subject: SubjectProfile, magnet: str | None) -> TrialConfig:
-        """A trial of ``subject`` on the selected network; magnet None keeps theirs."""
+    @property
+    def effective_travel_mm(self) -> float:
+        """How far the extension junction moves past slack over the full stroke."""
+        return float(net_elongation_mm(self.extension, self.actuator.stroke_mm))
+
+    def calibrated(self) -> "Bench":
+        """This bench with the hand at the joint depth where the extension
+        network's index branch pays out the excursion target."""
+        target, tol = self.excursion_target_mm, self.depth_tolerance_mm
+        return replace(self, hand=calibrate_depth(self.hand, self.extension, target, tol_mm=tol))
+
+    def trial_config(self, subject: SubjectProfile) -> TrialConfig:
+        """A trial of ``subject`` on the selected network, with the bench's magnet."""
         return trial_config_for(
-            self.hand, self.network, subject, magnet=magnet,
+            self.hand, self.network, subject, magnet=self.magnet,
             actuator=self.actuator, cell=self.cell, **self.trial,
         )
 

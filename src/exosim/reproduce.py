@@ -21,7 +21,6 @@ from .spasticity import in_peak_band
 from .tendons import (
     NetworkKind,
     branch_excursion_mm,
-    calibrate_depth,
     full_flexion_excursion_mm,
     index_branch,
 )
@@ -102,14 +101,12 @@ def run_reproduction(
     *,
     base_seed: int = 0,
     cfg: dict | None = None,
-    magnet: str | None = None,
     trials_per_subject: int = 1,
 ) -> tuple[list[CheckResult], Path]:
     """Run the campaign and write traces, reports, summary, and manifest.
 
-    Returns the check list and the manifest path.  ``magnet`` forces one
-    coupling for every subject (the per-subject choice is the default).
-    The trials drive the extension network whatever ``network.kind`` says.
+    Returns the check list and the manifest path.  The trials drive the
+    extension network whatever ``network.kind`` says.
     """
     out = Path(out_dir)
     cfg = cfg if cfg is not None else default_config()
@@ -118,15 +115,14 @@ def run_reproduction(
     checks: list[CheckResult] = []
 
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
-    hand = calibrate_depth(bench.hand, bench.extension, target, tol_mm=tol)
-    bench = replace(bench, hand=hand, kind=NetworkKind.EXTENSION)
-    excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
+    bench = replace(bench.calibrated(), kind=NetworkKind.EXTENSION)
+    excursion = full_flexion_excursion_mm(bench.hand, index_branch(bench.extension))
     checks.append(
         CheckResult(
             "excursion_calibration",
             abs(excursion - target) <= tol,
             f"index extension excursion {excursion:.4f} mm vs target {target} mm "
-            f"(depth {hand.depth((Digit.INDEX, JointKind.MCP)):.4f} mm)",
+            f"(depth {bench.hand.depth((Digit.INDEX, JointKind.MCP)):.4f} mm)",
         )
     )
 
@@ -135,7 +131,7 @@ def run_reproduction(
     reports = []
     traces = {}
     for s_idx, profile in enumerate(bench.bank):
-        trial_cfg = bench.trial_config(profile, magnet)
+        trial_cfg = bench.trial_config(profile)
         for t_idx in range(trials_per_subject):
             trace = run_trial(trial_cfg, derive_seed(base_seed, s_idx, t_idx))
             label = f"{profile.subject_id}_t{t_idx:02d}"

@@ -15,11 +15,13 @@ from enum import Enum
 
 import numpy as np
 
+from .actuation import ActuatorSpec, coupling_for_magnet
 from .hand import Digit, HandPose
+from .tendons import DEFAULT_BRANCH_SLACK_MM
 
-# Effective spring travel with the default 50 mm stroke and 2 mm branch
-# slack: the junction moves 48 mm past slack at full retraction.
-DEFAULT_TOTAL_TRAVEL_MM = 48.0
+# Effective spring travel with the default stroke and branch slack: how far
+# the junction moves past slack at full retraction (48 mm).
+DEFAULT_TOTAL_TRAVEL_MM = ActuatorSpec().stroke_mm - DEFAULT_BRANCH_SLACK_MM
 
 
 class MasLevel(Enum):
@@ -48,6 +50,7 @@ class SubjectProfile:
             raise ValueError("stiffness must be >= 0")
         if self.engage_slack_mm < 0.0:
             raise ValueError("engage_slack_mm must be >= 0")
+        coupling_for_magnet(self.magnet)  # an unknown magnet fails here
 
 
 def resistance_force_n(profile: SubjectProfile, net_elongation_mm):

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .config import TOOL_VERSION
-from .trial import TrialTrace
+from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
@@ -160,7 +160,7 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
         subject_id=str(meta.get("subject_id", "")),
         network=str(meta.get("network", "")),
         stroke_mm=float(stroke),
-        sample_rate_hz=float(meta.get("sample_rate_hz", 100.0)),
+        sample_rate_hz=float(meta.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)),
         noise_sigma_n=float(meta.get("noise_sigma_n", 0.0)),
         seed=meta.get("seed"),
         breakaway=bool(breakaway_meta.get("occurred", False)),

@@ -200,7 +200,7 @@ class TrialTrace:
     force_n: np.ndarray
     subject_id: str = ""
     network: str = ""
-    stroke_mm: float = 50.0
+    stroke_mm: float = ActuatorSpec.stroke_mm
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     noise_sigma_n: float = 0.0
     seed: Sequence[int] | int | None = None

@@ -51,6 +51,8 @@ def test_magnet_table():
     assert coupling_for_magnet("strong").breakaway_force_n == 41.0
     with pytest.raises(ValueError):
         coupling_for_magnet("giant")
+    with pytest.raises(ValueError, match="unknown magnet"):
+        coupling_for_magnet(["strong"])  # a config value that is not a name
 
 
 def test_invalid_specs_rejected():

@@ -6,6 +6,7 @@ import yaml
 
 from exosim.cli import main
 from exosim.hand import default_hand
+from exosim.spasticity import calibrate_stiffness
 from exosim.tendons import config1_extension, full_flexion_excursion_mm, index_branch
 
 
@@ -83,6 +84,25 @@ def test_magnet_flag_changes_s4_release_time(tmp_path):
     weak = release_time(tmp_path / "w", "standard")
     strong = release_time(tmp_path / "s", "strong")
     assert weak < strong
+
+
+def test_magnet_flag_is_the_coupling_magnet_key(tmp_path):
+    """--magnet writes coupling.magnet, so the flag and the key run the same
+    coupling and stamp the same config hash, which differs from the hash of
+    the run with each subject's own magnet (S4's is the strong one)."""
+    def s4(out, *extra):
+        assert run_cli(
+            ["simulate", "--out", str(out), "--subjects", "S4", "--noise-sigma", "0", *extra]
+        ) == 0
+        meta = yaml.safe_load((out / "S4_extension_t00.meta.yaml").read_text())
+        return meta["breakaway"]["time_s"], meta["config_hash"]
+
+    own = s4(tmp_path / "own")
+    flag = s4(tmp_path / "flag", "--magnet", "standard")
+    key = s4(tmp_path / "key", "--set", "coupling.magnet=standard")
+    assert flag == key
+    assert flag[1] != own[1]
+    assert flag[0] < own[0]
 
 
 def test_analyze_on_simulated_traces(tmp_path, capsys):
@@ -176,6 +196,17 @@ def test_calibrate_writes_derived_config(tmp_path):
     assert cfg["subjects"]["S2"]["stiffness_n_per_mm"] == pytest.approx(27.5 / 48.0)
 
 
+def test_calibration_travel_follows_the_stroke(tmp_path):
+    """The effective travel is the stroke past the branch slack, not a key."""
+    out = tmp_path / "cal"
+    assert run_cli(["calibrate", "--out", str(out), "--set", "actuator.stroke_mm=40"]) == 0
+    text = (out / "calibrated_config.yaml").read_text()
+    assert "over 38 mm of effective travel" in text
+    cfg = yaml.safe_load(text)
+    assert cfg["subjects"]["S1"]["stiffness_n_per_mm"] == calibrate_stiffness(17.5, 38)
+    assert "effective_travel_mm" not in cfg["calibration"]
+
+
 def test_calibrate_unreachable_target_errors(tmp_path, capsys):
     code = run_cli(
         ["calibrate", "--out", str(tmp_path / "cal"),
@@ -244,6 +275,9 @@ MALFORMED = [
     "network.extention.x=3",
     "coupling.magnit=strong",
     "subjects.S1.stifness_n_per_mm=3",
+    # unknown magnet names
+    "coupling.magnet=giant",
+    "subjects.S3.magnet=giant",
 ]
 
 

@@ -11,6 +11,7 @@ from exosim.config import (
     write_config,
 )
 from exosim.hand import Digit, JointKind
+from exosim.spasticity import MasLevel, SubjectProfile
 from exosim.tendons import NetworkKind
 from exosim.traceio import (
     read_trace,
@@ -67,6 +68,29 @@ def test_unknown_network_kind_rejected():
     cfg = apply_overrides(default_config(), {"network.kind": "lasso"})
     with pytest.raises(ConfigError):
         Bench.from_config(cfg)
+
+
+def test_new_subject_keeps_profile_defaults():
+    """A subject that leaves out the optional keys gets SubjectProfile's defaults."""
+    cfg = default_config()
+    cfg["subjects"]["S6"] = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
+    s6 = Bench.from_config(cfg).bank.by_id("S6")
+    defaults = SubjectProfile("S6", MasLevel.TWO, 0.4, s6.rest_pose)
+    assert s6 == defaults
+
+
+def test_bench_reads_the_coupling_magnet_and_derives_the_travel():
+    bench = Bench.from_config(default_config())
+    assert bench.magnet is None
+    assert bench.effective_travel_mm == 48.0
+    cfg = apply_overrides(
+        default_config(),
+        {"coupling.magnet": "strong", "actuator.stroke_mm": "40", "network.branch_slack_mm": "3"},
+    )
+    bench = Bench.from_config(cfg)
+    assert bench.magnet == "strong"
+    assert bench.effective_travel_mm == 37.0
+    assert bench.trial_config(bench.bank.by_id("S1")).coupling.breakaway_force_n == 41.0
 
 
 def test_write_config_round_trip(tmp_path):

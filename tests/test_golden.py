@@ -12,6 +12,9 @@ numpy differs from the one the hashes were written with.
 After a change that alters outputs on purpose, regenerate the hashes with::
 
     python tests/test_golden.py --write
+
+which lists the keys whose hash changed against the file it replaces, with
+their count per file kind, so a regeneration shows its scope.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -57,7 +62,7 @@ SETS = [
         "hand.flexion_ranges_deg.finger_pip=[0,95]",
         "calibration.excursion_target_mm=56",
         "calibration.depth_tolerance_mm=0.02",
-        "calibration.effective_travel_mm=47",
+        "coupling.magnet=strong",
         "subjects.S2.stiffness_n_per_mm=0.7",
     )
 ]
@@ -128,6 +133,27 @@ def write_hashes(record: dict[str, str], path: Path = HASHES) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def file_kind(key: str) -> str:
+    """``exit``, ``stdout``, a fixed file name such as ``manifest.txt``, or
+    what follows a trial label (``_t00``) in a trace file's name: ``.csv``,
+    ``.meta.yaml``, ``.report.yaml`` or ``_fit.csv``."""
+    name = key.split(" ", 1)[1].rsplit("/", 1)[-1]
+    return re.sub(r"^.*_t\d+", "", name)
+
+
+def describe_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per key whose hash changed, was added or was removed, then
+    the changed keys counted per file kind."""
+    changed = sorted(k for k in old.keys() & new.keys() if old[k] != new[k])
+    lines = [f"changed {k}" for k in changed]
+    lines += [f"added {k}" for k in sorted(new.keys() - old.keys())]
+    lines += [f"removed {k}" for k in sorted(old.keys() - new.keys())]
+    counts = Counter(map(file_kind, changed))
+    lines += [f"{n:4d} changed {kind}" for kind, n in sorted(counts.items())]
+    lines.append(f"{len(changed)} of {len(new)} keys changed")
+    return lines
+
+
 def test_golden_outputs(tmp_path):
     header, expected = read_hashes()
     if header["numpy"] != np.__version__:
@@ -145,6 +171,9 @@ def test_golden_outputs(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: python {sys.argv[0]} --write")
+    old = read_hashes()[1] if HASHES.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        write_hashes(collect(Path(tmp)))
+        new = collect(Path(tmp))
+    write_hashes(new)
+    print("\n".join(describe_changes(old, new)))
     print(HASHES)
