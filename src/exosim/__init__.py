@@ -59,7 +59,6 @@ from .trial import (
     TrialTrace,
     is_functional_extension,
     run_trial,
-    trial_config_for,
 )
 
 __version__ = TOOL_VERSION

@@ -48,10 +48,9 @@ def detect_breakaway_index(
     """Index of the first sample after a breakaway-shaped collapse: a
     single-sample force drop of at least the threshold landing below the
     floor.  None when no such collapse exists."""
-    for i in range(1, len(force_n)):
-        if force_n[i - 1] - force_n[i] >= drop_threshold_n and force_n[i] < floor_n:
-            return i
-    return None
+    f = np.asarray(force_n)
+    hits = np.flatnonzero((f[:-1] - f[1:] >= drop_threshold_n) & (f[1:] < floor_n))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def truncate_breakaway(

@@ -32,7 +32,6 @@ from .traceio import (
     write_text_atomic,
     write_trace,
 )
-from .trial import derive_seed, run_trial
 
 ENV_CONFIG = "EXOSIM_CONFIG"
 
@@ -110,18 +109,11 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
 
-    # Resolve everything before the first write so an invalid request
-    # leaves no files behind.
-    plans = [bench.trial_config(bench.bank.by_id(sid)) for sid in subjects]
-
     out = Path(args.out)
     written = []
-    for trial_cfg in plans:
-        s_idx = bench.bank.ids().index(trial_cfg.subject.subject_id)
-        for t_idx in range(args.trials):
-            trace = run_trial(trial_cfg, derive_seed(args.seed, s_idx, t_idx))
-            name = f"{trial_cfg.subject.subject_id}_{trace.network}_t{t_idx:02d}.csv"
-            written.append(write_trace(trace, out / name, config_hash=chash))
+    for profile, t_idx, trace in bench.trials(args.seed, args.trials, subjects):
+        name = f"{profile.subject_id}_{trace.network}_t{t_idx:02d}.csv"
+        written.append(write_trace(trace, out / name, config_hash=chash))
     for path in written:
         print(path)
     return 0
@@ -161,7 +153,7 @@ def _cmd_calibrate(args) -> int:
     cfg = _effective_config(args)
     bench = Bench.from_config(cfg)
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
-    hand = bench.calibrated().hand
+    hand = bench.calibrated_hand()
     depth = hand.depth((Digit.INDEX, JointKind.MCP))
     excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
 
@@ -197,16 +189,17 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     cfg = _effective_config(args)
+    chash = cfgmod.config_hash(cfg)
+    bench = Bench.from_config(cfg)
     seeds = _parse_seed_spec(str(args.seed))
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1")
     out = Path(args.out)
     all_passed = True
     for seed in seeds:
         run_dir = out if len(seeds) == 1 else out / f"seed_{seed}"
         checks, manifest = run_reproduction(
-            run_dir,
-            base_seed=seed,
-            cfg=cfg,
-            trials_per_subject=args.trials,
+            bench, run_dir, base_seed=seed, trials_per_subject=args.trials, config_hash=chash
         )
         prefix = f"[seed {seed}] " if len(seeds) > 1 else ""
         for c in checks:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import inspect
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -42,7 +42,9 @@ from .trial import (
     DEFAULT_FUNCTIONAL_FLEXION_DEG,
     DEFAULT_SAMPLE_RATE_HZ,
     TrialConfig,
-    trial_config_for,
+    TrialTrace,
+    derive_seed,
+    run_trial,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -227,7 +229,8 @@ class Bench:
     """Everything a command drives, read once from an effective config.
 
     ``from_config`` is the only reader of the config's sections, so every
-    malformed config fails in one place, with a ConfigError.
+    malformed config fails in one place, with a ConfigError.  A bench builds
+    every subject's trial as it is made, so it holds no trial that fails.
     """
 
     hand: HandModel
@@ -242,6 +245,18 @@ class Bench:
     analysis: Mapping[str, float]  # analyze() thresholds
     excursion_target_mm: float
     depth_tolerance_mm: float
+    # Each subject's trial on the selected network, by subject id.
+    trial_configs: Mapping[str, TrialConfig] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        configs = {
+            p.subject_id: TrialConfig(
+                self.hand, self.network, p, actuator=self.actuator, magnet=self.magnet,
+                cell=self.cell, **self.trial,
+            )
+            for p in self.bank
+        }
+        object.__setattr__(self, "trial_configs", configs)
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "Bench":
@@ -290,18 +305,25 @@ class Bench:
         """How far the extension junction moves past slack over the full stroke."""
         return float(net_elongation_mm(self.extension, self.actuator.stroke_mm))
 
-    def calibrated(self) -> "Bench":
-        """This bench with the hand at the joint depth where the extension
-        network's index branch pays out the excursion target."""
+    def calibrated_hand(self) -> HandModel:
+        """The hand at the joint depth where the extension network's index
+        branch pays out the excursion target."""
         target, tol = self.excursion_target_mm, self.depth_tolerance_mm
-        return replace(self, hand=calibrate_depth(self.hand, self.extension, target, tol_mm=tol))
+        return calibrate_depth(self.hand, self.extension, target, tol_mm=tol)
 
-    def trial_config(self, subject: SubjectProfile) -> TrialConfig:
-        """A trial of ``subject`` on the selected network, with the bench's magnet."""
-        return trial_config_for(
-            self.hand, self.network, subject, magnet=self.magnet,
-            actuator=self.actuator, cell=self.cell, **self.trial,
-        )
+    def trials(
+        self, seed: int, per_subject: int, ids: Sequence[str] | None = None
+    ) -> Iterator[tuple[SubjectProfile, int, TrialTrace]]:
+        """Run ``per_subject`` trials of each subject in ``ids`` (default: the
+        bank), in that order; trial ``t_idx`` of the subject at bank index
+        ``s_idx`` draws its noise from ``derive_seed(seed, s_idx, t_idx)``."""
+        bank_ids = self.bank.ids()
+        for sid in bank_ids if ids is None else ids:
+            cfg = self.trial_configs[sid]
+            for t_idx in range(per_subject):
+                yield cfg.subject, t_idx, run_trial(
+                    cfg, derive_seed(seed, bank_ids.index(sid), t_idx)
+                )
 
 
 def write_config(cfg: Mapping, path: str | Path, provenance: list[str] | None = None) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import analyze, batch_report
-from .config import Bench, config_hash, default_config
+from .config import Bench
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
 from .tendons import (
@@ -24,7 +24,7 @@ from .tendons import (
     full_flexion_excursion_mm,
     index_branch,
 )
-from .trial import PoseResponse, derive_seed, run_trial
+from .trial import PoseResponse
 from .traceio import render_fit_csv, render_report_yaml, write_text_atomic, write_trace
 
 R_BAND = (0.97, 1.0)
@@ -97,25 +97,25 @@ def _check_abduction_neutrality(bench: Bench) -> CheckResult:
 
 
 def run_reproduction(
+    bench: Bench,
     out_dir: str | Path,
     *,
     base_seed: int = 0,
-    cfg: dict | None = None,
     trials_per_subject: int = 1,
+    config_hash: str = "",
 ) -> tuple[list[CheckResult], Path]:
-    """Run the campaign and write traces, reports, summary, and manifest.
+    """Run the campaign on ``bench`` and write traces, reports, summary, and
+    manifest; the traces carry ``config_hash``, the hash of its config.
 
-    Returns the check list and the manifest path.  The trials drive the
-    extension network whatever ``network.kind`` says.
+    Returns the check list and the manifest path.  The campaign calibrates
+    the joint depth, and its trials drive the extension network whatever
+    ``bench.kind`` says.
     """
     out = Path(out_dir)
-    cfg = cfg if cfg is not None else default_config()
-    chash = config_hash(cfg)
-    bench = Bench.from_config(cfg)
     checks: list[CheckResult] = []
 
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
-    bench = replace(bench.calibrated(), kind=NetworkKind.EXTENSION)
+    bench = replace(bench, hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION)
     excursion = full_flexion_excursion_mm(bench.hand, index_branch(bench.extension))
     checks.append(
         CheckResult(
@@ -130,18 +130,15 @@ def run_reproduction(
     reports_dir = out / "reports"
     reports = []
     traces = {}
-    for s_idx, profile in enumerate(bench.bank):
-        trial_cfg = bench.trial_config(profile)
-        for t_idx in range(trials_per_subject):
-            trace = run_trial(trial_cfg, derive_seed(base_seed, s_idx, t_idx))
-            label = f"{profile.subject_id}_t{t_idx:02d}"
-            write_trace(trace, traces_dir / f"{label}.csv", config_hash=chash)
-            report = analyze(trace, label=label, **bench.analysis)
-            write_text_atomic(reports_dir / f"{label}.report.yaml", render_report_yaml(report))
-            write_text_atomic(reports_dir / f"{label}_fit.csv", render_fit_csv(report))
-            reports.append(report)
-            if t_idx == 0:
-                traces[profile.subject_id] = trace
+    for profile, t_idx, trace in bench.trials(base_seed, trials_per_subject):
+        label = f"{profile.subject_id}_t{t_idx:02d}"
+        write_trace(trace, traces_dir / f"{label}.csv", config_hash=config_hash)
+        report = analyze(trace, label=label, **bench.analysis)
+        write_text_atomic(reports_dir / f"{label}.report.yaml", render_report_yaml(report))
+        write_text_atomic(reports_dir / f"{label}_fit.csv", render_fit_csv(report))
+        reports.append(report)
+        if t_idx == 0:
+            traces[profile.subject_id] = trace
 
     summary = batch_report(reports)
     write_text_atomic(out / "summary.txt", summary.render())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class TrialConfig:
     network: TendonNetwork
     subject: SubjectProfile
     actuator: ActuatorSpec = field(default_factory=ActuatorSpec)
-    coupling: CouplingSpec = field(default_factory=lambda: coupling_for_magnet("standard"))
+    magnet: str | None = None  # None: the subject's own magnet
     cell: LoadCellSpec = field(default_factory=LoadCellSpec)
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     noise_sigma_n: float = 0.0
@@ -76,25 +76,10 @@ class TrialConfig:
             )
         self.hand.validate_pose(self.subject.rest_pose)
 
-
-def trial_config_for(
-    hand: HandModel,
-    network: TendonNetwork,
-    subject: SubjectProfile,
-    *,
-    magnet: str | None = None,
-    **settings: Any,
-) -> TrialConfig:
-    """The only code that assembles a TrialConfig: the coupling is the subject's own
-    magnet unless ``magnet`` names another, and every TrialConfig field not
-    given in ``settings`` keeps its default."""
-    return TrialConfig(
-        hand=hand,
-        network=network,
-        subject=subject,
-        coupling=coupling_for_magnet(magnet if magnet is not None else subject.magnet),
-        **settings,
-    )
+    @property
+    def coupling(self) -> CouplingSpec:
+        """The coupling of ``magnet``, or of the subject's own magnet."""
+        return coupling_for_magnet(self.subject.magnet if self.magnet is None else self.magnet)
 
 
 def is_functional_extension(

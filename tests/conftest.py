@@ -3,7 +3,7 @@ import pytest
 from exosim.hand import default_hand
 from exosim.config import default_subject_bank
 from exosim.tendons import calibrate_depth, config1_extension, config2_pinch
-from exosim.trial import run_trial, trial_config_for
+from exosim.trial import TrialConfig, run_trial
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def bank(hand):
 def noiseless_traces(hand, extension_net, bank):
     """One noiseless trial per bank subject, each with its own magnet."""
     return {
-        p.subject_id: run_trial(trial_config_for(hand, extension_net, p), seed=0)
+        p.subject_id: run_trial(TrialConfig(hand, extension_net, p), seed=0)
         for p in bank
     }
 
@@ -40,7 +40,7 @@ def noisy_traces(hand, extension_net, bank):
     """One sigma=0.4 trial per bank subject at a fixed seed."""
     return {
         p.subject_id: run_trial(
-            trial_config_for(hand, extension_net, p, noise_sigma_n=0.4), seed=123
+            TrialConfig(hand, extension_net, p, noise_sigma_n=0.4), seed=123
         )
         for p in bank
     }

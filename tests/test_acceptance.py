@@ -25,7 +25,8 @@ from exosim.tendons import (
     index_branch,
     network_state,
 )
-from exosim.trial import PoseResponse, derive_seed, run_trial, trial_config_for
+from exosim.config import Bench, default_config
+from exosim.trial import PoseResponse, TrialConfig, derive_seed, run_trial
 from exosim.reproduce import run_reproduction
 
 
@@ -99,7 +100,7 @@ def test_c04_correlation_band(hand, extension_net, bank):
     ok = True
     for seed in range(1, 21):
         for s_idx, profile in enumerate(bank):
-            cfg = trial_config_for(hand, extension_net, profile, noise_sigma_n=0.4)
+            cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
             trace = run_trial(cfg, seed=derive_seed(seed, s_idx, 0))
             r = analyze(trace).correlation
             r_all.append(r)
@@ -107,7 +108,7 @@ def test_c04_correlation_band(hand, extension_net, bank):
     # noiseless: the unquantized tension is exactly affine in position
     worst_noiseless = 0.0
     for profile in bank:
-        trace = run_trial(trial_config_for(hand, extension_net, profile), seed=0)
+        trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
         kept = truncate_breakaway(trim_slack(trace))
         x = kept.retraction_mm / float(np.max(kept.retraction_mm))
         y = kept.true_force_n / float(np.max(kept.true_force_n))
@@ -181,8 +182,8 @@ def test_c06_breakaway_coupling_semantics(hand, extension_net, bank):
     # S4: the stronger magnet must hold strictly longer, and the transmitted
     # force must collapse to zero in the release sample
     profile = bank.by_id("S4")
-    weak = run_trial(trial_config_for(hand, extension_net, profile, magnet="standard"), seed=0)
-    strong = run_trial(trial_config_for(hand, extension_net, profile, magnet="strong"), seed=0)
+    weak = run_trial(TrialConfig(hand, extension_net, profile, magnet="standard"), seed=0)
+    strong = run_trial(TrialConfig(hand, extension_net, profile, magnet="strong"), seed=0)
     order_ok = (
         weak.breakaway and strong.breakaway
         and weak.breakaway_time_s < strong.breakaway_time_s
@@ -276,7 +277,7 @@ def test_c08_pose_response_directions(hand, extension_net, pinch_net):
 
 def test_c09_trace_constraint_consistency(hand, extension_net, bank):
     profile = bank.by_id("S2")
-    cfg = trial_config_for(hand, extension_net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=11)
     worst = 0.0
     balance_exact = True
@@ -293,7 +294,7 @@ def test_c09_trace_constraint_consistency(hand, extension_net, bank):
             trace.actuator_tension_n[i] == sum(bt for bt in trace.branch_tension_n[i])
         )
     # the noiseless channel must satisfy the spring law exactly
-    quiet = run_trial(trial_config_for(hand, extension_net, profile), seed=0)
+    quiet = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
     spring_err = 0.0
     slack = extension_net.branches[0].slack_mm
     for i in range(len(quiet)):
@@ -317,9 +318,13 @@ def test_c10_reproduction_determinism(tmp_path):
     calibration_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    checks_a, manifest_a = run_reproduction(tmp_path / "a", base_seed=0)
+    checks_a, manifest_a = run_reproduction(
+        Bench.from_config(default_config()), tmp_path / "a", base_seed=0
+    )
     elapsed = time.perf_counter() - t0
-    checks_b, manifest_b = run_reproduction(tmp_path / "b", base_seed=0)
+    checks_b, manifest_b = run_reproduction(
+        Bench.from_config(default_config()), tmp_path / "b", base_seed=0
+    )
 
     all_pass = all(c.passed for c in checks_a) and all(c.passed for c in checks_b)
     files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())

@@ -95,6 +95,27 @@ def test_truncate_detector_ignores_big_drop_to_nonzero():
     assert detect_breakaway_index(np.asarray(force)) is None
 
 
+def _first_collapse_by_loop(force, drop_threshold_n, floor_n):
+    for i in range(1, len(force)):
+        if force[i - 1] - force[i] >= drop_threshold_n and force[i] < floor_n:
+            return i
+    return None
+
+
+# Whole newtons as well, so drops land exactly on the threshold and the floor.
+_forces = st.one_of(st.floats(min_value=-5.0, max_value=60.0), st.integers(-5, 60).map(float))
+
+
+@settings(max_examples=300)
+@given(st.lists(_forces, max_size=40), _forces, _forces)
+def test_detect_breakaway_matches_sample_loop(force, drop_threshold_n, floor_n):
+    """The array expression against the sample-by-sample scan it replaced."""
+    f = np.asarray(force, dtype=float)
+    assert detect_breakaway_index(f, drop_threshold_n, floor_n) == _first_collapse_by_loop(
+        f, drop_threshold_n, floor_n
+    )
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=45.0), min_size=2, max_size=60))
 def test_truncate_idempotent(force):
     trace = synthetic_trace(force)
@@ -255,10 +276,10 @@ def test_analyze_free_run_is_degenerate(hand, extension_net, bank):
     """Stiffness zero: no force ever develops, so the report is degenerate."""
     from dataclasses import replace
 
-    from exosim.trial import run_trial, trial_config_for
+    from exosim.trial import TrialConfig, run_trial
 
     free = replace(bank.by_id("S1"), stiffness_n_per_mm=0.0)
-    trace = run_trial(trial_config_for(hand, extension_net, free), seed=0)
+    trace = run_trial(TrialConfig(hand, extension_net, free), seed=0)
     report = analyze(trace, label="free")
     assert report.degenerate
     assert report.degenerate_reason

@@ -242,6 +242,27 @@ def test_reproduce_passes_and_writes_manifest(tmp_path, capsys):
     assert (out / "summary.txt").exists()
 
 
+def test_reproduce_sweep_seed_matches_its_single_run(tmp_path):
+    """A sweep reads its config once: seed 1 of ``--seed 0..1`` writes the
+    same tree, byte for byte, as ``--seed 1`` alone."""
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    sweep, single = tmp_path / "sweep", tmp_path / "single"
+    assert run_cli(["reproduce", "--out", str(sweep), "--seed", "0..1"]) == 0
+    assert run_cli(["reproduce", "--out", str(single), "--seed", "1"]) == 0
+    assert len(tree(single)) == 22  # 5 traces + 5 sidecars + 10 reports, summary, manifest
+    assert tree(sweep / "seed_1") == tree(single)
+
+
+def test_reproduce_rejects_no_trials(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out), "--trials", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_reproduce_detects_broken_setup(tmp_path):
     """Sabotaged stiffness pushes S1 out of its peak band: exit code 2."""
     out = tmp_path / "rep"
@@ -278,6 +299,10 @@ MALFORMED = [
     # unknown magnet names
     "coupling.magnet=giant",
     "subjects.S3.magnet=giant",
+    # trial settings, which only a trial used to check
+    "actuator.peak_force_n=38",  # below the strong magnet's 41 N breakaway
+    "trial.sample_rate_hz=0",
+    "trial.noise_sigma_n=-1",
 ]
 
 

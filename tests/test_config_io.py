@@ -90,7 +90,7 @@ def test_bench_reads_the_coupling_magnet_and_derives_the_travel():
     bench = Bench.from_config(cfg)
     assert bench.magnet == "strong"
     assert bench.effective_travel_mm == 37.0
-    assert bench.trial_config(bench.bank.by_id("S1")).coupling.breakaway_force_n == 41.0
+    assert bench.trial_configs["S1"].coupling.breakaway_force_n == 41.0
 
 
 def test_write_config_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from exosim.actuation import (
     ActuatorSpec,
     CouplingState,
-    coupling_for_magnet,
     measure,
     update_coupling,
 )
@@ -20,13 +19,12 @@ from exosim.trial import (
     derive_seed,
     is_functional_extension,
     run_trial,
-    trial_config_for,
     trial_sample_count,
 )
 
 
 def test_sample_grid(hand, extension_net, bank):
-    cfg = trial_config_for(hand, extension_net, bank.by_id("S1"))
+    cfg = TrialConfig(hand, extension_net, bank.by_id("S1"))
     assert trial_sample_count(cfg) == 1001
     trace = run_trial(cfg, seed=0)
     assert len(trace) == 1001
@@ -40,7 +38,7 @@ def test_sample_grid(hand, extension_net, bank):
 
 
 def test_determinism_bitwise(hand, extension_net, bank):
-    cfg = trial_config_for(hand, extension_net, bank.by_id("S2"), noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, extension_net, bank.by_id("S2"), noise_sigma_n=0.4)
     a = run_trial(cfg, seed=42)
     b = run_trial(cfg, seed=42)
     assert np.array_equal(a.force_n, b.force_n)
@@ -62,7 +60,7 @@ def test_seed_stream_distinct():
 def test_noiseless_force_is_quantized_spring(hand, extension_net, bank):
     """Against the closed form: F = k * (D - slack) while the coupling holds."""
     profile = bank.by_id("S1")
-    cfg = trial_config_for(hand, extension_net, profile)
+    cfg = TrialConfig(hand, extension_net, profile)
     trace = run_trial(cfg, seed=0)
     slack = extension_net.branches[0].slack_mm
     for i in range(0, len(trace), 97):
@@ -76,16 +74,16 @@ def test_noiseless_force_is_quantized_spring(hand, extension_net, bank):
 
 def test_invalid_trial_configs(hand, extension_net, bank):
     with pytest.raises(ValueError):
-        trial_config_for(hand, extension_net, bank.by_id("S1"), sample_rate_hz=0.0)
+        TrialConfig(hand, extension_net, bank.by_id("S1"), sample_rate_hz=0.0)
     with pytest.raises(ValueError):
-        trial_config_for(hand, extension_net, bank.by_id("S1"), noise_sigma_n=-0.1)
+        TrialConfig(hand, extension_net, bank.by_id("S1"), noise_sigma_n=-0.1)
     # breakaway threshold must stay below the actuator's peak force
     with pytest.raises(ValueError):
         TrialConfig(
             hand=hand,
             network=extension_net,
             subject=bank.by_id("S1"),
-            coupling=coupling_for_magnet("strong"),
+            magnet="strong",
             actuator=ActuatorSpec(peak_force_n=40.0),
         )
 
@@ -217,7 +215,7 @@ def test_functional_times_against_closed_form(hand, extension_net, bank):
     """D_functional = slack + e_rest * (1 - theta_func / total_rest_flexion)."""
     for sid in ("S1", "S2", "S5"):
         profile = bank.by_id(sid)
-        trace = run_trial(trial_config_for(hand, extension_net, profile), seed=0)
+        trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
         rest = profile.rest_pose
         worst = max(rest.total_finger_flexion(d) for d in FINGERS)
         e_rest = max(
@@ -231,7 +229,7 @@ def test_functional_times_against_closed_form(hand, extension_net, bank):
 
 
 def test_s4_never_functional(hand, extension_net, bank):
-    trace = run_trial(trial_config_for(hand, extension_net, bank.by_id("S4")), seed=0)
+    trace = run_trial(TrialConfig(hand, extension_net, bank.by_id("S4")), seed=0)
     assert trace.functional_extension is False
     assert trace.functional_time_s is None
     assert trace.breakaway
@@ -239,7 +237,7 @@ def test_s4_never_functional(hand, extension_net, bank):
 
 def test_breakaway_event_matches_first_threshold_crossing(hand, extension_net, bank):
     profile = bank.by_id("S4")
-    cfg = trial_config_for(hand, extension_net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=9)
     crossings = np.nonzero(trace.true_force_n >= cfg.coupling.breakaway_force_n)[0]
     assert trace.breakaway
@@ -252,7 +250,7 @@ def test_breakaway_event_matches_first_threshold_crossing(hand, extension_net, b
 
 
 def test_no_breakaway_below_threshold(hand, extension_net, bank):
-    trace = run_trial(trial_config_for(hand, extension_net, bank.by_id("S1")), seed=0)
+    trace = run_trial(TrialConfig(hand, extension_net, bank.by_id("S1")), seed=0)
     assert not trace.breakaway
     assert trace.breakaway_time_s is None
     assert np.all(trace.true_force_n < 34.0)
@@ -261,18 +259,26 @@ def test_no_breakaway_below_threshold(hand, extension_net, bank):
 def test_stronger_magnet_delays_s4_release(hand, extension_net, bank):
     profile = bank.by_id("S4")
     weak = run_trial(
-        trial_config_for(hand, extension_net, profile, magnet="standard"), seed=0
+        TrialConfig(hand, extension_net, profile, magnet="standard"), seed=0
     )
     strong = run_trial(
-        trial_config_for(hand, extension_net, profile, magnet="strong"), seed=0
+        TrialConfig(hand, extension_net, profile, magnet="strong"), seed=0
     )
     assert weak.breakaway and strong.breakaway
     assert weak.breakaway_time_s < strong.breakaway_time_s
 
 
+def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, bank):
+    profile = bank.by_id("S4")
+    assert profile.magnet == "strong"
+    assert TrialConfig(hand, extension_net, profile).coupling.breakaway_force_n == 41.0
+    standard = TrialConfig(hand, extension_net, profile, magnet="standard")
+    assert standard.coupling.breakaway_force_n == 34.0
+
+
 def test_hand_relaxes_to_rest_after_release(hand, extension_net, bank):
     profile = bank.by_id("S4")
-    trace = run_trial(trial_config_for(hand, extension_net, profile), seed=0)
+    trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
     assert trace.final_pose is not None
     assert trace.final_pose.angles_deg == profile.rest_pose.angles_deg
 
@@ -280,7 +286,7 @@ def test_hand_relaxes_to_rest_after_release(hand, extension_net, bank):
 def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
     """Re-evaluate the constitutive relations on recorded samples."""
     profile = bank.by_id("S5")
-    cfg = trial_config_for(hand, extension_net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=3)
     for i in range(0, len(trace), 53):
         d = trace.stroke_mm - trace.actuator_mm[i]
@@ -306,7 +312,7 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
     net = request.getfixturevalue(network)
     profile = bank.by_id(sid)
     rest = profile.rest_pose
-    cfg = trial_config_for(hand, net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=5)
     noise = np.random.default_rng(5).normal(0.0, 0.4, len(trace))
     response = PoseResponse(hand, net, rest)
@@ -368,7 +374,7 @@ def test_trial_invariants_random_subjects(stiffness, fraction, seed):
         stiffness_n_per_mm=stiffness,
         rest_pose=spastic_rest_pose(hand, fraction),
     )
-    cfg = trial_config_for(hand, net, profile, noise_sigma_n=0.3)
+    cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.3)
     trace = run_trial(cfg, seed=seed)
     assert len(trace) == 1001
     assert np.all(trace.force_n >= 0.0)
