@@ -36,7 +36,6 @@ from .hand import (
 # Guide heights measured on the extension glove, mm above the skin.
 MCP_GUIDE_HEIGHT_MM = 8.5
 PIP_GUIDE_HEIGHT_MM = 7.5
-RING_PROTRUSION_MM = 1.5
 
 DEFAULT_BRANCH_SLACK_MM = 2.0
 DEFAULT_EXCURSION_TARGET_MM = 57.0
@@ -82,9 +81,6 @@ class TendonBranch:
     routing: tuple[RoutingPoint, ...]
     attachment: Attachment
     slack_mm: float = DEFAULT_BRANCH_SLACK_MM
-    # Protrusion of the anchor hardware above the skin.  It locates the anchor,
-    # not a pulley, so it does not enter the excursion sum.
-    attachment_height_mm: float = 0.0
 
     def __post_init__(self) -> None:
         if self.slack_mm < 0.0:
@@ -133,7 +129,6 @@ def config1_extension(
     *,
     mcp_guide_mm: float = MCP_GUIDE_HEIGHT_MM,
     pip_guide_mm: float = PIP_GUIDE_HEIGHT_MM,
-    ring_protrusion_mm: float = RING_PROTRUSION_MM,
     slack_mm: float = DEFAULT_BRANCH_SLACK_MM,
 ) -> TendonNetwork:
     """Four-branch extension network: one dorsal branch per finger.
@@ -149,13 +144,7 @@ def config1_extension(
             RoutingPoint((digit, JointKind.PIP), Side.DORSAL, pip_guide_mm),
         )
         branches.append(
-            TendonBranch(
-                digit,
-                routing,
-                Attachment.MIDDLE_PHALANX_RING,
-                slack_mm=slack_mm,
-                attachment_height_mm=ring_protrusion_mm,
-            )
+            TendonBranch(digit, routing, Attachment.MIDDLE_PHALANX_RING, slack_mm=slack_mm)
         )
     return TendonNetwork(NetworkKind.EXTENSION, tuple(branches))
 
