@@ -65,6 +65,9 @@ def _parse_subjects(spec: str | None, available: tuple[str, ...]) -> list[str]:
             chosen.append(token)
     if not chosen:
         raise CliError("no subjects selected")
+    repeated = [sid for i, sid in enumerate(chosen) if sid in chosen[:i]]
+    if repeated:
+        raise CliError(f"subject {repeated[0]!r} selected more than once")
     return chosen
 
 

@@ -53,6 +53,21 @@ TOOL_VERSION = "0.1.0"
 # stays noiseless unless asked.
 DEFAULT_NOISE_SIGMA_N = 0.4
 
+# libyaml's emitter and parser when PyYAML was built with them; the pure-Python
+# ones otherwise.  Both give the same bytes for every document exosim writes.
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def dump_yaml(data: Any) -> str:
+    """Block-style YAML with sorted keys: the form of every file exosim writes."""
+    return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
+
+
+def load_yaml(text: str) -> Any:
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 # Read at import: a wrapper put in analyze()'s place later (perfbench's tracer)
 # would hide its keywords and so change the default config.
 _ANALYZE = inspect.signature(analyze)
@@ -125,7 +140,7 @@ def load_config(path: str | Path | None = None) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        loaded = yaml.safe_load(path.read_text()) or {}
+        loaded = load_yaml(path.read_text()) or {}
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     if not isinstance(loaded, Mapping):
@@ -146,14 +161,14 @@ def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
                 node[key] = nxt
             node = nxt
         try:
-            node[keys[-1]] = yaml.safe_load(raw) if isinstance(raw, str) else raw
+            node[keys[-1]] = load_yaml(raw) if isinstance(raw, str) else raw
         except yaml.YAMLError as err:
             raise ConfigError(f"cannot parse override {dotted}={raw}: {err}") from None
     return merged
 
 
 def canonical_yaml(cfg: Mapping) -> str:
-    return yaml.safe_dump(dict(cfg), sort_keys=True, default_flow_style=False)
+    return dump_yaml(dict(cfg))
 
 
 def config_hash(cfg: Mapping) -> str:

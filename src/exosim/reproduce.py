@@ -204,7 +204,7 @@ def run_reproduction(
     fitted = [r for r in reports if r.correlation is not None]
     r_values = [r.correlation for r in fitted]
     r_ok = (
-        len(fitted) == len(reports)
+        0 < len(fitted) == len(reports)
         and all(R_BAND[0] - R_TOL <= r <= R_BAND[1] + R_TOL for r in r_values)
     )
     checks.append(

@@ -9,19 +9,22 @@ crash never leaves a half-written artifact.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .config import TOOL_VERSION
+from .config import TOOL_VERSION, dump_yaml, load_yaml
 from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
+# Rows parsed in one call: enough to amortise the call, few enough that the
+# cells of one block stay small beside the file's lines.
+_BLOCK_ROWS = 256
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -51,13 +54,16 @@ def _header_lines(seed_text: str, config_hash: str) -> str:
     )
 
 
+def _render_rows(*columns) -> str:
+    """One ``%.6f,%.6f,%.6f`` line per sample of three equal-length columns."""
+    cells = np.column_stack(columns).ravel().tolist()
+    return ("%.6f,%.6f,%.6f\n" * (len(cells) // 3)) % tuple(cells)
+
+
 def render_trace_csv(trace: TrialTrace, *, config_hash: str = "") -> str:
     seed_text = "-" if trace.seed is None else str(trace.seed)
-    rows = [
-        f"{t:.6f},{p:.6f},{f:.6f}"
-        for t, p, f in zip(trace.t_s, trace.actuator_mm, trace.force_n)
-    ]
-    return _header_lines(seed_text, config_hash) + CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    rows = _render_rows(trace.t_s, trace.actuator_mm, trace.force_n) or "\n"
+    return _header_lines(seed_text, config_hash) + CSV_HEADER + "\n" + rows
 
 
 def render_sidecar(trace: TrialTrace, *, config_hash: str = "") -> str:
@@ -85,7 +91,7 @@ def render_sidecar(trace: TrialTrace, *, config_hash: str = "") -> str:
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash,
     }
-    return yaml.safe_dump(meta, sort_keys=True, default_flow_style=False)
+    return dump_yaml(meta)
 
 
 def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "") -> Path:
@@ -96,67 +102,79 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
     return csv_path
 
 
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The values of three-column ``rows``, one row of the result per row
+    ``float`` accepts, and the indices of the rows it rejects.  Each block of
+    up to ``_BLOCK_ROWS`` rows is parsed in one call; only a block that fails
+    is split, in halves, down to the rows at fault."""
+    if not rows:
+        return np.empty((0, 3)), []
+    if len(rows) <= _BLOCK_ROWS:
+        try:
+            cells = map(float, ",".join(rows).split(","))
+            return np.fromiter(cells, float, 3 * len(rows)).reshape(-1, 3), []
+        except ValueError:
+            if len(rows) == 1:
+                return np.empty((0, 3)), [0]
+    mid = len(rows) // 2
+    head, head_bad = _parse_rows(rows[:mid])
+    tail, tail_bad = _parse_rows(rows[mid:])
+    return np.concatenate((head, tail)), head_bad + [mid + i for i in tail_bad]
+
+
 def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     """Load a trace CSV (and sidecar when present).
 
-    Malformed data rows (wrong column count, non-numeric or non-finite
-    values) are skipped and reported as warnings with their line numbers;
-    the rest of the file still loads.  Without a sidecar the stroke is taken
-    as the largest recorded actuator position.
+    Blank lines and ``#`` comments are skipped; the first other line is the
+    header.  Malformed data rows (wrong column count, non-numeric or
+    non-finite values) are skipped and reported as warnings with their line
+    numbers; the rest of the file still loads.  Without a sidecar the stroke
+    is taken as the largest recorded actuator position.
     """
     csv_path = Path(csv_path)
-    warnings: list[str] = []
-    t: list[float] = []
-    position: list[float] = []
-    force: list[float] = []
-    header_seen = False
-    for lineno, line in enumerate(csv_path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if stripped != CSV_HEADER:
-                warnings.append(
-                    f"{csv_path.name}:{lineno}: unexpected header {stripped!r}"
-                )
-            header_seen = True
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 3:
-            warnings.append(
-                f"{csv_path.name}:{lineno}: expected 3 columns, got {len(parts)}"
+    lines = list(map(str.strip, csv_path.read_text().splitlines()))
+    faults: list[tuple[int, str]] = []  # (line index, what is wrong with it)
+    header = next((i for i, line in enumerate(lines) if line and line[0] != "#"), len(lines))
+    if header < len(lines) and lines[header] != CSV_HEADER:
+        faults.append((header, f"unexpected header {lines[header]!r}"))
+    # Every later line with two commas is taken for a row and parsed in bulk.
+    # Only the lines that this rejects are looked at one by one: blank lines,
+    # comments and malformed rows.
+    body = lines[header + 1 :]
+    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
+    rows = np.flatnonzero(commas == 2)
+    table, non_numeric = _parse_rows(list(map(body.__getitem__, rows.tolist())))
+    for i in sorted(np.flatnonzero(commas != 2).tolist() + rows[non_numeric].tolist()):
+        if body[i] and body[i][0] != "#":
+            what = (
+                f"expected 3 columns, got {commas[i] + 1}"
+                if commas[i] != 2
+                else f"non-numeric row {body[i]!r}"
             )
-            continue
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            warnings.append(f"{csv_path.name}:{lineno}: non-numeric row {stripped!r}")
-            continue
-        if not all(map(math.isfinite, values)):
-            warnings.append(f"{csv_path.name}:{lineno}: non-finite row {stripped!r}")
-            continue
-        t.append(values[0])
-        position.append(values[1])
-        force.append(values[2])
+            faults.append((header + 1 + i, what))
+    rows = np.delete(rows, non_numeric)
+    finite = np.isfinite(table).all(axis=1)
+    faults += [(header + 1 + i, f"non-finite row {body[i]!r}") for i in rows[~finite].tolist()]
+    t, position, force = np.ascontiguousarray(table[finite].T)
+    warnings = [f"{csv_path.name}:{i + 1}: {what}" for i, what in sorted(faults)]
 
     meta: dict = {}
     side = sidecar_path(csv_path)
     if side.exists():
         try:
-            meta = yaml.safe_load(side.read_text()) or {}
+            meta = load_yaml(side.read_text()) or {}
         except yaml.YAMLError as err:
             warnings.append(f"{side.name}: unreadable sidecar ({err})")
             meta = {}
 
-    position_arr = np.asarray(position)
     stroke = meta.get("stroke_mm")
     if stroke is None:
-        stroke = float(np.max(position_arr)) if len(position_arr) else 0.0
+        stroke = float(np.max(position)) if len(position) else 0.0
     breakaway_meta = meta.get("breakaway") or {}
     trace = TrialTrace(
-        t_s=np.asarray(t),
-        actuator_mm=position_arr,
-        force_n=np.asarray(force),
+        t_s=t,
+        actuator_mm=position,
+        force_n=force,
         subject_id=str(meta.get("subject_id", "")),
         network=str(meta.get("network", "")),
         stroke_mm=float(stroke),
@@ -189,16 +207,15 @@ def render_report_yaml(report) -> str:
         "degenerate": bool(report.degenerate),
         "degenerate_reason": report.degenerate_reason,
     }
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return dump_yaml(data)
 
 
 def render_fit_csv(report) -> str:
     """Normalized series with the fitted line, for plotting."""
+    header = "position_frac,force_frac,fitted_frac\n"
+    if report.position_frac is None:
+        return header
     fitted = report.fitted_frac()
-    lines = ["position_frac,force_frac,fitted_frac"]
-    if report.position_frac is not None:
-        if fitted is None:
-            fitted = np.full_like(report.position_frac, np.nan)
-        for x, y, z in zip(report.position_frac, report.force_frac, fitted):
-            lines.append(f"{x:.6f},{y:.6f},{z:.6f}")
-    return "\n".join(lines) + "\n"
+    if fitted is None:
+        fitted = np.full_like(report.position_frac, np.nan)
+    return header + _render_rows(report.position_frac, report.force_frac, fitted)

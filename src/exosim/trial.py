@@ -50,6 +50,8 @@ from .tendons import (
 
 DEFAULT_SAMPLE_RATE_HZ = 100.0
 DEFAULT_FUNCTIONAL_FLEXION_DEG = 110.0
+# Samples one trial may hold: about 1000 times the default 1001-sample trial.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,11 @@ class TrialConfig:
     functional_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG
 
     def __post_init__(self) -> None:
-        if not self.sample_rate_hz > 0.0:
-            raise ValueError("sample_rate_hz must be > 0")
-        if self.noise_sigma_n < 0.0:
-            raise ValueError("noise_sigma_n must be >= 0")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        if not 0.0 <= self.noise_sigma_n < math.inf:
+            raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n}")
+        trial_sample_count(self)  # a trial too long to hold fails here
         if not self.coupling.breakaway_force_n < self.actuator.peak_force_n:
             raise ValueError(
                 "coupling breakaway force must lie below the actuator peak force, "
@@ -237,8 +240,12 @@ class TrialTrace:
 
 
 def trial_sample_count(cfg: TrialConfig) -> int:
-    duration = retraction_duration_s(cfg.actuator)
-    return int(math.floor(duration * cfg.sample_rate_hz)) + 1
+    """Samples in one retraction, at most MAX_SAMPLES; no trial is allocated
+    before this count is known to be in range."""
+    span = retraction_duration_s(cfg.actuator) * cfg.sample_rate_hz
+    if not span < MAX_SAMPLES:  # also catches inf and nan
+        raise ValueError(f"a trial of {span + 1:g} samples exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    return int(math.floor(span)) + 1
 
 
 def derive_seed(base_seed: int, subject_index: int, trial_index: int) -> np.random.SeedSequence:

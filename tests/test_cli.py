@@ -53,6 +53,15 @@ def test_simulate_unknown_subject_fails_cleanly(tmp_path, capsys):
     assert "S9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["S1,S1", "S1..S3,S2"])
+def test_simulate_rejects_a_repeated_subject(tmp_path, capsys, spec):
+    out = tmp_path / "traces"
+    assert run_cli(["simulate", "--out", str(out), "--subjects", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than once" in err
+    assert not out.exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -263,6 +272,15 @@ def test_reproduce_rejects_no_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_fails_correlation_band_without_fitted_traces(tmp_path):
+    """With no subject there is no fit, so the band check vouches for nothing."""
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out), "--set", "subjects={}"]) == 2
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert "FAIL correlation_band: no fitted traces" in lines
+    assert lines[-1] == "RESULT: FAIL"
+
+
 def test_reproduce_detects_broken_setup(tmp_path):
     """Sabotaged stiffness pushes S1 out of its peak band: exit code 2."""
     out = tmp_path / "rep"
@@ -303,6 +321,11 @@ MALFORMED = [
     "actuator.peak_force_n=38",  # below the strong magnet's 41 N breakaway
     "trial.sample_rate_hz=0",
     "trial.noise_sigma_n=-1",
+    # non-finite trial settings (the sample-count cap is tested in test_trial.py,
+    # where no trial can run)
+    "trial.sample_rate_hz=.inf",
+    "trial.noise_sigma_n=.nan",
+    "trial.noise_sigma_n=.inf",
 ]
 
 

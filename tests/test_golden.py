@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 import yaml
 
+from exosim import config
 from exosim.cli import main
 
 HASHES = Path(__file__).with_name("golden") / "hashes.txt"
@@ -155,6 +156,18 @@ def describe_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
 
 
 def test_golden_outputs(tmp_path):
+    check_golden_outputs(tmp_path)
+
+
+def test_golden_outputs_with_pure_python_yaml(tmp_path, monkeypatch):
+    """The same bytes when PyYAML's own emitter and parser stand in for
+    libyaml's, which exosim uses whenever PyYAML was built with it."""
+    monkeypatch.setattr(config, "YAML_DUMPER", yaml.SafeDumper)
+    monkeypatch.setattr(config, "YAML_LOADER", yaml.SafeLoader)
+    check_golden_outputs(tmp_path)
+
+
+def check_golden_outputs(tmp_path):
     header, expected = read_hashes()
     if header["numpy"] != np.__version__:
         pytest.skip(

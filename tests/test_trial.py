@@ -14,6 +14,7 @@ from exosim.hand import Digit, FINGERS, JointKind, spastic_rest_pose
 from exosim.spasticity import resistance_force_n
 from exosim.tendons import branch_excursion_mm, network_state
 from exosim.trial import (
+    MAX_SAMPLES,
     PoseResponse,
     TrialConfig,
     derive_seed,
@@ -86,6 +87,32 @@ def test_invalid_trial_configs(hand, extension_net, bank):
             magnet="strong",
             actuator=ActuatorSpec(peak_force_n=40.0),
         )
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["sample_rate_hz", "noise_sigma_n"])
+def test_non_finite_trial_settings_rejected(hand, extension_net, bank, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrialConfig(hand, extension_net, bank.by_id("S1"), **{name: value})
+
+
+def test_sample_count_is_capped_when_the_config_is_made(hand, extension_net, bank):
+    """A trial holds at most MAX_SAMPLES samples; a longer one fails when its
+    config is made, before anything is allocated.  No trial is run here."""
+    s1 = bank.by_id("S1")
+    one_second = ActuatorSpec(stroke_mm=50.0, max_speed_mm_s=50.0)
+    at_cap = TrialConfig(
+        hand, extension_net, s1, actuator=one_second, sample_rate_hz=MAX_SAMPLES - 1.0
+    )
+    assert trial_sample_count(at_cap) == MAX_SAMPLES
+    for kwargs in (
+        {"actuator": one_second, "sample_rate_hz": float(MAX_SAMPLES)},
+        {"sample_rate_hz": 1e12},
+        {"actuator": ActuatorSpec(max_speed_mm_s=1e-9)},
+        {"actuator": ActuatorSpec(stroke_mm=math.inf)},
+    ):
+        with pytest.raises(ValueError, match="exceeds MAX_SAMPLES"):
+            TrialConfig(hand, extension_net, s1, **kwargs)
 
 
 # --- pose response ------------------------------------------------------------
