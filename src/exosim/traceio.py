@@ -102,6 +102,25 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
     return csv_path
 
 
+def _cells(rows: list[str]) -> np.ndarray:
+    r"""The cells of three-column ``rows`` as ``float`` reads them, one array
+    row per row; ValueError if a cell is not a number.
+
+    ``np.loadtxt`` parses in C to the same bits as ``float``.  It refuses some
+    cells that ``float`` takes (``1_0``, non-ASCII digits), so a block it
+    refuses is read again by ``float``.  It also takes a number with ``\x1f``
+    beside it, which ``float`` refuses, so text holding ``\x1f`` goes to
+    ``float`` alone.
+    """
+    text = ",".join(rows)
+    if "\x1f" not in text:
+        try:
+            return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return np.fromiter(map(float, text.split(",")), float, 3 * len(rows)).reshape(-1, 3)
+
+
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, list[int]]:
     """The values of three-column ``rows``, one row of the result per row
     ``float`` accepts, and the indices of the rows it rejects.  Each block of
@@ -111,8 +130,7 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, list[int]]:
         return np.empty((0, 3)), []
     if len(rows) <= _BLOCK_ROWS:
         try:
-            cells = map(float, ",".join(rows).split(","))
-            return np.fromiter(cells, float, 3 * len(rows)).reshape(-1, 3), []
+            return _cells(rows), []
         except ValueError:
             if len(rows) == 1:
                 return np.empty((0, 3)), [0]

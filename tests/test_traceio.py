@@ -83,6 +83,7 @@ NUMBERS = st.one_of(
     st.floats(-1e4, 1e4).map("{:.6f}".format),
     st.floats(allow_subnormal=True, width=64).map("{:.17g}".format),
     st.integers(-(10**20), 10**20).map(str),
+    st.from_regex(r"[+-]?[0-9]{1,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
 )
 ODD_FIELDS = st.sampled_from(
     ["nan", "inf", "-inf", "+Infinity", "1e999", "1_0", "1__0", "oops", "", " ", "-",
