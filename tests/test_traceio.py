@@ -192,8 +192,10 @@ def traces(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(trace=traces(), config_hash=st.sampled_from(["", "a28b7240be85"]))
-@example(trace=TrialTrace(t_s=np.empty(0), actuator_mm=np.empty(0), force_n=np.empty(0)),
-         config_hash="")
+@example(  # empty: a lone newline after the header
+    trace=TrialTrace(t_s=np.empty(0), actuator_mm=np.empty(0), force_n=np.empty(0)),
+    config_hash="",
+)
 @example(
     trace=TrialTrace(
         t_s=np.array([-0.0, 1e300]), actuator_mm=np.array([-1e-9, np.nan]),
@@ -204,11 +206,6 @@ def traces(draw):
 def test_render_trace_csv_matches_oracle(trace, config_hash):
     expected = oracle_render_trace_csv(trace, config_hash=config_hash)
     assert render_trace_csv(trace, config_hash=config_hash) == expected
-
-
-def test_empty_trace_renders_a_lone_newline_after_the_header():
-    empty = TrialTrace(t_s=np.empty(0), actuator_mm=np.empty(0), force_n=np.empty(0))
-    assert render_trace_csv(empty).endswith("\n" + CSV_HEADER + "\n\n")
 
 
 @st.composite
@@ -238,8 +235,3 @@ def reports(draw):
 def test_render_fit_csv_matches_oracle(report):
     with np.errstate(all="ignore"):
         assert render_fit_csv(report) == oracle_render_fit_csv(report)
-
-
-def test_unfitted_series_renders_a_nan_fitted_column():
-    report = AnalysisReport(label="x", position_frac=np.array([0.5]), force_frac=np.array([0.25]))
-    assert render_fit_csv(report) == "position_frac,force_frac,fitted_frac\n0.500000,0.250000,nan\n"
