@@ -25,6 +25,8 @@ SIDECAR_SUFFIX = ".meta.yaml"
 # Rows parsed in one call: enough to amortise the call, few enough that the
 # cells of one block stay small beside the file's lines.
 _BLOCK_ROWS = 256
+# A block of this many rows or fewer that fails is read row by row, not halved.
+_LEAF_ROWS = 8
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -103,41 +105,41 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
 
 
 def _cells(rows: list[str]) -> np.ndarray:
-    r"""The cells of three-column ``rows`` as ``float`` reads them, one array
-    row per row; ValueError if a cell is not a number.
-
-    ``np.loadtxt`` parses in C to the same bits as ``float``.  It refuses some
-    cells that ``float`` takes (``1_0``, non-ASCII digits), so a block it
-    refuses is read again by ``float``.  It also takes a number with ``\x1f``
-    beside it, which ``float`` refuses, so text holding ``\x1f`` goes to
-    ``float`` alone.
-    """
-    text = ",".join(rows)
-    if "\x1f" not in text:
-        try:
-            return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    return np.fromiter(map(float, text.split(",")), float, 3 * len(rows)).reshape(-1, 3)
+    """The cells of three-column ``rows`` as ``float`` reads them, one array
+    row per row; ValueError if a cell is not a number."""
+    cells = map(float, ",".join(rows).split(","))
+    return np.fromiter(cells, float, 3 * len(rows)).reshape(-1, 3)
 
 
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, list[int]]:
     """The values of three-column ``rows``, one row of the result per row
     ``float`` accepts, and the indices of the rows it rejects.  Each block of
     up to ``_BLOCK_ROWS`` rows is parsed in one call; only a block that fails
-    is split, in halves, down to the rows at fault."""
+    is split, in halves, down to ``_LEAF_ROWS`` rows, which are read one by
+    one."""
     if not rows:
         return np.empty((0, 3)), []
     if len(rows) <= _BLOCK_ROWS:
         try:
             return _cells(rows), []
         except ValueError:
-            if len(rows) == 1:
-                return np.empty((0, 3)), [0]
+            if len(rows) <= _LEAF_ROWS:
+                return _parse_each(rows)
     mid = len(rows) // 2
     head, head_bad = _parse_rows(rows[:mid])
     tail, tail_bad = _parse_rows(rows[mid:])
     return np.concatenate((head, tail)), head_bad + [mid + i for i in tail_bad]
+
+
+def _parse_each(rows: list[str]) -> tuple[np.ndarray, list[int]]:
+    """``_parse_rows`` one row at a time."""
+    table, bad = [np.empty((0, 3))], []
+    for i, row in enumerate(rows):
+        try:
+            table.append(_cells([row]))
+        except ValueError:
+            bad.append(i)
+    return np.concatenate(table), bad
 
 
 def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:

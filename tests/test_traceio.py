@@ -129,9 +129,15 @@ def csv_file(tmp_path_factory):
     return tmp_path_factory.mktemp("traceio") / "trace.csv"
 
 
-def assert_reads_like_oracle(path: Path, block_rows: int | None = None) -> None:
+def assert_reads_like_oracle(
+    path: Path, block_rows: int | None = None, leaf_rows: int | None = None
+) -> None:
     expected = oracle_read_rows(path)
-    with mock.patch.object(traceio, "_BLOCK_ROWS", block_rows or traceio._BLOCK_ROWS):
+    with mock.patch.multiple(
+        traceio,
+        _BLOCK_ROWS=block_rows or traceio._BLOCK_ROWS,
+        _LEAF_ROWS=leaf_rows or traceio._LEAF_ROWS,
+    ):
         trace, warnings = read_trace(path)
     for got, want in zip((trace.t_s, trace.actuator_mm, trace.force_n), expected):
         assert got.dtype == want.dtype == np.float64
@@ -141,15 +147,24 @@ def assert_reads_like_oracle(path: Path, block_rows: int | None = None) -> None:
 
 
 @settings(max_examples=250, deadline=None)
-@given(text=csv_texts(), block_rows=st.sampled_from([None, 1, 2, 3, 5]))
-@example(text="", block_rows=None)
-@example(text=CSV_HEADER + "\n", block_rows=None)
-@example(text="\n\n# only comments, 1, 2\n", block_rows=None)
-@example(text="0.0,1.0,2.0\n", block_rows=None)  # no header: the row is taken for it
-@example(text=CSV_HEADER + "\r\n1_0,2,3\r\n#a,b,c\r\n1,2\f4,5,6,7\x1c-0.0,nan,1\n", block_rows=2)
-def test_read_trace_matches_line_loop_oracle(csv_file, text, block_rows):
+@given(
+    text=csv_texts(),
+    block_rows=st.sampled_from([None, 1, 2, 3, 5]),
+    leaf_rows=st.sampled_from([None, 1, 2]),
+)
+@example(text="", block_rows=None, leaf_rows=None)
+@example(text=CSV_HEADER + "\n", block_rows=None, leaf_rows=None)
+@example(text="\n\n# only comments, 1, 2\n", block_rows=None, leaf_rows=None)
+# No header: the row is taken for it.
+@example(text="0.0,1.0,2.0\n", block_rows=None, leaf_rows=None)
+@example(
+    text=CSV_HEADER + "\r\n1_0,2,3\r\n#a,b,c\r\n1,2\f4,5,6,7\x1c-0.0,nan,1\n",
+    block_rows=2,
+    leaf_rows=1,
+)
+def test_read_trace_matches_line_loop_oracle(csv_file, text, block_rows, leaf_rows):
     csv_file.write_text(text, newline="")  # as written: no newline translation
-    assert_reads_like_oracle(csv_file, block_rows)
+    assert_reads_like_oracle(csv_file, block_rows, leaf_rows)
 
 
 def test_read_trace_matches_oracle_on_long_files(tmp_path):
@@ -165,6 +180,7 @@ def test_read_trace_matches_oracle_on_long_files(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     assert_reads_like_oracle(path)
     assert_reads_like_oracle(path, block_rows=7)
+    assert_reads_like_oracle(path, block_rows=7, leaf_rows=2)
 
 
 # --- the renders ------------------------------------------------------------------
