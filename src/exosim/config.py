@@ -54,7 +54,10 @@ TOOL_VERSION = "0.1.0"
 DEFAULT_NOISE_SIGMA_N = 0.4
 
 # libyaml's emitter and parser when PyYAML was built with them; the pure-Python
-# ones otherwise.  Both give the same bytes for every document exosim writes.
+# ones otherwise.  The two emitters give the same bytes on the golden outputs and
+# on documents whose strings are short printable ASCII.  They differ on some
+# other strings (an empty key, a control character, a string folded across
+# lines), so a config holding such a subject id hashes differently on each path.
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from exosim import config
 from exosim.config import (
     Bench,
     ConfigError,
@@ -62,6 +67,26 @@ def test_config_hash_tracks_content():
     assert config_hash(a) == config_hash(default_config())
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 12
+
+
+# Short printable ASCII, keys not empty: text that neither emitter escapes or
+# folds across lines, on which libyaml's emitter and PyYAML's own agree.
+_ASCII = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=40)
+_KEYS = _ASCII.filter(bool)
+_VALUES = st.one_of(
+    _ASCII, st.floats(), st.integers(), st.none(), st.booleans(), st.lists(_ASCII, max_size=3)
+)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@settings(max_examples=200, deadline=None)
+@given(subjects=st.dictionaries(_KEYS, st.dictionaries(_KEYS, _VALUES), max_size=3))
+def test_config_hash_is_the_same_with_and_without_libyaml(subjects):
+    cfg = default_config()
+    cfg["subjects"].update(subjects)
+    with_libyaml = config.canonical_yaml(cfg)
+    with mock.patch.object(config, "YAML_DUMPER", yaml.SafeDumper):
+        assert config.canonical_yaml(cfg) == with_libyaml
 
 
 def test_unknown_network_kind_rejected():
