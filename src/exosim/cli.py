@@ -14,12 +14,14 @@ failed.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import pickle
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .analysis import analyze, batch_report
+from .analysis import AnalysisReport, analyze, batch_report
 from .config import Bench, ConfigError, TOOL_VERSION
 from .hand import Digit, JointKind
 from .reproduce import run_reproduction
@@ -34,6 +36,8 @@ from .traceio import (
 )
 
 ENV_CONFIG = "EXOSIM_CONFIG"
+# Each analysis process takes at least this many traces, so a fork pays for itself.
+TRACES_PER_PROCESS = 8
 
 
 class CliError(Exception):
@@ -122,12 +126,66 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _analyze_trace(path: Path, out: Path, analysis) -> tuple[list[str], AnalysisReport]:
+    """Read, analyze and write the report files of one trace; returns its
+    warnings and its report without the normalized series, which only the
+    fit CSV needs."""
+    trace, warnings = read_trace(path)
+    report = analyze(trace, label=path.stem, **analysis)
+    write_text_atomic(out / f"{path.stem}.report.yaml", render_report_yaml(report))
+    write_text_atomic(out / f"{path.stem}_fit.csv", render_fit_csv(report))
+    report.position_frac = report.force_frac = None
+    return warnings, report
+
+
+def _analyze_share(paths: list[Path], out: Path, analysis) -> list:
+    """``_analyze_trace`` over ``paths`` in order, up to the first trace that
+    fails, whose error message ends the list."""
+    outcomes: list = []
+    for path in paths:
+        try:
+            outcomes.append(_analyze_trace(path, out, analysis))
+        except (OSError, ValueError) as err:
+            outcomes.append(str(err))
+            break
+    return outcomes
+
+
+def _fork(run) -> tuple[int, int]:
+    """Call ``run()`` in a forked child; returns the child's pid and the read
+    end of the pipe that carries its pickled result.  The child leaves with
+    ``os._exit``, so it never flushes the parent's stdio or runs its atexit
+    hooks, and it writes nothing if ``run`` raises."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(run(), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int):
+    """The result of a child from ``_fork`` once it has exited; None if it
+    ended without one."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if status == 0 and data else None
+
+
 def _cmd_analyze(args) -> int:
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
         if p.is_dir():
-            paths.extend(sorted(p.glob("*.csv")))
+            paths.extend(sorted(c for c in p.glob("*.csv") if c.is_file()))
         elif p.exists():
             paths.append(p)
         else:
@@ -137,15 +195,37 @@ def _cmd_analyze(args) -> int:
         raise CliError("no trace CSVs to analyze")
     bench = Bench.from_config(_effective_config(args))
     out = Path(args.out)
+
+    # Contiguous shares, one per usable CPU; the first stays in this process
+    # and each other runs in a forked child.  Freezing the collector keeps it
+    # from touching, and so copying, the pages a child shares with this process.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, len(paths) // TRACES_PER_PROCESS))
+    shares = [paths[len(paths) * i // n : len(paths) * (i + 1) // n] for i in range(n)]
+    children: list[tuple[int, int]] = []
+    results: list = []
+    gc.freeze()
+    try:
+        for share in shares[1:]:
+            children.append(_fork(lambda share=share: _analyze_share(share, out, bench.analysis)))
+        results.append(_analyze_share(shares[0], out, bench.analysis))
+    finally:
+        results += [_reap(pid, fd) for pid, fd in children]
+        gc.unfreeze()
+
     reports = []
-    for p in paths:
-        trace, warnings = read_trace(p)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        report = analyze(trace, label=p.stem, **bench.analysis)
-        write_text_atomic(out / f"{p.stem}.report.yaml", render_report_yaml(report))
-        write_text_atomic(out / f"{p.stem}_fit.csv", render_fit_csv(report))
-        reports.append(report)
+    for share, outcomes in zip(shares, results):
+        if outcomes is None:
+            raise CliError(
+                f"the analysis of {share[0].name} to {share[-1].name} ended without a result"
+            )
+        for outcome in outcomes:
+            if isinstance(outcome, str):
+                raise CliError(outcome)
+            warnings, report = outcome
+            for w in warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            reports.append(report)
     summary = batch_report(reports)
     write_text_atomic(out / "summary.txt", summary.render())
     print(summary.render(), end="")
@@ -275,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, ValueError) as err:
+    except (CliError, ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import inspect
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -48,6 +49,11 @@ from .trial import (
 )
 
 TOOL_VERSION = "0.1.0"
+
+# A subject id names output files (``S1_extension_t00.csv``), so it must be a
+# plain file-name stem: no path separator, no dot-only or empty name, and
+# nothing that YAML's emitters quote or escape differently.
+SUBJECT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]{0,31}")
 
 # Bench-wide default for synthetic sensor noise; library-level TrialConfig
 # stays noiseless unless asked.
@@ -284,6 +290,12 @@ class Bench:
             ids = cfg["subjects"] if isinstance(cfg["subjects"], Mapping) else ()
             entry = {key: None for params in defaults["subjects"].values() for key in params}
             _check_keys(cfg, {**defaults, "subjects": dict.fromkeys(ids, entry)}, "")
+            for sid in ids:
+                if not isinstance(sid, str) or not SUBJECT_ID.fullmatch(sid):
+                    raise ConfigError(
+                        f"subject id {sid!r} is not 1-32 letters, digits, '_' or '-' "
+                        "starting with a letter or digit"
+                    )
             hand = default_hand(
                 float(cfg["hand"]["joint_center_depth_mm"]),
                 cfg["hand"]["flexion_ranges_deg"],

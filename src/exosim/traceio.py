@@ -142,6 +142,42 @@ def _parse_each(rows: list[str]) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(table), bad
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
+def _optional_number(value, name: str) -> float | None:
+    return None if value is None else _number(value, name)
+
+
+def _sidecar_fields(meta) -> dict:
+    """The metadata fields of TrialTrace from a loaded sidecar document;
+    ValueError if the document or its ``breakaway`` is not a mapping, or if a
+    number field does not convert.  A missing ``stroke_mm`` stays None."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"expected a mapping, got {type(meta).__name__}")
+    breakaway = meta.get("breakaway") or {}
+    if not isinstance(breakaway, dict):
+        raise ValueError(f"breakaway: expected a mapping, got {type(breakaway).__name__}")
+    return {
+        "subject_id": str(meta.get("subject_id", "")),
+        "network": str(meta.get("network", "")),
+        "stroke_mm": _optional_number(meta.get("stroke_mm"), "stroke_mm"),
+        "sample_rate_hz": _number(
+            meta.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ), "sample_rate_hz"
+        ),
+        "noise_sigma_n": _number(meta.get("noise_sigma_n", 0.0), "noise_sigma_n"),
+        "seed": meta.get("seed"),
+        "breakaway": bool(breakaway.get("occurred", False)),
+        "breakaway_time_s": _optional_number(breakaway.get("time_s"), "breakaway.time_s"),
+        "functional_extension": meta.get("functional_extension"),
+        "functional_time_s": _optional_number(meta.get("functional_time_s"), "functional_time_s"),
+    }
+
+
 def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     """Load a trace CSV (and sidecar when present).
 
@@ -152,7 +188,11 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     is taken as the largest recorded actuator position.
     """
     csv_path = Path(csv_path)
-    lines = list(map(str.strip, csv_path.read_text().splitlines()))
+    try:
+        text = csv_path.read_text()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{csv_path.name}: {err}") from None
+    lines = list(map(str.strip, text.splitlines()))
     faults: list[tuple[int, str]] = []  # (line index, what is wrong with it)
     header = next((i for i, line in enumerate(lines) if line and line[0] != "#"), len(lines))
     if header < len(lines) and lines[header] != CSV_HEADER:
@@ -178,34 +218,16 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     t, position, force = np.ascontiguousarray(table[finite].T)
     warnings = [f"{csv_path.name}:{i + 1}: {what}" for i, what in sorted(faults)]
 
-    meta: dict = {}
+    fields = _sidecar_fields({})
     side = sidecar_path(csv_path)
     if side.exists():
         try:
-            meta = load_yaml(side.read_text()) or {}
-        except yaml.YAMLError as err:
+            fields = _sidecar_fields(load_yaml(side.read_text()) or {})
+        except (yaml.YAMLError, OSError, ValueError) as err:
             warnings.append(f"{side.name}: unreadable sidecar ({err})")
-            meta = {}
-
-    stroke = meta.get("stroke_mm")
-    if stroke is None:
-        stroke = float(np.max(position)) if len(position) else 0.0
-    breakaway_meta = meta.get("breakaway") or {}
-    trace = TrialTrace(
-        t_s=t,
-        actuator_mm=position,
-        force_n=force,
-        subject_id=str(meta.get("subject_id", "")),
-        network=str(meta.get("network", "")),
-        stroke_mm=float(stroke),
-        sample_rate_hz=float(meta.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)),
-        noise_sigma_n=float(meta.get("noise_sigma_n", 0.0)),
-        seed=meta.get("seed"),
-        breakaway=bool(breakaway_meta.get("occurred", False)),
-        breakaway_time_s=breakaway_meta.get("time_s"),
-        functional_extension=meta.get("functional_extension"),
-        functional_time_s=meta.get("functional_time_s"),
-    )
+    if fields["stroke_mm"] is None:
+        fields["stroke_mm"] = float(np.max(position)) if len(position) else 0.0
+    trace = TrialTrace(t_s=t, actuator_mm=position, force_n=force, **fields)
     return trace, warnings
 
 

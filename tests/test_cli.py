@@ -1,9 +1,12 @@
+import gc
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from exosim import cli
 from exosim.cli import main
 from exosim.hand import default_hand
 from exosim.spasticity import calibrate_stiffness
@@ -193,6 +196,25 @@ def test_analyze_missing_input_errors(tmp_path, capsys):
                     "--out", str(tmp_path / "an")]) == 1
 
 
+def test_analyze_takes_only_files_from_a_directory(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    (traces / "x.csv").mkdir(parents=True)
+    (traces / "t.csv").write_text("t_s,actuator_mm,force_N\n0.0,50.0,0.0\n0.1,49.5,4.0\n")
+    assert run_cli(["analyze", str(traces), "--out", str(tmp_path / "an")]) == 0
+    assert sorted(p.name for p in (tmp_path / "an").iterdir()) == [
+        "summary.txt", "t.report.yaml", "t_fit.csv"
+    ]
+
+
+def test_analyze_names_a_trace_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "e.csv"
+    bad.write_bytes(b"t_s,actuator_mm,force_N\n0.0,50.0,\xff\n")
+    assert run_cli(["analyze", str(bad), "--out", str(tmp_path / "an")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: e.csv: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_calibrate_writes_derived_config(tmp_path):
     out = tmp_path / "cal"
     assert run_cli(["calibrate", "--out", str(out)]) == 0
@@ -326,6 +348,10 @@ MALFORMED = [
     "trial.sample_rate_hz=.inf",
     "trial.noise_sigma_n=.nan",
     "trial.noise_sigma_n=.inf",
+    # paths the operating system refuses, "{tmp}" being the test's directory
+    pytest.param(["--out", "{tmp}/t.csv/x"], id="out-below-a-file"),
+    pytest.param(["--out", "{tmp}/t.csv"], id="out-is-a-file"),
+    pytest.param(["--config", "{tmp}"], id="config-is-a-directory"),
 ]
 
 
@@ -333,14 +359,16 @@ MALFORMED = [
 @pytest.mark.parametrize("override", MALFORMED)
 def test_malformed_config_fails_cleanly(tmp_path, capsys, command, override):
     args = [command, "--out", str(tmp_path / "out")]
+    trace = tmp_path / "t.csv"
+    trace.write_text("t_s,actuator_mm,force_N\n0.0,50.0,0.0\n0.1,49.5,4.0\n")
     if command == "analyze":
-        trace = tmp_path / "t.csv"
-        trace.write_text("t_s,actuator_mm,force_N\n0.0,50.0,0.0\n0.1,49.5,4.0\n")
         args.append(str(trace))
     if override is None:
         cfg_file = tmp_path / "bad.yaml"
         cfg_file.write_text("hand: 3\n")
         args += ["--config", str(cfg_file)]
+    elif isinstance(override, list):
+        args += [arg.format(tmp=tmp_path) for arg in override]
     else:
         args += ["--set", override]
     assert run_cli(args) == 1
@@ -363,3 +391,121 @@ def test_calibration_solves_for_configured_extension_network(tmp_path):
     assert run_cli(["reproduce", "--out", str(out)] + guide) == 0
     manifest = (out / "manifest.txt").read_text()
     assert f"(depth {depth:.4f} mm)" in manifest
+
+
+# --- analyze split over processes ---------------------------------------------------
+
+
+def write_corpus(root, n=33):
+    """``n`` traces: loaded, released (a drop to 0 N) and never loaded ones,
+    malformed and ``nan`` rows, with and without sidecars."""
+    root.mkdir(parents=True)
+    rng = np.random.default_rng(11)
+    for i in range(n):
+        stem = f"S{i % 5 + 1}_c{i:02d}"
+        kind = ("loaded", "released", "unloaded")[i % 3]
+        lines = ["# exosim 0.1.0", "t_s,actuator_mm,force_N"]
+        released = None
+        for k in range(101):
+            t, pos = k / 10, 50.0 - k / 2
+            force = max(0.0, 0.8 * (48.0 - pos) + rng.normal(0.0, 0.4))
+            if kind == "unloaded":
+                force = rng.uniform(0.0, 2.0)
+            elif kind == "released" and (released is not None or force > 20.0):
+                released = t if released is None else released
+                force = 0.0
+            lines.append(f"{t:.6f},{pos:.6f},{force:.6f}")
+        if i % 4 == 1:
+            lines[30:30] = ["oops,1.0,2.0", "1.0,2.0", "0.5,nan,1.0", "1.0,2.0,inf"]
+        (root / f"{stem}.csv").write_text("\n".join(lines) + "\n")
+        if i % 2 == 0:
+            (root / f"{stem}.meta.yaml").write_text(yaml.safe_dump({
+                "subject_id": stem[:2], "stroke_mm": 50.0, "sample_rate_hz": 10.0,
+                "breakaway": {"occurred": released is not None, "time_s": released},
+                "functional_extension": bool(i % 3),
+            }))
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def analyze_with_cpus(monkeypatch, capsys, cpus, inputs, out):
+    """``analyze`` with ``cpus`` usable CPUs: exit code, stdout, stderr and
+    the number of processes it forked, after checking that it left no child
+    and no frozen object behind."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", counting_fork)
+        code = run_cli(["analyze", *map(str, inputs), "--out", str(out)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, len(forks)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_analyze_split_writes_the_bytes_of_the_serial_run(tmp_path, monkeypatch, capsys, cpus):
+    write_corpus(tmp_path / "traces")
+    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "one")
+    split = analyze_with_cpus(monkeypatch, capsys, cpus, [tmp_path / "traces"], tmp_path / "n")
+    assert serial[3] == 0 and split[3] == cpus - 1
+    assert split[:3] == serial[:3]
+    assert serial[0] == 0 and "warning: S2_c01.csv:31" in serial[2]
+    assert "totals: 33 traces, 11 degenerate" in serial[1]
+    assert tree(tmp_path / "n") == tree(tmp_path / "one")
+    assert len(tree(tmp_path / "one")) == 2 * 33 + 1
+
+
+def test_analyze_forks_nothing_below_sixteen_traces(tmp_path, monkeypatch, capsys):
+    write_corpus(tmp_path / "traces", n=15)
+    code, _, _, forks = analyze_with_cpus(
+        monkeypatch, capsys, 4, [tmp_path / "traces"], tmp_path / "an"
+    )
+    assert (code, forks) == (0, 0)
+
+
+def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys):
+    """A trace that cannot be read, in a child's share: the warnings of the
+    traces before it, then its error, exit 1."""
+    write_corpus(tmp_path / "traces")
+    # 18th of 33 in name order: the middle share of three, after a trace
+    # of that share that warns (S2_c21, the 12th)
+    (tmp_path / "traces" / "S3_c17.csv").write_bytes(b"t_s,actuator_mm,force_N\n\xff\n")
+    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "one")
+    split = analyze_with_cpus(monkeypatch, capsys, 3, [tmp_path / "traces"], tmp_path / "n")
+    assert split[3] == 2
+    assert split[:3] == serial[:3]
+    assert serial[0] == 1 and serial[1] == ""
+    *warnings, error = serial[2].splitlines()
+    assert error.startswith("error: S3_c17.csv: 'utf-8' codec can't decode byte 0xff")
+    warned = {w.removeprefix("warning: ").split(":")[0] for w in warnings}
+    assert warned == {"S1_c05.csv", "S1_c25.csv", "S2_c01.csv", "S2_c21.csv"}
+
+
+def test_analyze_child_that_dies_is_an_error(tmp_path, monkeypatch, capsys):
+    write_corpus(tmp_path / "traces", n=16)
+    parent = os.getpid()
+    analyze_trace = cli._analyze_trace
+
+    def dies_in_child(path, out, analysis):
+        if os.getpid() != parent:
+            os._exit(3)
+        return analyze_trace(path, out, analysis)
+
+    monkeypatch.setattr(cli, "_analyze_trace", dies_in_child)
+    code, out, err, forks = analyze_with_cpus(
+        monkeypatch, capsys, 2, [tmp_path / "traces"], tmp_path / "an"
+    )
+    assert (code, out, forks) == (1, "", 1)
+    assert err.splitlines()[-1] == (
+        "error: the analysis of S3_c07.csv to S5_c14.csv ended without a result"
+    )

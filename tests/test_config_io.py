@@ -6,6 +6,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from exosim import config
+from exosim.cli import main
 from exosim.config import (
     Bench,
     ConfigError,
@@ -102,6 +103,36 @@ def test_new_subject_keeps_profile_defaults():
     s6 = Bench.from_config(cfg).bank.by_id("S6")
     defaults = SubjectProfile("S6", MasLevel.TWO, 0.4, s6.rest_pose)
     assert s6 == defaults
+
+
+SUBJECT = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
+
+
+@pytest.mark.parametrize("sid", ["S6", "a", "7", "A-b_9", "x" * 32])
+def test_subject_id_that_is_a_file_name_stem_is_accepted(sid):
+    cfg = default_config()
+    cfg["subjects"][sid] = SUBJECT
+    assert sid in Bench.from_config(cfg).bank.ids()
+
+
+@pytest.mark.parametrize(
+    "sid", ["../evil", "", "a/b", "a\\b", ".hidden", "-x", "_x", "S1\r", "S 1", "é", "x" * 33, 1]
+)
+def test_subject_id_that_is_not_a_file_name_stem_is_rejected(sid):
+    cfg = default_config()
+    cfg["subjects"][sid] = SUBJECT
+    with pytest.raises(ConfigError, match="subject id"):
+        Bench.from_config(cfg)
+
+
+def test_simulate_writes_nothing_for_a_bad_subject_id(tmp_path, capsys):
+    """``../evil`` would put its trace beside --out, not in it."""
+    cfg_file = tmp_path / "evil.yaml"
+    cfg_file.write_text(yaml.safe_dump({"subjects": {"../evil": SUBJECT}}))
+    out = tmp_path / "box" / "out"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid config: subject id '../evil'")
+    assert not (tmp_path / "box").exists()
 
 
 def test_bench_reads_the_coupling_magnet_and_derives_the_travel():

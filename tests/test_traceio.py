@@ -251,3 +251,50 @@ def reports(draw):
 def test_render_fit_csv_matches_oracle(report):
     with np.errstate(all="ignore"):
         assert render_fit_csv(report) == oracle_render_fit_csv(report)
+
+
+# --- the sidecar ------------------------------------------------------------------
+
+TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
+
+
+@pytest.mark.parametrize(
+    "sidecar, reason",
+    [
+        ("- 1\n- 2\n", "expected a mapping, got list"),
+        ("just text\n", "expected a mapping, got str"),
+        ("stroke_mm: abc\n", "stroke_mm: could not convert string to float: 'abc'"),
+        ("sample_rate_hz: abc\n", "sample_rate_hz: could not convert"),
+        ("sample_rate_hz: null\n", "sample_rate_hz: float() argument"),
+        ("noise_sigma_n: [1]\n", "noise_sigma_n: float() argument"),
+        ("breakaway:\n  time_s: abc\n", "breakaway.time_s: could not convert"),
+        ("functional_time_s: {a: 1}\n", "functional_time_s: float() argument"),
+        ("breakaway: [1, 2]\n", "breakaway: expected a mapping, got list"),
+        ("breakaway: yes\n", "breakaway: expected a mapping, got bool"),
+        ("stroke_mm: [1\n", "while parsing"),  # not YAML
+        (b"stroke_mm: \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
+         "release-time-text", "functional-time-map", "breakaway-list", "breakaway-bool",
+         "not-yaml", "not-utf8"],
+)
+def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
+    """A sidecar that is not YAML, not a mapping, or holds a field that does
+    not convert is named in a warning, and the trace reads as if it had none."""
+    (tmp_path / "bare.csv").write_text(TRACE_TEXT)
+    bare, bare_warnings = read_trace(tmp_path / "bare.csv")
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_TEXT)
+    side = traceio.sidecar_path(path)
+    side.write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
+    trace, warnings = read_trace(path)
+    assert bare_warnings == []
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"t.meta.yaml: unreadable sidecar ({reason}")
+    for name, value in vars(bare).items():
+        got = getattr(trace, name)
+        if isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes()
+        else:
+            assert got == value, name
+    assert trace.stroke_mm == 42.0
