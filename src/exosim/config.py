@@ -63,7 +63,8 @@ DEFAULT_NOISE_SIGMA_N = 0.4
 # ones otherwise.  The two emitters give the same bytes on the golden outputs and
 # on documents whose strings are short printable ASCII.  They differ on some
 # other strings (an empty key, a control character, a string folded across
-# lines), so a config holding such a subject id hashes differently on each path.
+# lines), so a config holding such a string (a subject's ``notes``; ids are
+# checked) hashes differently on each path.
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
