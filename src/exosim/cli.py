@@ -151,11 +151,11 @@ def _analyze_share(paths: list[Path], out: Path, analysis) -> list:
     return outcomes
 
 
-def _fork(run) -> tuple[int, int]:
-    """Call ``run()`` in a forked child; returns the child's pid and the read
-    end of the pipe that carries its pickled result.  The child leaves with
-    ``os._exit``, so it never flushes the parent's stdio or runs its atexit
-    hooks, and it writes nothing if ``run`` raises."""
+def _fork(fn, *args) -> tuple[int, int]:
+    """Call ``fn(*args)`` in a forked child; returns the child's pid and the
+    read end of the pipe that carries its pickled result.  The child leaves
+    with ``os._exit``, so it never flushes the parent's stdio or runs its
+    atexit hooks, and it writes nothing if ``fn`` raises."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -165,7 +165,7 @@ def _fork(run) -> tuple[int, int]:
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(run(), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(fn(*args), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -207,7 +207,7 @@ def _cmd_analyze(args) -> int:
     gc.freeze()
     try:
         for share in shares[1:]:
-            children.append(_fork(lambda share=share: _analyze_share(share, out, bench.analysis)))
+            children.append(_fork(_analyze_share, share, out, bench.analysis))
         results.append(_analyze_share(shares[0], out, bench.analysis))
     finally:
         results += [_reap(pid, fd) for pid, fd in children]

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -473,20 +474,30 @@ def test_analyze_forks_nothing_below_sixteen_traces(tmp_path, monkeypatch, capsy
     assert (code, forks) == (0, 0)
 
 
-def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys):
-    """A trace that cannot be read, in a child's share: the warnings of the
-    traces before it, then its error, exit 1."""
+@pytest.mark.parametrize("fault", ["not-utf8", "report-unwritable"])
+def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys, fault):
+    """A trace that fails, in a child's share: the warnings of the traces
+    before it, then its error, exit 1; the serial run writes nothing after
+    it."""
     write_corpus(tmp_path / "traces")
     # 18th of 33 in name order: the middle share of three, after a trace
     # of that share that warns (S2_c21, the 12th)
-    (tmp_path / "traces" / "S3_c17.csv").write_bytes(b"t_s,actuator_mm,force_N\n\xff\n")
-    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "one")
-    split = analyze_with_cpus(monkeypatch, capsys, 3, [tmp_path / "traces"], tmp_path / "n")
-    assert split[3] == 2
-    assert split[:3] == serial[:3]
-    assert serial[0] == 1 and serial[1] == ""
+    if fault == "not-utf8":
+        (tmp_path / "traces" / "S3_c17.csv").write_bytes(b"t_s,actuator_mm,force_N\n\xff\n")
+        expected = "error: S3_c17.csv: 'utf-8' codec can't decode byte 0xff"
+    else:
+        (tmp_path / "out" / "S3_c17.report.yaml").mkdir(parents=True)
+        expected = "error: [Errno 21] Is a directory"
+    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "out")
+    assert len(tree(tmp_path / "out")) == 2 * 17
+    split = analyze_with_cpus(monkeypatch, capsys, 3, [tmp_path / "traces"], tmp_path / "out")
+    assert (serial[3], split[3]) == (0, 2)
+    assert split[:2] == serial[:2] == (1, "")
+    # a failed rename names its temporary file, whose name is random
+    temporary = re.compile(r"\.S3_c17\.report\.yaml\.\w+\.tmp")
+    assert temporary.sub("", split[2]) == temporary.sub("", serial[2])
     *warnings, error = serial[2].splitlines()
-    assert error.startswith("error: S3_c17.csv: 'utf-8' codec can't decode byte 0xff")
+    assert error.startswith(expected)
     warned = {w.removeprefix("warning: ").split(":")[0] for w in warnings}
     assert warned == {"S1_c05.csv", "S1_c25.csv", "S2_c01.csv", "S2_c21.csv"}
 

@@ -116,7 +116,8 @@ def test_subject_id_that_is_a_file_name_stem_is_accepted(sid):
 
 
 @pytest.mark.parametrize(
-    "sid", ["../evil", "", "a/b", "a\\b", ".hidden", "-x", "_x", "S1\r", "S 1", "é", "x" * 33, 1]
+    "sid",
+    ["../evil", "", "a/b", "a\\b", "a.b", ".hidden", "-x", "_x", "S1\r", "S 1", "é", "x" * 33, 1],
 )
 def test_subject_id_that_is_not_a_file_name_stem_is_rejected(sid):
     cfg = default_config()
