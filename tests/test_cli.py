@@ -18,6 +18,10 @@ def run_cli(args):
     return main(args)
 
 
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_version_exits_zero(capsys):
     assert run_cli(["--version"]) == 0
 
@@ -277,10 +281,6 @@ def test_reproduce_passes_and_writes_manifest(tmp_path, capsys):
 def test_reproduce_sweep_seed_matches_its_single_run(tmp_path):
     """A sweep reads its config once: seed 1 of ``--seed 0..1`` writes the
     same tree, byte for byte, as ``--seed 1`` alone."""
-
-    def tree(root):
-        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
     sweep, single = tmp_path / "sweep", tmp_path / "single"
     assert run_cli(["reproduce", "--out", str(sweep), "--seed", "0..1"]) == 0
     assert run_cli(["reproduce", "--out", str(single), "--seed", "1"]) == 0
@@ -427,12 +427,8 @@ def write_corpus(root, n=33):
             }))
 
 
-def tree(root):
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
-def analyze_with_cpus(monkeypatch, capsys, cpus, inputs, out):
-    """``analyze`` with ``cpus`` usable CPUs: exit code, stdout, stderr and
+def analyze_with_cpus(monkeypatch, capsys, cpus, traces, out):
+    """``analyze traces`` with ``cpus`` usable CPUs: exit code, stdout, stderr and
     the number of processes it forked, after checking that it left no child
     and no frozen object behind."""
     forks = []
@@ -445,7 +441,7 @@ def analyze_with_cpus(monkeypatch, capsys, cpus, inputs, out):
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         m.setattr(os, "fork", counting_fork)
-        code = run_cli(["analyze", *map(str, inputs), "--out", str(out)])
+        code = run_cli(["analyze", str(traces), "--out", str(out)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
@@ -456,8 +452,8 @@ def analyze_with_cpus(monkeypatch, capsys, cpus, inputs, out):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_analyze_split_writes_the_bytes_of_the_serial_run(tmp_path, monkeypatch, capsys, cpus):
     write_corpus(tmp_path / "traces")
-    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "one")
-    split = analyze_with_cpus(monkeypatch, capsys, cpus, [tmp_path / "traces"], tmp_path / "n")
+    serial = analyze_with_cpus(monkeypatch, capsys, 1, tmp_path / "traces", tmp_path / "one")
+    split = analyze_with_cpus(monkeypatch, capsys, cpus, tmp_path / "traces", tmp_path / "n")
     assert serial[3] == 0 and split[3] == cpus - 1
     assert split[:3] == serial[:3]
     assert serial[0] == 0 and "warning: S2_c01.csv:31" in serial[2]
@@ -469,7 +465,7 @@ def test_analyze_split_writes_the_bytes_of_the_serial_run(tmp_path, monkeypatch,
 def test_analyze_forks_nothing_below_sixteen_traces(tmp_path, monkeypatch, capsys):
     write_corpus(tmp_path / "traces", n=15)
     code, _, _, forks = analyze_with_cpus(
-        monkeypatch, capsys, 4, [tmp_path / "traces"], tmp_path / "an"
+        monkeypatch, capsys, 4, tmp_path / "traces", tmp_path / "an"
     )
     assert (code, forks) == (0, 0)
 
@@ -488,9 +484,9 @@ def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys, 
     else:
         (tmp_path / "out" / "S3_c17.report.yaml").mkdir(parents=True)
         expected = "error: [Errno 21] Is a directory"
-    serial = analyze_with_cpus(monkeypatch, capsys, 1, [tmp_path / "traces"], tmp_path / "out")
+    serial = analyze_with_cpus(monkeypatch, capsys, 1, tmp_path / "traces", tmp_path / "out")
     assert len(tree(tmp_path / "out")) == 2 * 17
-    split = analyze_with_cpus(monkeypatch, capsys, 3, [tmp_path / "traces"], tmp_path / "out")
+    split = analyze_with_cpus(monkeypatch, capsys, 3, tmp_path / "traces", tmp_path / "out")
     assert (serial[3], split[3]) == (0, 2)
     assert split[:2] == serial[:2] == (1, "")
     # a failed rename names its temporary file, whose name is random
@@ -514,7 +510,7 @@ def test_analyze_child_that_dies_is_an_error(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_analyze_trace", dies_in_child)
     code, out, err, forks = analyze_with_cpus(
-        monkeypatch, capsys, 2, [tmp_path / "traces"], tmp_path / "an"
+        monkeypatch, capsys, 2, tmp_path / "traces", tmp_path / "an"
     )
     assert (code, out, forks) == (1, "", 1)
     assert err.splitlines()[-1] == (
