@@ -36,8 +36,10 @@ from .traceio import (
 )
 
 ENV_CONFIG = "EXOSIM_CONFIG"
-# Each analysis process takes at least this many traces, so a fork pays for itself.
-TRACES_PER_PROCESS = 8
+# Each analysis process takes at least this many traces, so a fork pays for
+# itself: on 2 CPUs a split CLI run was slower than one process at 32 traces
+# and faster at 48.
+TRACES_PER_PROCESS = 24
 
 
 class CliError(Exception):
@@ -193,6 +195,12 @@ def _cmd_analyze(args) -> int:
     paths = [p for p in paths if not p.name.endswith("_fit.csv")]
     if not paths:
         raise CliError("no trace CSVs to analyze")
+    # A trace's report files are named after its stem, so two traces with one
+    # stem would write the same files.
+    first: dict[str, Path] = {}
+    for p in paths:
+        if first.setdefault(p.stem, p) is not p:
+            raise CliError(f"two traces named {p.stem}: {first[p.stem]} and {p}")
     bench = Bench.from_config(_effective_config(args))
     out = Path(args.out)
 

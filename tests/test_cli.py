@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,10 +428,11 @@ def write_corpus(root, n=33):
             }))
 
 
-def analyze_with_cpus(monkeypatch, capsys, cpus, traces, out):
-    """``analyze traces`` with ``cpus`` usable CPUs: exit code, stdout, stderr and
-    the number of processes it forked, after checking that it left no child
-    and no frozen object behind."""
+def analyze_with_cpus(monkeypatch, capsys, cpus, traces, out, *more, per_process=8):
+    """``analyze traces *more`` with ``cpus`` usable CPUs and at least
+    ``per_process`` traces a process (8 keeps the corpora small): exit code,
+    stdout, stderr and the number of processes it forked, after checking that
+    it left no child and no frozen object behind."""
     forks = []
     fork = os.fork
 
@@ -441,7 +443,8 @@ def analyze_with_cpus(monkeypatch, capsys, cpus, traces, out):
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         m.setattr(os, "fork", counting_fork)
-        code = run_cli(["analyze", str(traces), "--out", str(out)])
+        m.setattr(cli, "TRACES_PER_PROCESS", per_process)
+        code = run_cli(["analyze", str(traces), *map(str, more), "--out", str(out)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
@@ -462,12 +465,14 @@ def test_analyze_split_writes_the_bytes_of_the_serial_run(tmp_path, monkeypatch,
     assert len(tree(tmp_path / "one")) == 2 * 33 + 1
 
 
-def test_analyze_forks_nothing_below_sixteen_traces(tmp_path, monkeypatch, capsys):
-    write_corpus(tmp_path / "traces", n=15)
-    code, _, _, forks = analyze_with_cpus(
-        monkeypatch, capsys, 4, tmp_path / "traces", tmp_path / "an"
+@pytest.mark.parametrize("extra, forks", [(-1, 0), (0, 1)])
+def test_analyze_forks_only_for_two_full_shares(tmp_path, monkeypatch, capsys, extra, forks):
+    write_corpus(tmp_path / "traces", n=2 * cli.TRACES_PER_PROCESS + extra)
+    code, _, _, forked = analyze_with_cpus(
+        monkeypatch, capsys, 4, tmp_path / "traces", tmp_path / "an",
+        per_process=cli.TRACES_PER_PROCESS,
     )
-    assert (code, forks) == (0, 0)
+    assert (code, forked) == (0, forks)
 
 
 @pytest.mark.parametrize("fault", ["not-utf8", "report-unwritable"])
@@ -496,6 +501,24 @@ def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys, 
     assert error.startswith(expected)
     warned = {w.removeprefix("warning: ").split(":")[0] for w in warnings}
     assert warned == {"S1_c05.csv", "S1_c25.csv", "S2_c01.csv", "S2_c21.csv"}
+
+
+@pytest.mark.parametrize("second, repeat", [
+    ("b", "b/S1_c00.csv"), ("a/S1_c05.csv", "a/S1_c05.csv")
+])
+def test_analyze_rejects_two_traces_with_one_stem(tmp_path, monkeypatch, capsys, second, repeat):
+    """Their report files would have the same names, so whichever was written
+    last would win.  Two directories with the same file names, or a directory
+    and one of its files, fail before anything is written."""
+    write_corpus(tmp_path / "a", n=16)
+    write_corpus(tmp_path / "b", n=16)
+    code, out, err, forks = analyze_with_cpus(
+        monkeypatch, capsys, 2, tmp_path / "a", tmp_path / "an", tmp_path / second
+    )
+    assert (code, out, forks) == (1, "", 0)
+    first = tmp_path / "a" / Path(repeat).name
+    assert err == f"error: two traces named {first.stem}: {first} and {tmp_path / repeat}\n"
+    assert not (tmp_path / "an").exists()
 
 
 def test_analyze_child_that_dies_is_an_error(tmp_path, monkeypatch, capsys):
