@@ -6,7 +6,6 @@ force-position analysis pipeline."""
 from .actuation import (
     ActuatorSpec,
     CouplingSpec,
-    CouplingState,
     LoadCellSpec,
     MAGNET_BREAKAWAY_N,
     actuator_position_mm,
@@ -47,10 +46,11 @@ from .tendons import (
     NetworkKind,
     TendonBranch,
     TendonNetwork,
-    branch_excursion_mm,
     calibrate_depth,
     config1_extension,
     config2_pinch,
+    excursion_mm,
+    moment_arms,
     network_state,
 )
 from .trial import (

@@ -61,14 +61,6 @@ class LoadCellSpec:
             raise ValueError("range_max_n must be > 0")
 
 
-@dataclass(frozen=True)
-class CouplingState:
-    """Latched state of the coupling; once open it stays open."""
-
-    engaged: bool = True
-    disengage_time_s: float | None = None
-
-
 def actuator_position_mm(t_s, spec: ActuatorSpec):
     """Position at time t: linear retraction from full stroke, floored at 0."""
     earliest = np.min(t_s)
@@ -104,14 +96,10 @@ def measure(force_n, cell: LoadCellSpec = LoadCellSpec()):
     return np.where(at_full, full, q)[()]
 
 
-def update_coupling(
-    state: CouplingState, true_force_n, spec: CouplingSpec, t_s
-) -> CouplingState:
-    """Advance the coupling over one sample, or over a block of samples at
-    times ``t_s``: it opens at the first sample whose true (unquantized)
-    tension reaches the breakaway force, and never re-engages.
+def update_coupling(true_force_n, spec: CouplingSpec, t_s) -> float | None:
+    """When the coupling opens over samples at times ``t_s`` (or one sample):
+    the time of the first sample whose true (unquantized) tension reaches the
+    breakaway force, after which it never re-engages; None if none does.
     """
     crossed = np.flatnonzero(np.asarray(true_force_n) >= spec.breakaway_force_n)
-    if state.engaged and crossed.size:
-        return CouplingState(engaged=False, disengage_time_s=float(np.ravel(t_s)[crossed[0]]))
-    return state
+    return float(np.ravel(t_s)[crossed[0]]) if crossed.size else None

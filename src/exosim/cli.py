@@ -23,10 +23,9 @@ from pathlib import Path
 from . import config as cfgmod
 from .analysis import AnalysisReport, analyze, batch_report
 from .config import Bench, ConfigError, TOOL_VERSION
-from .hand import Digit, JointKind
 from .reproduce import run_reproduction
 from .spasticity import calibrate_stiffness
-from .tendons import full_flexion_excursion_mm, index_branch
+from .tendons import full_flexion_excursion_mm, index_branch_col
 from .traceio import (
     read_trace,
     render_fit_csv,
@@ -245,8 +244,8 @@ def _cmd_calibrate(args) -> int:
     bench = Bench.from_config(cfg)
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
     hand = bench.calibrated_hand()
-    depth = hand.depth((Digit.INDEX, JointKind.MCP))
-    excursion = full_flexion_excursion_mm(hand, index_branch(bench.extension))
+    depth = hand.depth_mm
+    excursion = full_flexion_excursion_mm(hand, bench.extension)[index_branch_col(bench.extension)]
 
     derived = {**cfg, "hand": {**cfg["hand"], "joint_center_depth_mm": depth}, "subjects": {}}
     provenance = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import inspect
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,6 +55,9 @@ TOOL_VERSION = "0.1.0"
 # plain file-name stem: no path separator, no dot-only or empty name, and
 # nothing that YAML's emitters quote or escape differently.
 SUBJECT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]{0,31}")
+# A subject's free-text notes: short printable ASCII, which libyaml's emitter
+# and PyYAML's own write alike, so the config hash is the same on both.
+NOTES = re.compile(r"[ -~]{0,200}")
 
 # Bench-wide default for synthetic sensor noise; library-level TrialConfig
 # stays noiseless unless asked.
@@ -63,8 +67,7 @@ DEFAULT_NOISE_SIGMA_N = 0.4
 # ones otherwise.  The two emitters give the same bytes on the golden outputs and
 # on documents whose strings are short printable ASCII.  They differ on some
 # other strings (an empty key, a control character, a string folded across
-# lines), so a config holding such a string (a subject's ``notes``; ids are
-# checked) hashes differently on each path.
+# lines); a bench's subject ids and notes are checked to be of the first kind.
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -185,38 +188,58 @@ def config_hash(cfg: Mapping) -> str:
     return hashlib.sha256(canonical_yaml(cfg).encode()).hexdigest()[:12]
 
 
-def _fraction_from_config(raw: Any):
+def _finite(raw: Any, key: str) -> float:
+    """A config number; ValueError naming its dotted key if it is not finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value}")
+    return value
+
+
+def _fraction_from_config(raw: Any, key: str):
     if isinstance(raw, Mapping):
         out: dict = {}
         for k, v in raw.items():
-            key = Digit(k) if k != "default" else "default"
-            out[key] = float(v)
+            digit = Digit(k) if k != "default" else "default"
+            out[digit] = _finite(v, f"{key}.{k}")
         return out
-    return float(raw)
+    return _finite(raw, key)
 
 
-def _band(raw: Any) -> tuple[float, float | None] | None:
+def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
     if raw is None:
         return None
     lo, hi = raw
-    return (float(lo), None if hi is None else float(hi))
+    return (_finite(lo, key), None if hi is None else _finite(hi, key))
+
+
+def _notes(raw: Any, key: str) -> str:
+    if not isinstance(raw, str) or not NOTES.fullmatch(raw):
+        raise ValueError(f"{key} must be at most 200 printable ASCII characters, got {raw!r}")
+    return raw
 
 
 def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
     # Readers of the keys a subject may leave out; those keep their
     # SubjectProfile defaults.
-    optional = {"engage_slack_mm": float, "peak_band_n": _band, "magnet": str, "notes": str}
+    optional = {
+        "engage_slack_mm": _finite,
+        "peak_band_n": _band,
+        "magnet": lambda raw, key: str(raw),
+        "notes": _notes,
+    }
     profiles = []
     for sid, s in cfg["subjects"].items():
+        at = f"subjects.{sid}."  # the dotted keys of this subject
+        given = {name: read(s[name], at + name) for name, read in optional.items() if name in s}
+        fraction = _fraction_from_config(s["rest_flexion_fraction"], at + "rest_flexion_fraction")
         profiles.append(
             SubjectProfile(
                 subject_id=sid,
                 mas=MasLevel(str(s["mas"])),
-                stiffness_n_per_mm=float(s["stiffness_n_per_mm"]),
-                rest_pose=spastic_rest_pose(
-                    hand, _fraction_from_config(s["rest_flexion_fraction"])
-                ),
-                **{key: read(s[key]) for key, read in optional.items() if key in s},
+                stiffness_n_per_mm=_finite(s["stiffness_n_per_mm"], at + "stiffness_n_per_mm"),
+                rest_pose=spastic_rest_pose(hand, fraction),
+                **given,
             )
         )
     return SubjectBank(tuple(profiles))
@@ -229,9 +252,10 @@ def default_subject_bank(hand: HandModel | None = None) -> SubjectBank:
 
 def _floats(section: Mapping, name: str) -> dict[str, float]:
     try:
-        return {key: float(value) for key, value in section.items()}
+        values = {key: float(value) for key, value in section.items()}
     except (AttributeError, TypeError, ValueError):
         raise ValueError(f"section {name} must map keys to numbers, got {section!r}") from None
+    return {key: _finite(value, f"{name}.{key}") for key, value in values.items()}
 
 
 def _check_keys(section: Any, known: Mapping, name: str) -> None:
@@ -297,12 +321,16 @@ class Bench:
                         f"subject id {sid!r} is not 1-32 letters, digits, '_' or '-' "
                         "starting with a letter or digit"
                     )
+            ranges = cfg["hand"]["flexion_ranges_deg"]
             hand = default_hand(
-                float(cfg["hand"]["joint_center_depth_mm"]),
-                cfg["hand"]["flexion_ranges_deg"],
+                _finite(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
+                {
+                    k: [_finite(v, f"hand.flexion_ranges_deg.{k}") for v in limits]
+                    for k, limits in ranges.items()
+                },
             )
             net = cfg["network"]
-            slack = float(net["branch_slack_mm"])
+            slack = _finite(net["branch_slack_mm"], "network.branch_slack_mm")
             magnet = cfg["coupling"]["magnet"]
             if magnet is not None:
                 coupling_for_magnet(magnet)  # an unknown magnet fails here

@@ -1,15 +1,16 @@
 """Kinematic description of a five-digit hand: joints, angle limits, poses.
 
-Angles are in degrees throughout, flexion positive.  An angle is a number,
-or a column of numbers with one entry per sample of a trial.  The wrist is
-held at a fixed extension angle by the orthosis shell and is not an
+Angles are in degrees throughout, flexion positive.  A pose is one array of
+angles over the hand's fixed joint order: shape ``(n_joints,)`` for one
+posture, or ``(n, n_joints)`` for one row per sample of a trial.  The wrist
+is held at a fixed extension angle by the orthosis shell and is not an
 articulation of the model; it is carried on the pose only so downstream
 records state it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
 
@@ -69,6 +70,11 @@ def range_key(digit: Digit, kind: JointKind) -> str:
     return f"{prefix}_{kind.value}"
 
 
+def joint_name(jid: JointId) -> str:
+    """``index/mcp`` for ``(Digit.INDEX, JointKind.MCP)``."""
+    return f"{jid[0].value}/{jid[1].value}"
+
+
 @dataclass(frozen=True)
 class Joint:
     """One articulation with its admissible angle interval."""
@@ -81,7 +87,7 @@ class Joint:
     def __post_init__(self) -> None:
         if not self.flexion_min_deg < self.flexion_max_deg:
             raise ValueError(
-                f"joint {self.digit.value}/{self.kind.value}: empty angle range "
+                f"joint {joint_name(self.jid)}: empty angle range "
                 f"[{self.flexion_min_deg}, {self.flexion_max_deg}]"
             )
 
@@ -89,99 +95,66 @@ class Joint:
     def jid(self) -> JointId:
         return (self.digit, self.kind)
 
-    def clamp(self, angle_deg: float) -> float:
-        return min(self.flexion_max_deg, max(self.flexion_min_deg, angle_deg))
 
-    def contains(self, angle_deg):
-        """True where the angle (a number or an array) lies within the range."""
-        return (self.flexion_min_deg <= angle_deg) & (angle_deg <= self.flexion_max_deg)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HandPose:
-    """Joint angles for every articulation, plus the fixed wrist posture."""
+    """Joint angles over a hand's joint order, plus the fixed wrist posture.
 
-    angles_deg: Mapping[JointId, float]
+    ``angles_deg`` has shape ``(n_joints,)``, or ``(n, n_joints)`` for one row
+    per sample."""
+
+    angles_deg: np.ndarray
     wrist_extension_deg: float = WRIST_EXTENSION_DEG
-
-    def angle(self, jid: JointId) -> float:
-        return self.angles_deg[jid]
-
-    def get(self, jid: JointId, default: float = 0.0) -> float:
-        return self.angles_deg.get(jid, default)
-
-    def replace_angles(self, updates: Mapping[JointId, float]) -> "HandPose":
-        merged = dict(self.angles_deg)
-        merged.update(updates)
-        return HandPose(merged, self.wrist_extension_deg)
-
-    def total_finger_flexion(self, digit: Digit) -> float:
-        """MCP + PIP + DIP flexion of one finger, degrees."""
-        return sum(
-            self.get((digit, kind))
-            for kind in (JointKind.MCP, JointKind.PIP, JointKind.DIP)
-        )
 
 
 @dataclass(frozen=True)
 class HandModel:
-    """Joint set plus per-joint skin-to-axis depth (mm, strictly positive)."""
+    """Joints in a fixed order, the order of every pose's last axis, plus the
+    skin-to-axis depth every joint shares (mm, strictly positive).
+
+    ``lo`` and ``hi`` hold the joints' angle limits in that order."""
 
     joints: tuple[Joint, ...]
-    joint_center_depth_mm: Mapping[JointId, float]
+    depth_mm: float
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[JointId] = set()
-        for j in self.joints:
-            if j.jid in seen:
-                raise ValueError(f"duplicate joint {j.jid}")
-            seen.add(j.jid)
-        for jid in seen:
-            d = self.joint_center_depth_mm.get(jid)
-            if d is None:
-                raise ValueError(f"missing joint_center_depth for {jid}")
-            if not d > 0.0:
-                raise ValueError(f"joint_center_depth must be > 0, got {d} for {jid}")
-        object.__setattr__(self, "_by_id", {j.jid: j for j in self.joints})
+        if not self.depth_mm > 0.0:
+            raise ValueError(f"joint_center_depth must be > 0, got {self.depth_mm}")
+        cols = {j.jid: c for c, j in enumerate(self.joints)}
+        if len(cols) < len(self.joints):
+            dup = next(j for c, j in enumerate(self.joints) if cols[j.jid] != c)
+            raise ValueError(f"duplicate joint {joint_name(dup.jid)}")
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "lo", np.array([j.flexion_min_deg for j in self.joints]))
+        object.__setattr__(self, "hi", np.array([j.flexion_max_deg for j in self.joints]))
 
-    def joint(self, jid: JointId) -> Joint:
+    def col(self, jid: JointId) -> int:
+        """Position of a joint on a pose's last axis."""
         try:
-            return self._by_id[jid]  # type: ignore[attr-defined]
+            return self._cols[jid]  # type: ignore[attr-defined]
         except KeyError:
             raise KeyError(f"no such joint: {jid}") from None
 
-    def has_joint(self, jid: JointId) -> bool:
-        return jid in self._by_id  # type: ignore[attr-defined]
-
-    def depth(self, jid: JointId) -> float:
-        return self.joint_center_depth_mm[jid]
-
-    def joint_ids(self) -> tuple[JointId, ...]:
-        return tuple(j.jid for j in self.joints)
-
     def with_uniform_depth(self, depth_mm: float) -> "HandModel":
-        return HandModel(self.joints, {j.jid: depth_mm for j in self.joints})
+        return HandModel(self.joints, depth_mm)
 
-    def validate_pose(self, pose: HandPose) -> None:
-        """Raise ValueError if any pose angle, or any sample of an angle
-        column, is outside its joint's limits."""
-        for jid, angle in pose.angles_deg.items():
-            joint = self.joint(jid)
-            inside = np.asarray(joint.contains(angle))
-            if not inside.all():
-                bad = np.asarray(angle)[~inside][0]
-                raise ValueError(
-                    f"angle {bad:.3f} deg outside "
-                    f"[{joint.flexion_min_deg}, {joint.flexion_max_deg}] "
-                    f"for {jid[0].value}/{jid[1].value}"
-                )
-
-    def pose_in_limits(self, pose: HandPose) -> bool:
-        try:
-            self.validate_pose(pose)
-        except ValueError:
-            return False
-        return True
+    def validate_pose(self, angles_deg) -> None:
+        """Raise ValueError if a pose's angle, on any of its rows, is outside
+        its joint's limits, naming the first such joint in joint order and
+        its first bad row."""
+        angles = np.asarray(angles_deg)
+        inside = (self.lo <= angles) & (angles <= self.hi)  # False for NaN too
+        if not inside.all():
+            bad = ~inside.reshape(-1, len(self.joints))
+            col = int(np.flatnonzero(bad.any(axis=0))[0])
+            joint = self.joints[col]
+            raise ValueError(
+                f"angle {angles.reshape(bad.shape)[bad[:, col], col][0]:.3f} deg outside "
+                f"[{joint.flexion_min_deg}, {joint.flexion_max_deg}] "
+                f"for {joint_name(joint.jid)}"
+            )
 
 
 def default_hand(
@@ -192,34 +165,41 @@ def default_hand(
     ranges = dict(DEFAULT_FLEXION_RANGES_DEG)
     if flexion_ranges_deg:
         ranges.update({k: (float(v[0]), float(v[1])) for k, v in flexion_ranges_deg.items()})
-    joints: list[Joint] = []
-    for kind in THUMB_JOINT_KINDS:
-        lo, hi = ranges[range_key(Digit.THUMB, kind)]
-        joints.append(Joint(Digit.THUMB, kind, lo, hi))
-    for digit in FINGERS:
-        for kind in FINGER_JOINT_KINDS:
-            lo, hi = ranges[range_key(digit, kind)]
-            joints.append(Joint(digit, kind, lo, hi))
-    depths = {j.jid: float(depth_mm) for j in joints}
-    return HandModel(tuple(joints), depths)
+    joints = [(Digit.THUMB, kind) for kind in THUMB_JOINT_KINDS] + [
+        (digit, kind) for digit in FINGERS for kind in FINGER_JOINT_KINDS
+    ]
+    return HandModel(
+        tuple(Joint(d, k, *ranges[range_key(d, k)]) for d, k in joints), float(depth_mm)
+    )
+
+
+def finger_flexion_deg(hand: HandModel, angles_deg: np.ndarray) -> np.ndarray:
+    """MCP + PIP + DIP flexion of each finger, in ``FINGERS`` order on the
+    last axis."""
+    mcp, pip, dip = (
+        [hand.col((d, kind)) for d in FINGERS]
+        for kind in (JointKind.MCP, JointKind.PIP, JointKind.DIP)
+    )
+    return angles_deg[..., mcp] + angles_deg[..., pip] + angles_deg[..., dip]
+
+
+def _abduction(hand: HandModel) -> np.ndarray:
+    return np.array([j.kind is JointKind.ABDUCTION for j in hand.joints])
 
 
 def zero_pose(hand: HandModel) -> HandPose:
-    return HandPose({jid: 0.0 for jid in hand.joint_ids()})
+    return HandPose(np.zeros(len(hand.joints)))
 
 
 def full_flexion_pose(hand: HandModel) -> HandPose:
     """Every flexion joint at its maximum; abduction axes neutral."""
-    angles = {}
-    for j in hand.joints:
-        angles[j.jid] = 0.0 if j.kind is JointKind.ABDUCTION else j.flexion_max_deg
-    return HandPose(angles)
+    return HandPose(np.where(_abduction(hand), 0.0, hand.hi))
 
 
 def clamp_pose(hand: HandModel, pose: HandPose) -> HandPose:
-    """Clamp every angle into its joint's range.  Idempotent."""
-    clamped = {jid: hand.joint(jid).clamp(a) for jid, a in pose.angles_deg.items()}
-    return HandPose(clamped, pose.wrist_extension_deg)
+    """Clamp every angle into its joint's range.  Idempotent; a NaN angle
+    stays NaN, so that validate_pose rejects it."""
+    return HandPose(np.clip(pose.angles_deg, hand.lo, hand.hi), pose.wrist_extension_deg)
 
 
 FlexionFraction = Union[float, Mapping[Digit, float]]
@@ -244,18 +224,10 @@ def spastic_rest_pose(
     may be a scalar or a per-digit mapping (missing digits fall back to the
     mapping's ``"default"`` entry).
     """
-    angles: dict[JointId, float] = {}
-    f_thumb = _fraction_for(Digit.THUMB, flexion_fraction)
-    for kind in (JointKind.CMC, JointKind.MCP, JointKind.IP):
-        joint = hand.joint((Digit.THUMB, kind))
-        angles[joint.jid] = f_thumb * joint.flexion_max_deg
-    angles[(Digit.THUMB, JointKind.ABDUCTION)] = 0.0
-    for digit in FINGERS:
-        f = _fraction_for(digit, flexion_fraction)
-        mcp = hand.joint((digit, JointKind.MCP))
-        pip = hand.joint((digit, JointKind.PIP))
-        angles[mcp.jid] = f * mcp.flexion_max_deg
-        angles[pip.jid] = f * pip.flexion_max_deg
-        angles[(digit, JointKind.DIP)] = dip_ratio * angles[pip.jid]
-        angles[(digit, JointKind.ABDUCTION)] = 0.0
+    fraction = np.array([_fraction_for(j.digit, flexion_fraction) for j in hand.joints])
+    angles = np.where(_abduction(hand), 0.0, fraction * hand.hi)
+    pip, dip = (
+        [hand.col((d, kind)) for d in FINGERS] for kind in (JointKind.PIP, JointKind.DIP)
+    )
+    angles[dip] = dip_ratio * angles[pip]
     return clamp_pose(hand, HandPose(angles))

@@ -20,9 +20,9 @@ from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
 from .tendons import (
     NetworkKind,
-    branch_excursion_mm,
+    excursion_mm,
     full_flexion_excursion_mm,
-    index_branch,
+    index_branch_col,
 )
 from .trial import PoseResponse
 from .traceio import render_fit_csv, render_report_yaml, write_text_atomic, write_trace
@@ -49,7 +49,7 @@ def _check_pinch_directions(bench: Bench) -> CheckResult:
     angles = response.angles(np.arange(101) * 0.5)
 
     def column(digit: Digit, kind: JointKind) -> np.ndarray:
-        return angles[:, response.joints.index((digit, kind))]
+        return angles[:, bench.hand.col((digit, kind))]
 
     problems = []
     for digit in FINGERS:
@@ -75,24 +75,21 @@ def _check_pinch_directions(bench: Bench) -> CheckResult:
 
 def _check_abduction_neutrality(bench: Bench) -> CheckResult:
     """Extension branches must be exactly insensitive to abduction."""
-    hand = bench.hand
-    rest = spastic_rest_pose(hand, 0.75)
-    deltas = []
-    for offset in (-10.0, -3.0, 5.0, 15.0):
-        moved = rest.replace_angles(
-            {(d, JointKind.ABDUCTION): offset for d in FINGERS}
-        )
-        for b in bench.extension.branches:
-            deltas.append(
-                branch_excursion_mm(hand, b, moved) - branch_excursion_mm(hand, b, rest)
-            )
-    ok = all(d == 0.0 for d in deltas)
+    hand, net = bench.hand, bench.extension
+    rest = spastic_rest_pose(hand, 0.75).angles_deg
+    # One row per abduction offset, applied to every finger.
+    moved = np.tile(rest, (4, 1))
+    moved[:, [hand.col((d, JointKind.ABDUCTION)) for d in FINGERS]] = [
+        [-10.0], [-3.0], [5.0], [15.0]
+    ]
+    deltas = excursion_mm(hand, net, moved) - excursion_mm(hand, net, rest)
+    ok = not deltas.any()
     return CheckResult(
         "abduction_neutrality",
         ok,
         "extension excursion unchanged by abduction"
         if ok
-        else f"max excursion change {max(abs(d) for d in deltas):.3g} mm",
+        else f"max excursion change {np.abs(deltas).max():.3g} mm",
     )
 
 
@@ -116,13 +113,15 @@ def run_reproduction(
 
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
     bench = replace(bench, hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION)
-    excursion = full_flexion_excursion_mm(bench.hand, index_branch(bench.extension))
+    excursion = full_flexion_excursion_mm(bench.hand, bench.extension)[
+        index_branch_col(bench.extension)
+    ]
     checks.append(
         CheckResult(
             "excursion_calibration",
             abs(excursion - target) <= tol,
             f"index extension excursion {excursion:.4f} mm vs target {target} mm "
-            f"(depth {bench.hand.depth((Digit.INDEX, JointKind.MCP)):.4f} mm)",
+            f"(depth {bench.hand.depth_mm:.4f} mm)",
         )
     )
 

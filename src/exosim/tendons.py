@@ -9,15 +9,15 @@ at the guide height above the skin, and the joint's rotation axis sits below
 the skin surface.  Dorsal routing pays out tendon as the joint flexes
 (positive excursion), palmar routing the opposite.
 
-Every law here takes one sample or a whole sample grid: displacements,
-tensions and pose angles may be numbers or equal-length arrays, and the
-results come back in the same shape.
+A network is one signed moment-arm matrix over the hand's joints.  Every law
+here takes one sample or a whole sample grid (a pose with one angle row per
+sample); each per-branch result has a last axis over the branches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,12 +25,11 @@ import numpy as np
 from .hand import (
     Digit,
     HandModel,
-    HandPose,
     JointId,
     JointKind,
     FINGERS,
     full_flexion_pose,
-    zero_pose,
+    joint_name,
 )
 
 # Guide heights measured on the extension glove, mm above the skin.
@@ -99,30 +98,43 @@ class TendonNetwork:
             raise ValueError("network needs at least one branch")
 
 
-def moment_arm_mm(hand: HandModel, point: RoutingPoint) -> float:
-    """Effective moment arm at a routing point: guide height + joint depth."""
-    r = point.guide_height_mm + hand.depth(point.joint)
-    if not r > 0.0:
-        raise ValueError(f"non-positive moment arm at {point.joint}")
-    return r
+def moment_arms(hand: HandModel, net: TendonNetwork) -> np.ndarray:
+    """The network's signed moment-arm matrix, shape ``(n_joints, n_branches)``.
 
-
-def branch_excursion_mm(
-    hand: HandModel, branch: TendonBranch, pose: HandPose, *, validate: bool = True
-) -> float:
-    """Tendon length paid out by a pose relative to the all-zero pose.
-
-    Sum over routing points of moment arm times joint angle in radians, signed
-    by routing side.  Linear in the pose, zero at the zero pose.
+    Where a branch crosses a joint the entry is ``guide height + joint
+    depth``, positive on a dorsal route and negative on a palmar one; it is 0
+    where the branch does not cross the joint.
     """
-    if validate:
-        hand.validate_pose(pose)
-    total = 0.0
-    for pt in branch.routing:
-        r = moment_arm_mm(hand, pt)
-        theta = np.radians(pose.get(pt.joint))
-        total += EXCURSION_SIGN[pt.side] * r * theta
-    return total
+    arms = np.zeros((len(hand.joints), len(net.branches)))
+    for b, branch in enumerate(net.branches):
+        for pt in branch.routing:
+            r = pt.guide_height_mm + hand.depth_mm
+            if not r > 0.0:
+                raise ValueError(f"non-positive moment arm at {joint_name(pt.joint)}")
+            arms[hand.col(pt.joint), b] = EXCURSION_SIGN[pt.side] * r
+    return arms
+
+
+def excursion_mm(
+    hand: HandModel, net: TendonNetwork, angles_deg, arms: np.ndarray | None = None
+) -> np.ndarray:
+    """Tendon length each branch pays out at a pose relative to the all-zero
+    pose, shape ``(..., n_branches)`` for angles of shape ``(..., n_joints)``.
+
+    The moment-arm matrix (``arms``, built here when not given) times the
+    angles in radians: linear in the pose, zero at the zero pose.  Each branch
+    adds its terms in routing order, so every reader gets the same bits.
+    """
+    if arms is None:
+        arms = moment_arms(hand, net)
+    columns = []
+    for b, branch in enumerate(net.branches):
+        total = 0.0
+        for pt in branch.routing:
+            col = hand.col(pt.joint)
+            total = total + arms[col, b] * np.radians(angles_deg[..., col])
+        columns.append(total)
+    return np.stack(columns, axis=-1)
 
 
 def config1_extension(
@@ -187,18 +199,17 @@ def config2_pinch(
     return TendonNetwork(NetworkKind.PINCH, tuple(branches))
 
 
-def index_branch(net: TendonNetwork) -> TendonBranch:
-    for b in net.branches:
-        if b.digit is Digit.INDEX:
+def index_branch_col(net: TendonNetwork) -> int:
+    """Position of the index finger's branch on the branch axis."""
+    for b, branch in enumerate(net.branches):
+        if branch.digit is Digit.INDEX:
             return b
     raise ValueError("network has no index branch")
 
 
-def full_flexion_excursion_mm(hand: HandModel, branch: TendonBranch) -> float:
-    """Excursion of one branch between the zero pose and full flexion."""
-    full = branch_excursion_mm(hand, branch, full_flexion_pose(hand))
-    zero = branch_excursion_mm(hand, branch, zero_pose(hand))
-    return full - zero
+def full_flexion_excursion_mm(hand: HandModel, net: TendonNetwork) -> np.ndarray:
+    """Excursion of each branch between the zero pose and full flexion."""
+    return excursion_mm(hand, net, full_flexion_pose(hand).angles_deg)
 
 
 class DepthCalibrationError(ValueError):
@@ -225,10 +236,8 @@ def calibrate_depth(
     ``|excursion - target| <= tol_mm``.  Targets outside the achievable
     bracket raise DepthCalibrationError carrying the interval examined.
     """
-    branch = index_branch(extension)
-    thetas = [
-        math.radians(hand.joint(pt.joint).flexion_max_deg) for pt in branch.routing
-    ]
+    branch = extension.branches[index_branch_col(extension)]
+    thetas = [math.radians(hand.hi[hand.col(pt.joint)]) for pt in branch.routing]
     guides = [pt.guide_height_mm for pt in branch.routing]
 
     def excursion_at(depth: float) -> float:
@@ -263,92 +272,80 @@ def calibrate_depth(
 
 
 @dataclass(frozen=True)
-class BranchState:
-    """One branch at a junction displacement, each field a number or, over a
-    sample grid, an array with one entry per sample.
+class NetworkState:
+    """The junction at one displacement, or at every sample of a grid.
 
-    ``imposed_mm`` is the displacement the rigid junction pushes past this
-    branch's slack; ``elongation_mm`` is the elastic demand left after the
-    pose has paid out its share of tendon (zero while the pose keeps up).
+    Each branch field has one column per branch, in network order, on its
+    last axis.  ``imposed_mm`` is the displacement the rigid junction pushes
+    past a branch's slack; ``elongation_mm`` is the elastic demand left after
+    the pose has paid out its share of tendon (zero while the pose keeps up).
+    The actuator-side tension is the exact sum of the branch tensions.
     """
 
-    taut: bool | np.ndarray
-    imposed_mm: float | np.ndarray
-    elongation_mm: float | np.ndarray
-    tension_n: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    branches: tuple[BranchState, ...]
+    taut: np.ndarray
+    imposed_mm: np.ndarray
+    elongation_mm: np.ndarray
+    tension_n: np.ndarray
     actuator_tension_n: float | np.ndarray
     net_elongation_mm: float | np.ndarray
 
-    def with_total_tension(self, total_tension_n) -> "NetworkState":
-        """Split a total junction tension over the taut branches.
 
-        Weights are the imposed displacements, so branches that have been
-        engaged longer carry proportionally more; slack branches carry zero.
-        The actuator-side tension is the exact sum of the branch tensions.
-        """
-        weights = [np.where(b.taut, b.imposed_mm, 0.0) for b in self.branches]
-        total_w = sum(weights)
-        # No taut branch: every weight is zero, so any non-zero divisor gives
-        # every branch a zero share.
-        divisor = np.where(total_w > 0.0, total_w, 1.0)
-        tensions = [total_tension_n * w / divisor for w in weights]
-        branches = tuple(
-            replace(b, tension_n=t) for b, t in zip(self.branches, tensions)
-        )
-        return NetworkState(branches, sum(tensions), self.net_elongation_mm)
-
-
-def imposed_mm(branch: TendonBranch, displacement_mm):
-    """Displacement the rigid junction pushes past one branch's slack."""
-    return np.maximum(0.0, displacement_mm - branch.slack_mm)
+def _branch_sum(x: np.ndarray):
+    """Sum over the branch axis, one branch after the next from 0.0."""
+    return sum(np.moveaxis(x, -1, 0), 0.0)
 
 
 def net_elongation_mm(net: TendonNetwork, displacement_mm):
     """The largest displacement imposed past any branch's slack (the least
     slack branch's): what a series elastic element downstream of the
     junction sees, whatever the pose."""
-    return imposed_mm(min(net.branches, key=lambda b: b.slack_mm), displacement_mm)
+    return np.maximum(0.0, displacement_mm - min(b.slack_mm for b in net.branches))
 
 
 def network_state(
     hand: HandModel,
     net: TendonNetwork,
-    pose: HandPose,
+    angles_deg,
     displacement_mm,
     *,
-    rest_pose: HandPose | None = None,
+    rest_deg=None,
     total_tension_n=0.0,
 ) -> NetworkState:
     """Quasi-static state of the junction at one actuator displacement, or at
-    every sample of a grid (a pose of angle columns, displacement and tension
-    arrays).
+    every sample of a grid (angles with one row per sample, displacement and
+    tension arrays).
 
     All branches share the junction displacement (rigid tie).  A branch is
     taut once the displacement exceeds its slack plus the free length released
-    by pose motion away from ``rest_pose`` (the pose itself when omitted);
-    ``net_elongation_mm`` is the largest displacement imposed past any
-    branch's slack and is what a series elastic element downstream sees.
+    by pose motion away from the rest angles ``rest_deg`` (the pose itself
+    when omitted).  The total tension splits over the taut branches in
+    proportion to their imposed displacements, so branches engaged longer
+    carry more and slack branches carry zero.
     """
     lowest = np.min(displacement_mm)
     if lowest < 0.0:
         raise ValueError(f"displacement must be >= 0, got {lowest}")
-    hand.validate_pose(pose)
-    rest = pose if rest_pose is None else rest_pose
-    if rest_pose is not None:
+    hand.validate_pose(angles_deg)
+    rest = angles_deg if rest_deg is None else rest_deg
+    if rest_deg is not None:
         hand.validate_pose(rest)
-    states = []
-    for b in net.branches:
-        free = branch_excursion_mm(hand, b, rest, validate=False) - branch_excursion_mm(
-            hand, b, pose, validate=False
-        )
-        margin = displacement_mm - b.slack_mm - free
-        taut = margin > -TAUT_TOL_MM
-        elongation = np.maximum(0.0, margin)
-        states.append(BranchState(taut, imposed_mm(b, displacement_mm), elongation, 0.0))
-    state = NetworkState(tuple(states), 0.0, net_elongation_mm(net, displacement_mm))
-    return state.with_total_tension(total_tension_n)
+    arms = moment_arms(hand, net)
+    free = excursion_mm(hand, net, rest, arms) - excursion_mm(hand, net, angles_deg, arms)
+    past_slack = np.asarray(displacement_mm)[..., None] - [b.slack_mm for b in net.branches]
+    margin = past_slack - free
+    taut = margin > -TAUT_TOL_MM
+    imposed = np.maximum(0.0, past_slack)
+    weights = np.where(taut, imposed, 0.0)
+    total_w = _branch_sum(weights)
+    # No taut branch: every weight is zero, so any non-zero divisor gives
+    # every branch a zero share.
+    divisor = np.where(total_w > 0.0, total_w, 1.0)
+    tension = np.asarray(total_tension_n)[..., None] * weights / divisor[..., None]
+    return NetworkState(
+        taut,
+        imposed,
+        np.maximum(0.0, margin),
+        tension,
+        _branch_sum(tension),
+        net_elongation_mm(net, displacement_mm),
+    )

@@ -153,25 +153,43 @@ def _optional_number(value, name: str) -> float | None:
     return None if value is None else _number(value, name)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sidecar_fields(meta) -> dict:
     """The metadata fields of TrialTrace from a loaded sidecar document;
-    ValueError if the document or its ``breakaway`` is not a mapping, or if a
-    number field does not convert.  A missing ``stroke_mm`` stays None."""
+    ValueError if the document or its ``breakaway`` is not a mapping, if a
+    number field does not convert, or if ``subject_id`` is not a string,
+    ``seed`` not null, an int or a list of ints, or ``functional_extension``
+    or ``breakaway.occurred`` neither a bool nor null.  A missing
+    ``stroke_mm`` stays None."""
     if not isinstance(meta, dict):
         raise ValueError(f"expected a mapping, got {type(meta).__name__}")
     breakaway = meta.get("breakaway") or {}
     if not isinstance(breakaway, dict):
         raise ValueError(f"breakaway: expected a mapping, got {type(breakaway).__name__}")
+    subject_id, seed = meta.get("subject_id", ""), meta.get("seed")
+    if not isinstance(subject_id, str):
+        raise ValueError(f"subject_id: expected a string, got {type(subject_id).__name__}")
+    if not (seed is None or _is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
+        raise ValueError(f"seed: expected null, an int or a list of ints, got {seed!r}")
+    for name, flag in (
+        ("functional_extension", meta.get("functional_extension")),
+        ("breakaway.occurred", breakaway.get("occurred")),
+    ):
+        if not (flag is None or isinstance(flag, bool)):
+            raise ValueError(f"{name}: expected a bool or null, got {type(flag).__name__}")
     return {
-        "subject_id": str(meta.get("subject_id", "")),
+        "subject_id": subject_id,
         "network": str(meta.get("network", "")),
         "stroke_mm": _optional_number(meta.get("stroke_mm"), "stroke_mm"),
         "sample_rate_hz": _number(
             meta.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ), "sample_rate_hz"
         ),
         "noise_sigma_n": _number(meta.get("noise_sigma_n", 0.0), "noise_sigma_n"),
-        "seed": meta.get("seed"),
-        "breakaway": bool(breakaway.get("occurred", False)),
+        "seed": seed,
+        "breakaway": bool(breakaway.get("occurred")),
         "breakaway_time_s": _optional_number(breakaway.get("time_s"), "breakaway.time_s"),
         "functional_extension": meta.get("functional_extension"),
         "functional_time_s": _optional_number(meta.get("functional_time_s"), "functional_time_s"),

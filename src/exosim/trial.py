@@ -22,7 +22,6 @@ import numpy as np
 from .actuation import (
     ActuatorSpec,
     CouplingSpec,
-    CouplingState,
     LoadCellSpec,
     actuator_position_mm,
     coupling_for_magnet,
@@ -37,13 +36,13 @@ from .hand import (
     HandPose,
     JointId,
     JointKind,
-    FINGERS,
+    finger_flexion_deg,
 )
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
     Side,
     TendonNetwork,
-    moment_arm_mm,
+    excursion_mm,
     net_elongation_mm,
     network_state,
 )
@@ -77,7 +76,7 @@ class TrialConfig:
                 "coupling breakaway force must lie below the actuator peak force, "
                 f"got {self.coupling.breakaway_force_n} vs {self.actuator.peak_force_n}"
             )
-        self.hand.validate_pose(self.subject.rest_pose)
+        self.hand.validate_pose(self.subject.rest_pose.angles_deg)
 
     @property
     def coupling(self) -> CouplingSpec:
@@ -86,29 +85,14 @@ class TrialConfig:
 
 
 def is_functional_extension(
-    pose: HandPose, max_total_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG
+    hand: HandModel,
+    angles_deg: np.ndarray,
+    max_total_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG,
 ):
     """True where every finger's MCP+PIP+DIP flexion sum is at or below the
     threshold — the opening needed to pass a grasp-diameter test object.
-    One answer per sample for a pose of angle columns."""
-    return np.all(
-        [pose.total_finger_flexion(d) <= max_total_flexion_deg for d in FINGERS], axis=0
-    )
-
-
-@dataclass(frozen=True)
-class _Drive:
-    """One branch's pull on the pose.
-
-    Past its slack the branch spends a share s = min(1, past-slack / scale_mm)
-    of its range: each ``straighten`` joint goes to (1 - s)·rest and each
-    ``advance`` joint to rest + s·(limit - rest).  Joints are pose columns.
-    """
-
-    slack_mm: float
-    scale_mm: float
-    straighten: list[int]
-    advance: list[int]
+    One answer per row of the angles."""
+    return np.all(finger_flexion_deg(hand, angles_deg) <= max_total_flexion_deg, axis=-1)
 
 
 class PoseResponse:
@@ -117,60 +101,55 @@ class PoseResponse:
     The hand yields freely (no elastic stretch) until each branch's geometry
     runs out.  A branch's first palmar routing point advances its joint toward
     the flexion limit; every other routed joint, and a finger's unrouted DIP
-    (which follows the PIP through soft-tissue coupling), straightens.  All
-    of a branch's joints move by one share of their range, sized so the
-    tendon the pose pays out matches the displacement past slack: an
-    extension branch opens its finger uniformly, a pinch branch flexes the
+    (which follows the PIP through soft-tissue coupling), straightens.  Past
+    its slack a branch spends a share s = min(1, past-slack / scale) of its
+    range: each straightened joint goes to (1 - s)·rest and the advanced one
+    to rest + s·(limit - rest).  The scale is the tendon the pose pays out
+    over the whole range, so the pose pays out the displacement past slack:
+    an extension branch opens its finger uniformly, a pinch branch flexes the
     MCP (or adducts the thumb) while the distal joints straighten.  Poses
     never leave joint limits and saturate once a branch's range is spent.
     """
 
     def __init__(self, hand: HandModel, network: TendonNetwork, rest: HandPose):
-        hand.validate_pose(rest)
+        hand.validate_pose(rest.angles_deg)
         self.rest = rest
-        self.joints: tuple[JointId, ...] = hand.joint_ids()
-        self._rest = np.array([rest.get(j) for j in self.joints])
-        self._limit = np.array([hand.joint(j).flexion_max_deg for j in self.joints])
-        self._drives: list[_Drive] = []
+        self._end = rest.angles_deg.copy()  # each driven joint at its range's end
+        roles = []
         for branch in network.branches:
-            straighten: list[int] = []
-            advance: list[int] = []
-            scale = 0.0
-            for pt in branch.routing:
-                r = moment_arm_mm(hand, pt)
-                col = self.joints.index(pt.joint)
-                if pt.side is Side.PALMAR and not advance:
-                    advance.append(col)
-                    scale += r * math.radians(self._limit[col] - self._rest[col])
-                else:
-                    straighten.append(col)
-                    scale += r * math.radians(self._rest[col])
-            dip = (branch.digit, JointKind.DIP)
-            if branch.digit is not Digit.THUMB and hand.has_joint(dip):
-                col = self.joints.index(dip)
-                if col not in straighten + advance:
-                    straighten.append(col)
-            if scale > 0.0:
-                self._drives.append(_Drive(branch.slack_mm, scale, straighten, advance))
+            straighten = [hand.col(pt.joint) for pt in branch.routing]
+            sides = [pt.side for pt in branch.routing]
+            advance = [straighten.pop(sides.index(Side.PALMAR))] if Side.PALMAR in sides else []
+            if branch.digit is not Digit.THUMB:
+                dip = hand.col((branch.digit, JointKind.DIP))
+                if dip not in straighten + advance:
+                    straighten.append(dip)
+            self._end[straighten] = 0.0
+            self._end[advance] = hand.hi[advance]
+            roles.append((straighten, advance))
+        scales = excursion_mm(hand, network, rest.angles_deg - self._end).tolist()
+        self._drives = [
+            (branch.slack_mm, scale, straighten, advance)
+            for branch, scale, (straighten, advance) in zip(network.branches, scales, roles)
+            if scale > 0.0
+        ]
 
     def angles(self, displacements_mm) -> np.ndarray:
-        """Joint angles at each displacement, columns in ``joints`` order:
+        """Joint angles at each displacement, in the hand's joint order:
         shape ``(n_joints,)`` for one displacement, ``(n, n_joints)`` for n."""
         d = np.asarray(displacements_mm, dtype=float)
         if np.any(d < 0.0):
             raise ValueError("displacement must be >= 0")
-        out = np.tile(self._rest, d.shape + (1,))
-        rest, limit = self._rest, self._limit
-        for drive in self._drives:
-            s = np.clip((d - drive.slack_mm) / drive.scale_mm, 0.0, 1.0)[..., None]
-            straighten, advance = drive.straighten, drive.advance
+        rest, end = self.rest.angles_deg, self._end
+        out = np.tile(rest, d.shape + (1,))
+        for slack_mm, scale_mm, straighten, advance in self._drives:
+            s = np.clip((d - slack_mm) / scale_mm, 0.0, 1.0)[..., None]
             out[..., straighten] = (1.0 - s) * rest[straighten]
-            out[..., advance] = rest[advance] + s * (limit[advance] - rest[advance])
+            out[..., advance] = rest[advance] + s * (end[advance] - rest[advance])
         return out
 
     def at(self, displacement_mm: float) -> HandPose:
-        row = self.angles(displacement_mm).tolist()
-        return HandPose(dict(zip(self.joints, row)), self.rest.wrist_extension_deg)
+        return HandPose(self.angles(displacement_mm), self.rest.wrist_extension_deg)
 
 
 @dataclass
@@ -214,17 +193,11 @@ class TrialTrace:
 
     @cached_property
     def poses(self) -> tuple[HandPose, ...] | None:
-        """One HandPose per sample, read from ``angles_deg`` on first use."""
+        """One single-row HandPose per sample, read from ``angles_deg`` on
+        first use."""
         if self.angles_deg is None:
             return None
-        return tuple(
-            HandPose(dict(zip(self.joints, row)), self.wrist_extension_deg)
-            for row in self.angles_deg.tolist()
-        )
-
-    @property
-    def final_pose(self) -> HandPose | None:
-        return self.poses[-1] if self.poses else None
+        return tuple(HandPose(row, self.wrist_extension_deg) for row in self.angles_deg)
 
     def window(self, start: int, stop: int) -> "TrialTrace":
         """Contiguous sample window with every array channel sliced alike."""
@@ -280,27 +253,24 @@ def run_trial(
     # the release is known before the pose: the first sample whose true
     # tension reaches the breakaway force.
     spring = resistance_force_n(cfg.subject, net_elongation_mm(cfg.network, disp))
-    coupling = update_coupling(CouplingState(), spring + noise, cfg.coupling, t)
-    release_s = math.inf if coupling.engaged else coupling.disengage_time_s
-    held = t <= release_s  # coupling engaged as the sample begins
-    transmits = t < release_s  # ... and still engaged as it ends
+    release_s = update_coupling(spring + noise, cfg.coupling, t)
+    opens_s = math.inf if release_s is None else release_s
+    held = t <= opens_s  # coupling engaged as the sample begins
+    transmits = t < opens_s  # ... and still engaged as it ends
 
     # Once the coupling is open the tendon side is free: no displacement
     # reaches the hand, which relaxes back to rest, and the muscle no longer
     # loads the actuator.
     angles = response.angles(np.where(held, disp, 0.0))
-    pose = HandPose(dict(zip(response.joints, angles.T)), rest.wrist_extension_deg)
     true_force = np.where(held, spring, 0.0) + noise
     transmitted = np.where(transmits, np.maximum(0.0, true_force), 0.0)
     kin = network_state(
-        cfg.hand, cfg.network, pose, disp, rest_pose=rest, total_tension_n=transmitted
+        cfg.hand, cfg.network, angles, disp, rest_deg=rest.angles_deg,
+        total_tension_n=transmitted,
     )
     functional = np.flatnonzero(
-        held & is_functional_extension(pose, cfg.functional_flexion_deg)
+        held & is_functional_extension(cfg.hand, angles, cfg.functional_flexion_deg)
     )
-
-    def branch_columns(name: str) -> np.ndarray:
-        return np.column_stack([getattr(b, name) for b in kin.branches])
 
     return TrialTrace(
         t_s=t,
@@ -312,16 +282,16 @@ def run_trial(
         sample_rate_hz=cfg.sample_rate_hz,
         noise_sigma_n=cfg.noise_sigma_n,
         seed=seed.entropy if isinstance(seed, np.random.SeedSequence) else seed,
-        breakaway=not coupling.engaged,
-        breakaway_time_s=coupling.disengage_time_s,
+        breakaway=release_s is not None,
+        breakaway_time_s=release_s,
         functional_extension=bool(functional.size),
         functional_time_s=float(t[functional[0]]) if functional.size else None,
-        joints=response.joints,
+        joints=tuple(j.jid for j in cfg.hand.joints),
         angles_deg=angles,
         wrist_extension_deg=rest.wrist_extension_deg,
         true_force_n=true_force,
         actuator_tension_n=kin.actuator_tension_n,
-        branch_taut=branch_columns("taut"),
-        branch_elongation_mm=branch_columns("elongation_mm"),
-        branch_tension_n=branch_columns("tension_n"),
+        branch_taut=kin.taut,
+        branch_elongation_mm=kin.elongation_mm,
+        branch_tension_n=kin.tension_n,
     )

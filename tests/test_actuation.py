@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from exosim.actuation import (
     ActuatorSpec,
     CouplingSpec,
-    CouplingState,
     LoadCellSpec,
     MAGNET_BREAKAWAY_N,
     actuator_position_mm,
@@ -123,16 +122,11 @@ def test_measure_full_scale_band():
 
 def test_coupling_latches_open():
     spec = CouplingSpec(34.0)
-    state = CouplingState()
-    state = update_coupling(state, 20.0, spec, 1.0)
-    assert state.engaged
-    state = update_coupling(state, 34.0, spec, 2.0)  # threshold reached exactly
-    assert not state.engaged
-    assert state.disengage_time_s == 2.0
+    assert update_coupling(20.0, spec, 1.0) is None
+    assert update_coupling(34.0, spec, 2.0) == 2.0  # threshold reached exactly
     # force falling back below the threshold must not re-engage
-    state = update_coupling(state, 0.0, spec, 3.0)
-    assert not state.engaged
-    assert state.disengage_time_s == 2.0
+    assert update_coupling([20.0, 34.0, 0.0], spec, [1.0, 2.0, 3.0]) == 2.0
+    assert update_coupling([20.0, 40.0, 34.0], spec, [1.0, 2.0, 3.0]) == 2.0
 
 
 forces = st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=60)
@@ -142,13 +136,10 @@ forces = st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size
 def test_coupling_latching_property(force_seq, threshold):
     """The coupling opens at the first crossing and stays open forever."""
     spec = CouplingSpec(threshold)
-    state = CouplingState()
     crossed_at = None
     for i, f in enumerate(force_seq):
-        state = update_coupling(state, f, spec, float(i))
+        opened = update_coupling(force_seq[: i + 1], spec, [float(k) for k in range(i + 1)])
         if crossed_at is None and f >= threshold:
             crossed_at = i
-        # engaged iff no crossing has happened yet
-        assert state.engaged == (crossed_at is None)
-        if crossed_at is not None:
-            assert state.disengage_time_s == float(crossed_at)
+        # engaged iff no crossing has happened yet, and open since the first
+        assert opened == (None if crossed_at is None else float(crossed_at))

@@ -12,7 +12,7 @@ from exosim import cli
 from exosim.cli import main
 from exosim.hand import default_hand
 from exosim.spasticity import calibrate_stiffness
-from exosim.tendons import config1_extension, full_flexion_excursion_mm, index_branch
+from exosim.tendons import config1_extension, full_flexion_excursion_mm, index_branch_col
 
 
 def run_cli(args):
@@ -386,8 +386,9 @@ def test_calibration_solves_for_configured_extension_network(tmp_path):
     derived = yaml.safe_load((tmp_path / "cal" / "calibrated_config.yaml").read_text())
     depth = derived["hand"]["joint_center_depth_mm"]
     hand = default_hand(depth)
-    branch = index_branch(config1_extension(mcp_guide_mm=9.5))
-    assert full_flexion_excursion_mm(hand, branch) == pytest.approx(57.0, abs=0.01)
+    net = config1_extension(mcp_guide_mm=9.5)
+    excursion = full_flexion_excursion_mm(hand, net)[index_branch_col(net)]
+    assert excursion == pytest.approx(57.0, abs=0.01)
 
     out = tmp_path / "rep"
     assert run_cli(["reproduce", "--out", str(out)] + guide) == 0

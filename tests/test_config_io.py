@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -31,12 +32,13 @@ def test_default_config_builds_everything():
     bench = Bench.from_config(default_config())
     hand = bench.hand
     assert len(hand.joints) == 20
-    assert hand.depth((Digit.INDEX, JointKind.MCP)) == pytest.approx(9.215)
+    assert hand.depth_mm == pytest.approx(9.215)
     assert bench.network.kind is NetworkKind.EXTENSION
     assert bench.pinch.kind is NetworkKind.PINCH
     bank = bench.bank
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
-    assert bank.by_id("S3").rest_pose.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(67.5)
+    s3_rest = bank.by_id("S3").rest_pose.angles_deg
+    assert s3_rest[hand.col((Digit.INDEX, JointKind.MCP))] == pytest.approx(67.5)
     assert bank.by_id("S4").peak_band_n == (35.0, None)
 
 
@@ -81,13 +83,64 @@ _VALUES = st.one_of(
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
 @settings(max_examples=200, deadline=None)
-@given(subjects=st.dictionaries(_KEYS, st.dictionaries(_KEYS, _VALUES), max_size=3))
-def test_config_hash_is_the_same_with_and_without_libyaml(subjects):
+@given(
+    subjects=st.dictionaries(_KEYS, st.dictionaries(_KEYS, _VALUES), max_size=3),
+    notes=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200),
+)
+def test_config_hash_is_the_same_with_and_without_libyaml(subjects, notes):
+    """Also for every ``notes`` that a bench accepts: up to 200 printable
+    ASCII characters, long enough for both emitters to fold the line."""
     cfg = default_config()
+    cfg["subjects"]["S1"]["notes"] = notes
     cfg["subjects"].update(subjects)
     with_libyaml = config.canonical_yaml(cfg)
     with mock.patch.object(config, "YAML_DUMPER", yaml.SafeDumper):
         assert config.canonical_yaml(cfg) == with_libyaml
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("subjects.S1.stiffness_n_per_mm", ".nan"),
+        ("subjects.S1.engage_slack_mm", ".nan"),
+        ("subjects.S1.rest_flexion_fraction", ".nan"),
+        ("subjects.S3.rest_flexion_fraction.index", ".inf"),
+        ("subjects.S4.peak_band_n", "[35, .inf]"),
+        ("subjects.S4.peak_band_n", "[.nan, null]"),
+        ("network.branch_slack_mm", ".inf"),
+        ("network.pinch.dip_guide_mm", ".nan"),
+        ("analysis.trim_threshold_n", ".nan"),
+        ("load_cell.resolution_n", ".inf"),
+        ("trial.noise_sigma_n", ".nan"),
+        ("hand.joint_center_depth_mm", ".inf"),
+        ("hand.flexion_ranges_deg.finger_pip", "[0, .inf]"),
+        ("calibration.excursion_target_mm", "-.inf"),
+    ],
+)
+def test_non_finite_config_number_is_rejected_by_its_key(tmp_path, capsys, key, value):
+    cfg = apply_overrides(default_config(), {key: value})
+    message = f"invalid config: {key} must be a finite number"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        Bench.from_config(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_open_peak_band_stays_allowed():
+    cfg = apply_overrides(default_config(), {"subjects.S1.peak_band_n": "[15, null]"})
+    assert Bench.from_config(cfg).bank.by_id("S1").peak_band_n == (15.0, None)
+
+
+@pytest.mark.parametrize("notes", ["x\x01y" * 40, "x" * 201, "é", 5, None, ["a"]])
+def test_notes_that_could_hash_differently_are_rejected(notes):
+    """Notes must be at most 200 printable ASCII characters, on which the two
+    YAML emitters agree."""
+    cfg = default_config()
+    cfg["subjects"]["S1"]["notes"] = notes
+    with pytest.raises(ConfigError, match="subjects.S1.notes must be at most 200 printable"):
+        Bench.from_config(cfg)
 
 
 def test_unknown_network_kind_rejected():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from exosim.hand import (
     WRIST_EXTENSION_DEG,
     clamp_pose,
     default_hand,
+    finger_flexion_deg,
     full_flexion_pose,
     spastic_rest_pose,
     zero_pose,
@@ -30,14 +32,31 @@ def test_default_hand_has_twenty_articulations():
         assert len([j for j in hand.joints if j.digit is digit]) == 4
 
 
+def in_limits(hand, pose):
+    """True if validate_pose accepts the pose."""
+    try:
+        hand.validate_pose(pose.angles_deg)
+    except ValueError:
+        return False
+    return True
+
+
+def angle(hand, pose, digit, kind):
+    return pose.angles_deg[..., hand.col((digit, kind))]
+
+
 def test_default_ranges():
     hand = default_hand()
-    assert hand.joint((Digit.INDEX, JointKind.MCP)).flexion_max_deg == 90.0
-    assert hand.joint((Digit.INDEX, JointKind.PIP)).flexion_max_deg == 100.0
-    assert hand.joint((Digit.INDEX, JointKind.DIP)).flexion_max_deg == 70.0
-    abd = hand.joint((Digit.MIDDLE, JointKind.ABDUCTION))
-    assert (abd.flexion_min_deg, abd.flexion_max_deg) == (-15.0, 15.0)
-    assert hand.joint((Digit.THUMB, JointKind.CMC)).flexion_max_deg == 50.0
+    assert hand.hi[hand.col((Digit.INDEX, JointKind.MCP))] == 90.0
+    assert hand.hi[hand.col((Digit.INDEX, JointKind.PIP))] == 100.0
+    assert hand.hi[hand.col((Digit.INDEX, JointKind.DIP))] == 70.0
+    abd = hand.col((Digit.MIDDLE, JointKind.ABDUCTION))
+    assert (hand.lo[abd], hand.hi[abd]) == (-15.0, 15.0)
+    assert hand.hi[hand.col((Digit.THUMB, JointKind.CMC))] == 50.0
+    # the limit arrays follow the joint order
+    assert hand.lo.tolist() == [j.flexion_min_deg for j in hand.joints]
+    assert hand.hi.tolist() == [j.flexion_max_deg for j in hand.joints]
+    assert [hand.col(j.jid) for j in hand.joints] == list(range(20))
 
 
 def test_wrist_fixed_at_30_degrees():
@@ -60,24 +79,51 @@ def test_depth_must_be_positive():
 
 def test_validate_pose_rejects_out_of_range():
     hand = default_hand()
-    bad = zero_pose(hand).replace_angles({(Digit.INDEX, JointKind.MCP): 95.0})
-    assert not hand.pose_in_limits(bad)
-    with pytest.raises(ValueError):
+    bad = zero_pose(hand).angles_deg
+    bad[hand.col((Digit.INDEX, JointKind.MCP))] = 95.0
+    assert not in_limits(hand, HandPose(bad))
+    message = r"^angle 95\.000 deg outside \[0\.0, 90\.0\] for index/mcp$"
+    with pytest.raises(ValueError, match=message):
         hand.validate_pose(bad)
+
+
+def test_validate_pose_names_the_first_bad_joint_and_sample():
+    """Over one row per sample, the error names the first bad joint in joint
+    order, with that joint's first bad sample."""
+    hand = default_hand()
+    angles = np.zeros((5, 20))
+    angles[1, hand.col((Digit.RING, JointKind.PIP))] = 101.0  # later joint, earlier row
+    angles[4, hand.col((Digit.INDEX, JointKind.DIP))] = 71.5
+    angles[3, hand.col((Digit.INDEX, JointKind.DIP))] = -2.25
+    angles[2, hand.col((Digit.THUMB, JointKind.CMC))] = np.nan
+    with pytest.raises(ValueError, match=r"^angle nan deg outside \[0\.0, 50\.0\] for thumb/cmc$"):
+        hand.validate_pose(angles)
+    angles[2, hand.col((Digit.THUMB, JointKind.CMC))] = 50.0  # the upper limit is allowed
+    with pytest.raises(ValueError, match=r"^angle -2\.250 deg .* for index/dip$"):
+        hand.validate_pose(angles)
+    angles[:, hand.col((Digit.INDEX, JointKind.DIP))] = 0.0
+    with pytest.raises(ValueError, match=r"^angle 101\.000 deg .* for ring/pip$"):
+        hand.validate_pose(angles)
+    angles[1, hand.col((Digit.RING, JointKind.PIP))] = 0.0
+    hand.validate_pose(angles)
 
 
 def test_clamp_pose_examples():
     hand = default_hand()
-    pose = zero_pose(hand).replace_angles(
-        {
-            (Digit.INDEX, JointKind.MCP): 120.0,
-            (Digit.INDEX, JointKind.ABDUCTION): -40.0,
-        }
-    )
-    clamped = clamp_pose(hand, pose)
-    assert clamped.angle((Digit.INDEX, JointKind.MCP)) == 90.0
-    assert clamped.angle((Digit.INDEX, JointKind.ABDUCTION)) == -15.0
-    assert hand.pose_in_limits(clamped)
+    angles = zero_pose(hand).angles_deg
+    angles[hand.col((Digit.INDEX, JointKind.MCP))] = 120.0
+    angles[hand.col((Digit.INDEX, JointKind.ABDUCTION))] = -40.0
+    clamped = clamp_pose(hand, HandPose(angles))
+    assert angle(hand, clamped, Digit.INDEX, JointKind.MCP) == 90.0
+    assert angle(hand, clamped, Digit.INDEX, JointKind.ABDUCTION) == -15.0
+    assert in_limits(hand, clamped)
+
+
+def test_clamp_pose_keeps_nan_for_validation_to_reject():
+    hand = default_hand()
+    angles = zero_pose(hand).angles_deg
+    angles[hand.col((Digit.INDEX, JointKind.MCP))] = np.nan
+    assert not in_limits(hand, clamp_pose(hand, HandPose(angles)))
 
 
 angle_values = st.floats(
@@ -88,56 +134,56 @@ angle_values = st.floats(
 @given(st.lists(angle_values, min_size=20, max_size=20))
 def test_clamp_pose_idempotent(angles):
     hand = default_hand()
-    pose = HandPose(dict(zip(hand.joint_ids(), angles)))
+    pose = HandPose(np.array(angles))
     once = clamp_pose(hand, pose)
     twice = clamp_pose(hand, once)
-    assert hand.pose_in_limits(once)
-    assert once.angles_deg == twice.angles_deg
+    assert in_limits(hand, once)
+    assert once.angles_deg.tolist() == twice.angles_deg.tolist()
 
 
 def test_full_flexion_pose_hits_limits():
     hand = default_hand()
     pose = full_flexion_pose(hand)
-    assert pose.angle((Digit.LITTLE, JointKind.PIP)) == 100.0
-    assert pose.angle((Digit.THUMB, JointKind.ABDUCTION)) == 0.0
-    assert hand.pose_in_limits(pose)
+    assert angle(hand, pose, Digit.LITTLE, JointKind.PIP) == 100.0
+    assert angle(hand, pose, Digit.THUMB, JointKind.ABDUCTION) == 0.0
+    assert in_limits(hand, pose)
 
 
 def test_spastic_rest_pose_scalar_fraction():
     hand = default_hand()
     pose = spastic_rest_pose(hand, 0.75)
-    assert pose.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(67.5)
-    assert pose.angle((Digit.INDEX, JointKind.PIP)) == pytest.approx(75.0)
+    assert angle(hand, pose, Digit.INDEX, JointKind.MCP) == pytest.approx(67.5)
+    assert angle(hand, pose, Digit.INDEX, JointKind.PIP) == pytest.approx(75.0)
     # DIP slaved to the PIP
-    assert pose.angle((Digit.INDEX, JointKind.DIP)) == pytest.approx(
+    assert angle(hand, pose, Digit.INDEX, JointKind.DIP) == pytest.approx(
         DIP_COUPLING_RATIO * 75.0
     )
-    assert pose.angle((Digit.THUMB, JointKind.CMC)) == pytest.approx(0.75 * 50.0)
-    assert hand.pose_in_limits(pose)
+    assert angle(hand, pose, Digit.THUMB, JointKind.CMC) == pytest.approx(0.75 * 50.0)
+    assert in_limits(hand, pose)
 
 
 def test_spastic_rest_pose_per_digit_fraction():
     hand = default_hand()
     pose = spastic_rest_pose(hand, {"default": 0.6, Digit.INDEX: 0.75})
-    assert pose.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(67.5)
-    assert pose.angle((Digit.MIDDLE, JointKind.MCP)) == pytest.approx(54.0)
-    assert pose.angle((Digit.RING, JointKind.PIP)) == pytest.approx(60.0)
+    assert angle(hand, pose, Digit.INDEX, JointKind.MCP) == pytest.approx(67.5)
+    assert angle(hand, pose, Digit.MIDDLE, JointKind.MCP) == pytest.approx(54.0)
+    assert angle(hand, pose, Digit.RING, JointKind.PIP) == pytest.approx(60.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_spastic_rest_pose_always_in_limits(fraction):
     hand = default_hand()
-    assert hand.pose_in_limits(spastic_rest_pose(hand, fraction))
+    assert in_limits(hand, spastic_rest_pose(hand, fraction))
 
 
 def test_total_finger_flexion():
     hand = default_hand()
     pose = spastic_rest_pose(hand, 0.75)
     # 67.5 + 75 + 52.5
-    assert pose.total_finger_flexion(Digit.INDEX) == pytest.approx(195.0)
+    assert finger_flexion_deg(hand, pose.angles_deg)[0] == pytest.approx(195.0)
 
 
 def test_duplicate_joint_rejected():
     j = Joint(Digit.INDEX, JointKind.MCP, 0.0, 90.0)
     with pytest.raises(ValueError):
-        HandModel((j, j), {j.jid: 9.0})
+        HandModel((j, j), 9.0)

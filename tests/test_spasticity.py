@@ -119,14 +119,15 @@ def test_bank_stiffness_and_bands():
 def test_bank_rest_poses():
     hand = default_hand()
     bank = default_subject_bank(hand)
-    s1 = bank.by_id("S1").rest_pose
-    assert s1.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(0.75 * 90.0)
-    s3 = bank.by_id("S3").rest_pose
+    index_mcp = hand.col((Digit.INDEX, JointKind.MCP))
+    s1 = bank.by_id("S1").rest_pose.angles_deg
+    assert s1[index_mcp] == pytest.approx(0.75 * 90.0)
+    s3 = bank.by_id("S3").rest_pose.angles_deg
     # S3: index more flexed than the other fingers
-    assert s3.angle((Digit.INDEX, JointKind.MCP)) == pytest.approx(67.5)
-    assert s3.angle((Digit.MIDDLE, JointKind.MCP)) == pytest.approx(54.0)
+    assert s3[index_mcp] == pytest.approx(67.5)
+    assert s3[hand.col((Digit.MIDDLE, JointKind.MCP))] == pytest.approx(54.0)
     for p in bank:
-        assert hand.pose_in_limits(p.rest_pose)
+        hand.validate_pose(p.rest_pose.angles_deg)  # raises outside the limits
 
 
 def test_duplicate_subject_ids_rejected():

@@ -1,30 +1,33 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from exosim.hand import (
     Digit,
     FINGERS,
-    HandPose,
     JointKind,
     default_hand,
     spastic_rest_pose,
     zero_pose,
 )
 from exosim.tendons import (
+    EXCURSION_SIGN,
     Attachment,
     DepthCalibrationError,
+    NetworkKind,
     RoutingPoint,
     Side,
     TendonBranch,
-    branch_excursion_mm,
+    TendonNetwork,
     calibrate_depth,
     config1_extension,
     config2_pinch,
+    excursion_mm,
     full_flexion_excursion_mm,
-    index_branch,
-    moment_arm_mm,
+    index_branch_col,
+    moment_arms,
     network_state,
 )
 
@@ -32,10 +35,47 @@ IDX_MCP = (Digit.INDEX, JointKind.MCP)
 IDX_PIP = (Digit.INDEX, JointKind.PIP)
 
 
+def network(*branches):
+    return TendonNetwork(NetworkKind.EXTENSION, branches)
+
+
+def index_excursion(hand):
+    """The index extension branch's excursion over the full flexion range."""
+    net = config1_extension()
+    return full_flexion_excursion_mm(hand, net)[index_branch_col(net)]
+
+
 def test_moment_arm_is_guide_plus_depth():
     hand = default_hand(depth_mm=9.0)
-    pt = RoutingPoint(IDX_MCP, Side.DORSAL, 8.5)
-    assert moment_arm_mm(hand, pt) == pytest.approx(17.5)
+    dorsal = TendonBranch(
+        Digit.INDEX, (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),), Attachment.FINGERTIP_WRAP
+    )
+    palmar = TendonBranch(
+        Digit.INDEX, (RoutingPoint(IDX_PIP, Side.PALMAR, 0.5),), Attachment.FINGERTIP_WRAP
+    )
+    arms = moment_arms(hand, network(dorsal, palmar))
+    assert arms.shape == (20, 2)
+    assert arms[hand.col(IDX_MCP), 0] == pytest.approx(17.5)
+    assert arms[hand.col(IDX_PIP), 1] == pytest.approx(-9.5)
+    assert np.count_nonzero(arms) == 2
+
+
+def test_moment_arms_of_both_networks():
+    """Each routed entry is +-(guide + depth), every other entry is zero."""
+    hand = default_hand()
+    for net in (config1_extension(), config2_pinch()):
+        expected = np.zeros((20, len(net.branches)))
+        for b, branch in enumerate(net.branches):
+            for pt in branch.routing:
+                expected[hand.col(pt.joint), b] = EXCURSION_SIGN[pt.side] * (
+                    pt.guide_height_mm + hand.depth_mm
+                )
+        assert moment_arms(hand, net).tolist() == expected.tolist()
+
+
+def test_non_positive_moment_arm_names_the_joint():
+    with pytest.raises(ValueError, match="^non-positive moment arm at index/dip$"):
+        moment_arms(default_hand(), config2_pinch(dip_guide_mm=math.nan))
 
 
 def test_excursion_single_joint_oracle():
@@ -46,9 +86,10 @@ def test_excursion_single_joint_oracle():
         (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),),
         Attachment.MIDDLE_PHALANX_RING,
     )
-    pose = zero_pose(hand).replace_angles({IDX_MCP: 90.0})
+    pose = zero_pose(hand).angles_deg
+    pose[hand.col(IDX_MCP)] = 90.0
     expected = 18.5 * math.pi / 2.0
-    assert branch_excursion_mm(hand, branch, pose) == pytest.approx(expected, abs=1e-12)
+    assert excursion_mm(hand, network(branch), pose)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_palmar_routing_flips_sign():
@@ -59,9 +100,9 @@ def test_palmar_routing_flips_sign():
     palmar = TendonBranch(
         Digit.INDEX, (RoutingPoint(IDX_MCP, Side.PALMAR, 0.0),), Attachment.FINGERTIP_WRAP
     )
-    pose = zero_pose(hand).replace_angles({IDX_MCP: 45.0})
-    e_d = branch_excursion_mm(hand, dorsal, pose)
-    e_p = branch_excursion_mm(hand, palmar, pose)
+    pose = zero_pose(hand).angles_deg
+    pose[hand.col(IDX_MCP)] = 45.0
+    e_d, e_p = excursion_mm(hand, network(dorsal, palmar), pose)
     assert e_d > 0
     assert e_p == pytest.approx(-e_d, abs=1e-12)
 
@@ -69,31 +110,29 @@ def test_palmar_routing_flips_sign():
 def test_excursion_zero_at_zero_pose():
     hand = default_hand()
     net = config1_extension()
-    for b in net.branches:
-        assert branch_excursion_mm(hand, b, zero_pose(hand)) == 0.0
+    assert excursion_mm(hand, net, zero_pose(hand).angles_deg).tolist() == [0.0] * 4
 
 
-def test_excursion_rejects_pose_outside_limits():
+def test_network_state_rejects_pose_outside_limits():
     hand = default_hand()
-    branch = index_branch(config1_extension())
-    bad = zero_pose(hand).replace_angles({IDX_MCP: 91.0})
-    with pytest.raises(ValueError):
-        branch_excursion_mm(hand, branch, bad)
+    bad = zero_pose(hand).angles_deg
+    bad[hand.col(IDX_MCP)] = 91.0
+    with pytest.raises(ValueError, match="for index/mcp"):
+        network_state(hand, config1_extension(), bad, 1.0)
+    with pytest.raises(ValueError, match="for index/mcp"):
+        network_state(hand, config1_extension(), zero_pose(hand).angles_deg, 1.0, rest_deg=bad)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_excursion_linear_in_pose(scale_a, scale_b):
     """Superposition: excursion of a scaled pose is the scaled excursion."""
     hand = default_hand()
-    branch = index_branch(config1_extension())
-    base = spastic_rest_pose(hand, 1.0)
-    e_base = branch_excursion_mm(hand, branch, base)
-
-    def scaled(s):
-        return HandPose({j: s * a for j, a in base.angles_deg.items()})
-
-    e_a = branch_excursion_mm(hand, branch, scaled(scale_a))
-    e_sum = branch_excursion_mm(hand, branch, scaled(min(1.0, scale_a + scale_b)))
+    net = config1_extension()
+    col = index_branch_col(net)
+    base = spastic_rest_pose(hand, 1.0).angles_deg
+    e_base = excursion_mm(hand, net, base)[col]
+    e_a = excursion_mm(hand, net, scale_a * base)[col]
+    e_sum = excursion_mm(hand, net, min(1.0, scale_a + scale_b) * base)[col]
     assert e_a == pytest.approx(scale_a * e_base, rel=1e-12, abs=1e-12)
     assert e_sum == pytest.approx(
         min(1.0, scale_a + scale_b) * e_base, rel=1e-12, abs=1e-12
@@ -104,14 +143,42 @@ def test_excursion_linear_in_pose(scale_a, scale_b):
 def test_extension_excursion_ignores_abduction(abduction_deg):
     hand = default_hand()
     net = config1_extension()
-    rest = spastic_rest_pose(hand, 0.7)
-    moved = rest.replace_angles(
-        {(d, JointKind.ABDUCTION): abduction_deg for d in FINGERS}
-    )
-    for b in net.branches:
-        assert branch_excursion_mm(hand, b, moved) == branch_excursion_mm(
-            hand, b, rest
-        )
+    rest = spastic_rest_pose(hand, 0.7).angles_deg
+    moved = rest.copy()
+    moved[[hand.col((d, JointKind.ABDUCTION)) for d in FINGERS]] = abduction_deg
+    assert excursion_mm(hand, net, moved).tolist() == excursion_mm(hand, net, rest).tolist()
+
+
+def routed_sum_oracle(hand, net, angles):
+    """Each branch's excursion as the law reads: over its routing points, in
+    routing order, sign * (guide + depth) * radians(theta), added from 0."""
+    out = []
+    for branch in net.branches:
+        total = 0.0
+        for pt in branch.routing:
+            theta = np.radians(angles[..., hand.col(pt.joint)])
+            total = total + EXCURSION_SIGN[pt.side] * (pt.guide_height_mm + hand.depth_mm) * theta
+        out.append(total)
+    return np.stack(out, axis=-1)
+
+
+@given(
+    st.sampled_from(["extension", "pinch"]),
+    st.floats(min_value=1.0, max_value=20.0),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=60, max_size=60),
+)
+def test_excursion_matches_the_routed_sum_bit_for_bit(kind, depth, fractions):
+    """The matrix excursion equals the per-point sum in routing order, bit for
+    bit, on one pose and on a batch of three; the thumb pinch branch is
+    routed abduction, MCP, IP, which is not the joint order."""
+    hand = default_hand(depth_mm=depth)
+    net = config1_extension() if kind == "extension" else config2_pinch()
+    angles = hand.lo + np.reshape(fractions, (3, 20)) * (hand.hi - hand.lo)
+    hand.validate_pose(angles)
+    batch = excursion_mm(hand, net, angles)
+    assert batch.shape == (3, len(net.branches))
+    assert batch.tolist() == routed_sum_oracle(hand, net, angles).tolist()
+    assert excursion_mm(hand, net, angles[1]).tolist() == batch[1].tolist()
 
 
 def test_config1_shape():
@@ -155,18 +222,18 @@ def closed_form_depth(target):
 
 def test_calibrate_depth_matches_closed_form():
     hand = calibrate_depth(default_hand(), config1_extension(), 57.0)
-    depth = hand.depth(IDX_MCP)
+    depth = hand.depth_mm
     assert depth == pytest.approx(closed_form_depth(57.0), abs=1e-6)
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
+    excursion = index_excursion(hand)
     assert abs(excursion - 57.0) <= 0.01
 
 
 @given(st.floats(min_value=27.0, max_value=120.0))
 def test_calibrate_depth_meets_tolerance(target):
     hand = calibrate_depth(default_hand(), config1_extension(), target)
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
+    excursion = index_excursion(hand)
     assert abs(excursion - target) <= 0.01
-    assert hand.depth(IDX_MCP) == pytest.approx(closed_form_depth(target), abs=1e-6)
+    assert hand.depth_mm == pytest.approx(closed_form_depth(target), abs=1e-6)
 
 
 def test_calibrate_depth_unreachable_targets():
@@ -183,7 +250,7 @@ def test_calibrate_depth_unreachable_targets():
 
 def test_default_depth_constant_matches_target():
     hand = default_hand()  # ships with the solved depth baked in
-    excursion = full_flexion_excursion_mm(hand, index_branch(config1_extension()))
+    excursion = index_excursion(hand)
     assert abs(excursion - 57.0) <= 0.01
 
 
@@ -205,9 +272,7 @@ def two_branch_net(hand, slack_a=2.0, slack_b=5.0):
             slack_mm=slack_b,
         ),
     )
-    from exosim.tendons import NetworkKind, TendonNetwork
-
-    return TendonNetwork(NetworkKind.EXTENSION, branches)
+    return network(*branches)
 
 
 def test_network_state_slack_split_example():
@@ -215,20 +280,20 @@ def test_network_state_slack_split_example():
     # branch 1 taut with 2 mm of demand, branch 2 slack
     hand = default_hand()
     net = two_branch_net(hand)
-    pose = spastic_rest_pose(hand, 0.5)
+    pose = spastic_rest_pose(hand, 0.5).angles_deg
     state = network_state(hand, net, pose, 4.0)
-    b1, b2 = state.branches
-    assert b1.taut and b1.elongation_mm == pytest.approx(2.0)
-    assert not b2.taut and b2.elongation_mm == 0.0
+    assert state.taut.tolist() == [True, False]
+    assert state.elongation_mm[0] == pytest.approx(2.0)
+    assert state.elongation_mm[1] == 0.0
     assert state.net_elongation_mm == pytest.approx(2.0)
 
 
 def test_network_state_zero_displacement():
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.5)
+    pose = spastic_rest_pose(hand, 0.5).angles_deg
     state = network_state(hand, net, pose, 0.0, total_tension_n=0.0)
-    assert all(not b.taut for b in state.branches)
+    assert not state.taut.any()
     assert state.actuator_tension_n == 0.0
     assert state.net_elongation_mm == 0.0
 
@@ -237,30 +302,27 @@ def test_network_state_rejects_negative_displacement():
     hand = default_hand()
     net = config1_extension()
     with pytest.raises(ValueError):
-        network_state(hand, net, spastic_rest_pose(hand, 0.5), -0.1)
+        network_state(hand, net, spastic_rest_pose(hand, 0.5).angles_deg, -0.1)
 
 
 def test_identical_branches_share_equally():
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.5)
+    pose = spastic_rest_pose(hand, 0.5).angles_deg
     state = network_state(hand, net, pose, 30.0, total_tension_n=12.0)
-    tensions = [b.tension_n for b in state.branches]
-    assert all(b.taut for b in state.branches)
-    assert tensions == pytest.approx([3.0, 3.0, 3.0, 3.0])
-    elongations = {b.elongation_mm for b in state.branches}
-    assert len(elongations) == 1
+    assert state.taut.all()
+    assert state.tension_n.tolist() == pytest.approx([3.0, 3.0, 3.0, 3.0])
+    assert len(set(state.elongation_mm.tolist())) == 1
 
 
 def test_slack_branches_carry_zero_tension():
     hand = default_hand()
     net = two_branch_net(hand, slack_a=2.0, slack_b=40.0)
-    pose = spastic_rest_pose(hand, 0.5)
+    pose = spastic_rest_pose(hand, 0.5).angles_deg
     state = network_state(hand, net, pose, 10.0, total_tension_n=8.0)
-    b1, b2 = state.branches
-    assert b1.taut and not b2.taut
-    assert b2.tension_n == 0.0
-    assert b1.tension_n == pytest.approx(8.0)
+    assert state.taut.tolist() == [True, False]
+    assert state.tension_n[1] == 0.0
+    assert state.tension_n[0] == pytest.approx(8.0)
     assert state.actuator_tension_n == pytest.approx(8.0)
 
 
@@ -268,15 +330,16 @@ def test_free_length_offsets_demand():
     # a pose that has paid out tendon reduces the elastic demand
     hand = default_hand()
     net = two_branch_net(hand)
-    rest = spastic_rest_pose(hand, 0.5)
+    rest = spastic_rest_pose(hand, 0.5).angles_deg
     # extend the index MCP by 10 degrees from rest: free length r * dtheta
-    moved = rest.replace_angles({IDX_MCP: rest.angle(IDX_MCP) - 10.0})
-    r = moment_arm_mm(hand, net.branches[0].routing[0])
+    moved = rest.copy()
+    moved[hand.col(IDX_MCP)] -= 10.0
+    r = moment_arms(hand, net)[hand.col(IDX_MCP), 0]
     free = r * math.radians(10.0)
     disp = 2.0 + free + 1.5  # slack + free length + 1.5 mm of true stretch
-    state = network_state(hand, net, moved, disp, rest_pose=rest)
-    assert state.branches[0].taut
-    assert state.branches[0].elongation_mm == pytest.approx(1.5, abs=1e-9)
+    state = network_state(hand, net, moved, disp, rest_deg=rest)
+    assert state.taut[0]
+    assert state.elongation_mm[0] == pytest.approx(1.5, abs=1e-9)
 
 
 @given(
@@ -290,12 +353,11 @@ def test_taut_monotone_in_displacement(d_small, d_large):
         d_small, d_large = d_large, d_small
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.6)
+    pose = spastic_rest_pose(hand, 0.6).angles_deg
     s_small = network_state(hand, net, pose, d_small)
     s_large = network_state(hand, net, pose, d_large)
-    for a, b in zip(s_small.branches, s_large.branches):
-        assert (not a.taut) or b.taut
-        assert b.elongation_mm >= a.elongation_mm - 1e-12
+    assert np.all(~s_small.taut | s_large.taut)
+    assert np.all(s_large.elongation_mm >= s_small.elongation_mm - 1e-12)
 
 
 @given(
@@ -305,9 +367,9 @@ def test_taut_monotone_in_displacement(d_small, d_large):
 def test_force_balance_exact(displacement, total_tension):
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.6)
+    pose = spastic_rest_pose(hand, 0.6).angles_deg
     state = network_state(
         hand, net, pose, displacement, total_tension_n=total_tension
     )
-    assert state.actuator_tension_n == sum(b.tension_n for b in state.branches)
-    assert all(b.tension_n >= 0.0 for b in state.branches)
+    assert state.actuator_tension_n == sum(state.tension_n)
+    assert np.all(state.tension_n >= 0.0)

@@ -273,10 +273,21 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("breakaway: yes\n", "breakaway: expected a mapping, got bool"),
         ("stroke_mm: [1\n", "while parsing"),  # not YAML
         (b"stroke_mm: \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ("subject_id: null\n", "subject_id: expected a string, got NoneType"),
+        ("subject_id: 7\n", "subject_id: expected a string, got int"),
+        ("functional_extension: maybe\n", "functional_extension: expected a bool or null"),
+        ("functional_extension: 1\n", "functional_extension: expected a bool or null, got int"),
+        ("breakaway:\n  occurred: maybe\n", "breakaway.occurred: expected a bool or null"),
+        ("seed: abc\n", "seed: expected null, an int or a list of ints, got 'abc'"),
+        ("seed: 1.5\n", "seed: expected null, an int or a list of ints, got 1.5"),
+        ("seed: true\n", "seed: expected null, an int or a list of ints, got True"),
+        ("seed: [1, x]\n", "seed: expected null, an int or a list of ints, got [1, 'x']"),
     ],
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
          "release-time-text", "functional-time-map", "breakaway-list", "breakaway-bool",
-         "not-yaml", "not-utf8"],
+         "not-yaml", "not-utf8", "subject-null", "subject-int", "functional-text",
+         "functional-int", "occurred-text", "seed-text", "seed-float", "seed-bool",
+         "seed-list-text"],
 )
 def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
     """A sidecar that is not YAML, not a mapping, or holds a field that does
@@ -298,3 +309,20 @@ def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
         else:
             assert got == value, name
     assert trace.stroke_mm == 42.0
+
+
+def test_well_typed_sidecar_fields_are_read():
+    fields = traceio._sidecar_fields(
+        {
+            "subject_id": "S9",
+            "seed": [1, 2, 3],
+            "functional_extension": None,
+            "breakaway": {"occurred": None},
+        }
+    )
+    assert (fields["subject_id"], fields["seed"]) == ("S9", [1, 2, 3])
+    assert fields["functional_extension"] is None and fields["breakaway"] is False
+    fields = traceio._sidecar_fields(
+        {"seed": 4, "functional_extension": True, "breakaway": {"occurred": True}}
+    )
+    assert (fields["seed"], fields["functional_extension"], fields["breakaway"]) == (4, True, True)

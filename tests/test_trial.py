@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from exosim.actuation import (
     ActuatorSpec,
-    CouplingState,
     measure,
     update_coupling,
 )
-from exosim.hand import Digit, FINGERS, JointKind, spastic_rest_pose
+from exosim.hand import Digit, FINGERS, JointKind, finger_flexion_deg, spastic_rest_pose
 from exosim.spasticity import resistance_force_n
-from exosim.tendons import branch_excursion_mm, network_state
+from exosim.tendons import excursion_mm, net_elongation_mm, network_state
 from exosim.trial import (
     MAX_SAMPLES,
     PoseResponse,
@@ -115,51 +114,64 @@ def test_sample_count_is_capped_when_the_config_is_made(hand, extension_net, ban
 # --- pose response ------------------------------------------------------------
 
 
+def in_limits(hand, pose):
+    """True if validate_pose accepts the pose."""
+    try:
+        hand.validate_pose(pose.angles_deg)
+    except ValueError:
+        return False
+    return True
+
+
+def angle(hand, pose, digit, kind):
+    return pose.angles_deg[..., hand.col((digit, kind))]
+
+
 def test_extension_response_monotone_open(hand, extension_net):
     rest = spastic_rest_pose(hand, 0.75)
     response = PoseResponse(hand, extension_net, rest)
     last_total = {d: math.inf for d in FINGERS}
     for disp in np.linspace(0.0, 50.0, 201):
         pose = response.at(float(disp))
-        assert hand.pose_in_limits(pose)
-        for d in FINGERS:
-            total = pose.total_finger_flexion(d)
+        assert in_limits(hand, pose)
+        for d, total in zip(FINGERS, finger_flexion_deg(hand, pose.angles_deg)):
             assert total <= last_total[d] + 1e-9
             last_total[d] = total
     # fully retracted: everything driven reaches full extension
     final = response.at(50.0)
-    for d in FINGERS:
-        assert final.total_finger_flexion(d) == pytest.approx(0.0, abs=1e-9)
+    assert finger_flexion_deg(hand, final.angles_deg).tolist() == pytest.approx(
+        [0.0] * 4, abs=1e-9
+    )
 
 
 def test_extension_response_deficit_matches_displacement(hand, extension_net):
     """While following, the pose pays out exactly the displacement past slack."""
     rest = spastic_rest_pose(hand, 0.75)
     response = PoseResponse(hand, extension_net, rest)
+    e_rest = excursion_mm(hand, extension_net, rest.angles_deg)
     for disp in (3.0, 10.0, 25.0, 40.0):
         pose = response.at(disp)
-        for b in extension_net.branches:
-            deficit = branch_excursion_mm(hand, b, rest) - branch_excursion_mm(
-                hand, b, pose
-            )
-            expected = min(disp - b.slack_mm, branch_excursion_mm(hand, b, rest))
-            assert deficit == pytest.approx(expected, abs=1e-9)
+        deficit = e_rest - excursion_mm(hand, extension_net, pose.angles_deg)
+        for b, branch in enumerate(extension_net.branches):
+            expected = min(disp - branch.slack_mm, e_rest[b])
+            assert deficit[b] == pytest.approx(expected, abs=1e-9)
 
 
 def test_extension_response_holds_rest_before_slack(hand, extension_net):
     rest = spastic_rest_pose(hand, 0.75)
     response = PoseResponse(hand, extension_net, rest)
-    assert response.at(0.0).angles_deg == rest.angles_deg
-    assert response.at(1.99).angles_deg == rest.angles_deg
+    assert response.at(0.0).angles_deg.tolist() == rest.angles_deg.tolist()
+    assert response.at(1.99).angles_deg.tolist() == rest.angles_deg.tolist()
 
 
 def test_extension_saturates_beyond_rest_excursion(hand, extension_net):
     rest = spastic_rest_pose(hand, 0.3)
     response = PoseResponse(hand, extension_net, rest)
-    e_rest = branch_excursion_mm(hand, extension_net.branches[0], rest)
+    e_rest = excursion_mm(hand, extension_net, rest.angles_deg)[0]
     pose = response.at(e_rest + 10.0)
-    for d in FINGERS:
-        assert pose.total_finger_flexion(d) == pytest.approx(0.0, abs=1e-9)
+    assert finger_flexion_deg(hand, pose.angles_deg).tolist() == pytest.approx(
+        [0.0] * 4, abs=1e-9
+    )
 
 
 def test_dip_follows_pip_in_extension(hand, extension_net):
@@ -167,8 +179,8 @@ def test_dip_follows_pip_in_extension(hand, extension_net):
     response = PoseResponse(hand, extension_net, rest)
     pose = response.at(20.0)
     for d in FINGERS:
-        pip = pose.get((d, JointKind.PIP))
-        dip = pose.get((d, JointKind.DIP))
+        pip = angle(hand, pose, d, JointKind.PIP)
+        dip = angle(hand, pose, d, JointKind.DIP)
         assert dip == pytest.approx(0.7 * pip, abs=1e-9)
 
 
@@ -177,20 +189,20 @@ def test_pinch_response_directions(hand, pinch_net):
     response = PoseResponse(hand, pinch_net, rest)
     poses = [response.at(float(d)) for d in np.linspace(0.0, 50.0, 101)]
     for digit in FINGERS:
-        mcp = [p.get((digit, JointKind.MCP)) for p in poses]
-        pip = [p.get((digit, JointKind.PIP)) for p in poses]
-        dip = [p.get((digit, JointKind.DIP)) for p in poses]
+        mcp = [angle(hand, p, digit, JointKind.MCP) for p in poses]
+        pip = [angle(hand, p, digit, JointKind.PIP) for p in poses]
+        dip = [angle(hand, p, digit, JointKind.DIP) for p in poses]
         assert all(b >= a - 1e-9 for a, b in zip(mcp, mcp[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(pip, pip[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(dip, dip[1:]))
         assert mcp[-1] > mcp[0]  # MCp actually advances toward flexion
         assert pip[-1] < pip[0]
     # thumb adducts (its abduction axis plays the proximal role)
-    thumb = [p.get((Digit.THUMB, JointKind.ABDUCTION)) for p in poses]
+    thumb = [angle(hand, p, Digit.THUMB, JointKind.ABDUCTION) for p in poses]
     assert all(b >= a - 1e-9 for a, b in zip(thumb, thumb[1:]))
     assert thumb[-1] > thumb[0]
     for p in poses:
-        assert hand.pose_in_limits(p)
+        assert in_limits(hand, p)
 
 
 def test_pinch_saturates_at_joint_limits(hand, pinch_net):
@@ -198,9 +210,9 @@ def test_pinch_saturates_at_joint_limits(hand, pinch_net):
     response = PoseResponse(hand, pinch_net, rest)
     pose = response.at(500.0)
     for digit in FINGERS:
-        assert pose.get((digit, JointKind.MCP)) == pytest.approx(90.0)
-        assert pose.get((digit, JointKind.PIP)) == pytest.approx(0.0)
-        assert pose.get((digit, JointKind.DIP)) == pytest.approx(0.0)
+        assert angle(hand, pose, digit, JointKind.MCP) == pytest.approx(90.0)
+        assert angle(hand, pose, digit, JointKind.PIP) == pytest.approx(0.0)
+        assert angle(hand, pose, digit, JointKind.DIP) == pytest.approx(0.0)
 
 
 def test_response_rejects_negative_displacement(hand, extension_net):
@@ -215,21 +227,24 @@ def test_response_rejects_negative_displacement(hand, extension_net):
 def test_functional_extension_threshold(hand):
     open_pose = spastic_rest_pose(hand, 0.2)  # totals 52 degrees per finger
     closed = spastic_rest_pose(hand, 0.75)  # totals 195 degrees
-    assert is_functional_extension(open_pose)
-    assert not is_functional_extension(closed)
+    assert is_functional_extension(hand, open_pose.angles_deg)
+    assert not is_functional_extension(hand, closed.angles_deg)
+    # one answer per row
+    both = np.stack([open_pose.angles_deg, closed.angles_deg])
+    assert is_functional_extension(hand, both).tolist() == [True, False]
 
 
 def test_functional_extension_boundary_inclusive(hand):
     # fraction chosen so each finger totals exactly the 110-degree threshold
     fraction = 110.0 / 260.0
     pose = spastic_rest_pose(hand, fraction)
-    assert pose.total_finger_flexion(Digit.INDEX) == pytest.approx(110.0)
-    assert is_functional_extension(pose, 110.0)
+    assert finger_flexion_deg(hand, pose.angles_deg)[0] == pytest.approx(110.0)
+    assert is_functional_extension(hand, pose.angles_deg, 110.0)
 
 
 def test_functional_extension_worst_finger_governs(hand):
     pose = spastic_rest_pose(hand, {"default": 0.2, Digit.RING: 0.9})
-    assert not is_functional_extension(pose)
+    assert not is_functional_extension(hand, pose.angles_deg)
 
 
 # --- trial events ----------------------------------------------------------------
@@ -240,11 +255,9 @@ def test_functional_times_against_closed_form(hand, extension_net, bank):
     for sid in ("S1", "S2", "S5"):
         profile = bank.by_id(sid)
         trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
-        rest = profile.rest_pose
-        worst = max(rest.total_finger_flexion(d) for d in FINGERS)
-        e_rest = max(
-            branch_excursion_mm(hand, b, rest) for b in extension_net.branches
-        )
+        rest = profile.rest_pose.angles_deg
+        worst = max(finger_flexion_deg(hand, rest))
+        e_rest = max(excursion_mm(hand, extension_net, rest))
         d_func = 2.0 + e_rest * (1.0 - 110.0 / worst)
         t_func = d_func / 5.0
         # the event lands on the first sample at or past the crossing
@@ -303,8 +316,7 @@ def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, bank
 def test_hand_relaxes_to_rest_after_release(hand, extension_net, bank):
     profile = bank.by_id("S4")
     trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
-    assert trace.final_pose is not None
-    assert trace.final_pose.angles_deg == profile.rest_pose.angles_deg
+    assert trace.angles_deg[-1].tolist() == profile.rest_pose.angles_deg.tolist()
 
 
 def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
@@ -315,13 +327,12 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
     for i in range(0, len(trace), 53):
         d = trace.stroke_mm - trace.actuator_mm[i]
         state = network_state(
-            hand, extension_net, trace.poses[i], d, rest_pose=profile.rest_pose
+            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose.angles_deg
         )
-        for b, bs in enumerate(state.branches):
-            assert bool(trace.branch_taut[i, b]) == bs.taut
-            assert trace.branch_elongation_mm[i, b] == pytest.approx(
-                bs.elongation_mm, abs=1e-9
-            )
+        assert trace.branch_taut[i].tolist() == state.taut.tolist()
+        assert trace.branch_elongation_mm[i].tolist() == pytest.approx(
+            state.elongation_mm.tolist(), abs=1e-9
+        )
         assert trace.actuator_tension_n[i] == pytest.approx(
             float(np.sum(trace.branch_tension_n[i])), abs=1e-12
         )
@@ -340,39 +351,45 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
     trace = run_trial(cfg, seed=5)
     noise = np.random.default_rng(5).normal(0.0, 0.4, len(trace))
     response = PoseResponse(hand, net, rest)
-    coupling = CouplingState()
+    release_time = None  # the coupling opens at the first crossing, for good
     functional_time = None
     for i, t in enumerate(trace.t_s):
-        held = coupling.engaged
+        held = release_time is None
         d = trace.stroke_mm - trace.actuator_mm[i]
         pose = response.at(d) if held else rest
-        assert trace.poses[i].angles_deg == pose.angles_deg
-        assert trace.angles_deg[i].tolist() == [pose.angle(j) for j in trace.joints]
-        kin = network_state(hand, net, pose, d, rest_pose=rest)
-        spring = resistance_force_n(profile, kin.net_elongation_mm) if held else 0.0
+        assert trace.poses[i].angles_deg.tolist() == pose.angles_deg.tolist()
+        assert trace.angles_deg[i].tolist() == [
+            pose.angles_deg[hand.col(j)] for j in trace.joints
+        ]
+        # The spring sees the junction's pull past slack whatever the pose.
+        spring = resistance_force_n(profile, net_elongation_mm(net, d)) if held else 0.0
         true_force = spring + noise[i]
-        coupling = update_coupling(coupling, true_force, cfg.coupling, t)
-        transmitted = max(0.0, true_force) if coupling.engaged else 0.0
-        kin = kin.with_total_tension(transmitted)
+        if held:
+            release_time = update_coupling(true_force, cfg.coupling, t)
+        transmitted = max(0.0, true_force) if release_time is None else 0.0
+        kin = network_state(
+            hand, net, pose.angles_deg, d, rest_deg=rest.angles_deg, total_tension_n=transmitted
+        )
+        assert kin.net_elongation_mm == net_elongation_mm(net, d)
         assert trace.true_force_n[i] == true_force
         assert trace.force_n[i] == measure(transmitted, cfg.cell)
-        assert trace.branch_taut[i].tolist() == [b.taut for b in kin.branches]
-        assert trace.branch_elongation_mm[i].tolist() == [
-            b.elongation_mm for b in kin.branches
-        ]
-        assert trace.branch_tension_n[i].tolist() == [b.tension_n for b in kin.branches]
+        assert trace.branch_taut[i].tolist() == kin.taut.tolist()
+        assert trace.branch_elongation_mm[i].tolist() == kin.elongation_mm.tolist()
+        assert trace.branch_tension_n[i].tolist() == kin.tension_n.tolist()
         assert trace.actuator_tension_n[i] == kin.actuator_tension_n
-        if held and functional_time is None and is_functional_extension(pose):
+        if held and functional_time is None and is_functional_extension(hand, pose.angles_deg):
             functional_time = t
-    assert trace.breakaway == (not coupling.engaged)
-    assert trace.breakaway_time_s == coupling.disengage_time_s
+    assert trace.breakaway == (release_time is not None)
+    assert trace.breakaway_time_s == release_time
     assert trace.functional_time_s == functional_time
     assert trace.functional_extension == (functional_time is not None)
-    assert trace.final_pose.angles_deg == pose.angles_deg
+    assert trace.angles_deg[-1].tolist() == pose.angles_deg.tolist()
 
     window = trace.window(150, 700)
     assert window.joints == trace.joints
-    assert window.poses == trace.poses[150:700]
+    assert [p.angles_deg.tolist() for p in window.poses] == [
+        p.angles_deg.tolist() for p in trace.poses[150:700]
+    ]
     for name in ("t_s", "force_n", "angles_deg", "branch_taut", "branch_tension_n"):
         assert np.array_equal(getattr(window, name), getattr(trace, name)[150:700])
 
