@@ -189,28 +189,46 @@ def config_hash(cfg: Mapping) -> str:
 
 
 def _finite(raw: Any, key: str) -> float:
-    """A config number; ValueError naming its dotted key if it is not finite."""
-    value = float(raw)
+    """A config number; ValueError naming its dotted key if it is not a
+    finite number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a finite number, got {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value}")
     return value
 
 
+def _pair(raw: Any, key: str, *, open_hi: bool = False) -> tuple[float, float | None]:
+    """A ``[lo, hi]`` config list as two finite numbers, ``hi`` None if
+    ``open_hi`` allows a null; ValueError naming its dotted key otherwise."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValueError(f"{key} must be two numbers [lo, hi], got {raw!r}")
+    lo, hi = raw
+    return _finite(lo, key), None if open_hi and hi is None else _finite(hi, key)
+
+
 def _fraction_from_config(raw: Any, key: str):
+    """A scalar or per-digit rest flexion fraction, each in [0, 1]."""
     if isinstance(raw, Mapping):
-        out: dict = {}
-        for k, v in raw.items():
-            digit = Digit(k) if k != "default" else "default"
-            out[digit] = _finite(v, f"{key}.{k}")
-        return out
-    return _finite(raw, key)
+        return {
+            Digit(k) if k != "default" else "default": _fraction_from_config(v, f"{key}.{k}")
+            for k, v in raw.items()
+        }
+    value = _finite(raw, key)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{key} must be in [0, 1], got {value}")
+    return value
 
 
 def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
     if raw is None:
         return None
-    lo, hi = raw
-    return (_finite(lo, key), None if hi is None else _finite(hi, key))
+    lo, hi = _pair(raw, key, open_hi=True)
+    if hi is not None and hi < lo:
+        raise ValueError(f"{key} must have lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _notes(raw: Any, key: str) -> str:
@@ -324,10 +342,7 @@ class Bench:
             ranges = cfg["hand"]["flexion_ranges_deg"]
             hand = default_hand(
                 _finite(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
-                {
-                    k: [_finite(v, f"hand.flexion_ranges_deg.{k}") for v in limits]
-                    for k, limits in ranges.items()
-                },
+                {k: _pair(v, f"hand.flexion_ranges_deg.{k}") for k, v in ranges.items()},
             )
             net = cfg["network"]
             slack = _finite(net["branch_slack_mm"], "network.branch_slack_mm")

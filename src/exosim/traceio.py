@@ -9,9 +9,9 @@ crash never leaves a half-written artifact.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,10 @@ from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
-# Rows parsed in one call: enough to amortise the call, few enough that the
-# cells of one block stay small beside the file's lines.
-_BLOCK_ROWS = 256
-# A block of this many rows or fewer that fails is read row by row, not halved.
-_LEAF_ROWS = 8
+# The bytes of a trace body on which ``np.loadtxt`` and ``float`` read every
+# cell alike.  Every body exosim writes holds only these; outside them the two
+# differ (``float`` reads "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).
+_PLAIN_BYTES = b"0123456789.,+-eE\n"
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -104,44 +103,6 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
     return csv_path
 
 
-def _cells(rows: list[str]) -> np.ndarray:
-    """The cells of three-column ``rows`` as ``float`` reads them, one array
-    row per row; ValueError if a cell is not a number."""
-    cells = map(float, ",".join(rows).split(","))
-    return np.fromiter(cells, float, 3 * len(rows)).reshape(-1, 3)
-
-
-def _parse_rows(rows: list[str]) -> tuple[np.ndarray, list[int]]:
-    """The values of three-column ``rows``, one row of the result per row
-    ``float`` accepts, and the indices of the rows it rejects.  Each block of
-    up to ``_BLOCK_ROWS`` rows is parsed in one call; only a block that fails
-    is split, in halves, down to ``_LEAF_ROWS`` rows, which are read one by
-    one."""
-    if not rows:
-        return np.empty((0, 3)), []
-    if len(rows) <= _BLOCK_ROWS:
-        try:
-            return _cells(rows), []
-        except ValueError:
-            if len(rows) <= _LEAF_ROWS:
-                return _parse_each(rows)
-    mid = len(rows) // 2
-    head, head_bad = _parse_rows(rows[:mid])
-    tail, tail_bad = _parse_rows(rows[mid:])
-    return np.concatenate((head, tail)), head_bad + [mid + i for i in tail_bad]
-
-
-def _parse_each(rows: list[str]) -> tuple[np.ndarray, list[int]]:
-    """``_parse_rows`` one row at a time."""
-    table, bad = [np.empty((0, 3))], []
-    for i, row in enumerate(rows):
-        try:
-            table.append(_cells([row]))
-        except ValueError:
-            bad.append(i)
-    return np.concatenate(table), bad
-
-
 def _number(value, name: str) -> float:
     try:
         return float(value)
@@ -196,45 +157,74 @@ def _sidecar_fields(meta) -> dict:
     }
 
 
+def _plain_rows(lines: list[str]) -> np.ndarray | None:
+    """The rows of a trace CSV, read in one ``np.loadtxt`` call, when its
+    header is ``CSV_HEADER`` and its body holds only ``_PLAIN_BYTES`` and
+    three finite numbers a row; None for any other file."""
+    stripped = map(str.strip, lines)
+    header = next((i for i, line in enumerate(stripped) if line[:1] not in ("", "#")), None)
+    if header is None or lines[header].strip() != CSV_HEADER:
+        return None
+    body = lines[header + 1 :]
+    plain = "\n".join(body).encode()
+    if not plain.strip(b"\n") or plain.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        table = np.loadtxt(body, float, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == 3 and np.isfinite(table).all() else None
+
+
+def _line_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]]:
+    """The rows of a trace CSV one line at a time, with a ``file:line``
+    warning for a wrong header and for each row that is skipped."""
+    values: list[float] = []  # three a row
+    warnings: list[str] = []
+    header_seen = False
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line or line[0] == "#":
+            continue
+        if not header_seen:
+            header_seen = True
+            if line != CSV_HEADER:
+                warnings.append(f"{name}:{lineno}: unexpected header {line!r}")
+            continue
+        cells = line.split(",")
+        if len(cells) != 3:
+            warnings.append(f"{name}:{lineno}: expected 3 columns, got {len(cells)}")
+            continue
+        try:
+            t, position, force = map(float, cells)
+        except ValueError:
+            warnings.append(f"{name}:{lineno}: non-numeric row {line!r}")
+            continue
+        if not (math.isfinite(t) and math.isfinite(position) and math.isfinite(force)):
+            warnings.append(f"{name}:{lineno}: non-finite row {line!r}")
+            continue
+        values += (t, position, force)
+    return np.array(values, float).reshape(-1, 3), warnings
+
+
 def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     """Load a trace CSV (and sidecar when present).
 
     Blank lines and ``#`` comments are skipped; the first other line is the
     header.  Malformed data rows (wrong column count, non-numeric or
     non-finite values) are skipped and reported as warnings with their line
-    numbers; the rest of the file still loads.  Without a sidecar the stroke
+    numbers; the rest of the file still loads.  A body of plain numbers is
+    read in one call, any other line by line.  Without a sidecar the stroke
     is taken as the largest recorded actuator position.
     """
     csv_path = Path(csv_path)
     try:
-        text = csv_path.read_text()
+        lines = csv_path.read_text().splitlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{csv_path.name}: {err}") from None
-    lines = list(map(str.strip, text.splitlines()))
-    faults: list[tuple[int, str]] = []  # (line index, what is wrong with it)
-    header = next((i for i, line in enumerate(lines) if line and line[0] != "#"), len(lines))
-    if header < len(lines) and lines[header] != CSV_HEADER:
-        faults.append((header, f"unexpected header {lines[header]!r}"))
-    # Every later line with two commas is taken for a row and parsed in bulk.
-    # Only the lines that this rejects are looked at one by one: blank lines,
-    # comments and malformed rows.
-    body = lines[header + 1 :]
-    commas = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body))
-    rows = np.flatnonzero(commas == 2)
-    table, non_numeric = _parse_rows(list(map(body.__getitem__, rows.tolist())))
-    for i in sorted(np.flatnonzero(commas != 2).tolist() + rows[non_numeric].tolist()):
-        if body[i] and body[i][0] != "#":
-            what = (
-                f"expected 3 columns, got {commas[i] + 1}"
-                if commas[i] != 2
-                else f"non-numeric row {body[i]!r}"
-            )
-            faults.append((header + 1 + i, what))
-    rows = np.delete(rows, non_numeric)
-    finite = np.isfinite(table).all(axis=1)
-    faults += [(header + 1 + i, f"non-finite row {body[i]!r}") for i in rows[~finite].tolist()]
-    t, position, force = np.ascontiguousarray(table[finite].T)
-    warnings = [f"{csv_path.name}:{i + 1}: {what}" for i, what in sorted(faults)]
+    table, warnings = _plain_rows(lines), []
+    if table is None:
+        table, warnings = _line_rows(lines, csv_path.name)
+    t, position, force = np.ascontiguousarray(table.T)
 
     fields = _sidecar_fields({})
     side = sidecar_path(csv_path)

@@ -133,6 +133,58 @@ def test_open_peak_band_stays_allowed():
     assert Bench.from_config(cfg).bank.by_id("S1").peak_band_n == (15.0, None)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("subjects.S1.rest_flexion_fraction", "1.5",
+         "subjects.S1.rest_flexion_fraction must be in [0, 1], got 1.5"),
+        ("subjects.S1.rest_flexion_fraction", "-0.5",
+         "subjects.S1.rest_flexion_fraction must be in [0, 1], got -0.5"),
+        ("subjects.S1.rest_flexion_fraction", "{index: 2.0}",
+         "subjects.S1.rest_flexion_fraction.index must be in [0, 1], got 2.0"),
+        ("subjects.S3.rest_flexion_fraction.default", "-0.01",
+         "subjects.S3.rest_flexion_fraction.default must be in [0, 1], got -0.01"),
+        ("subjects.S1.peak_band_n", "[20, 15]",
+         "subjects.S1.peak_band_n must have lo <= hi, got [20.0, 15.0]"),
+        ("subjects.S1.peak_band_n", "[1, 2, 3]",
+         "subjects.S1.peak_band_n must be two numbers [lo, hi], got [1, 2, 3]"),
+        ("subjects.S1.peak_band_n", "[20]",
+         "subjects.S1.peak_band_n must be two numbers [lo, hi], got [20]"),
+        ("subjects.S1.peak_band_n", "[null, 20]",
+         "subjects.S1.peak_band_n must be a finite number, got None"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[0, 80, 5]",
+         "hand.flexion_ranges_deg.finger_mcp must be two numbers [lo, hi], got [0, 80, 5]"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[5]",
+         "hand.flexion_ranges_deg.finger_mcp must be two numbers [lo, hi], got [5]"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[0, null]",
+         "hand.flexion_ranges_deg.finger_mcp must be a finite number, got None"),
+    ],
+)
+def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value, message):
+    """A rest fraction outside [0, 1], and a band or range that is not two
+    numbers in order, fail naming their dotted key, before anything is written."""
+    cfg = apply_overrides(default_config(), {key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):
+        Bench.from_config(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("subjects.S1.rest_flexion_fraction", "0"),
+        ("subjects.S1.rest_flexion_fraction", "1"),
+        ("subjects.S3.rest_flexion_fraction", "{default: 0.0, index: 1.0}"),
+        ("subjects.S1.peak_band_n", "[15, 15]"),
+    ],
+)
+def test_config_values_at_their_bounds_are_allowed(key, value):
+    Bench.from_config(apply_overrides(default_config(), {key: value}))
+
+
 @pytest.mark.parametrize("notes", ["x\x01y" * 40, "x" * 201, "é", 5, None, ["a"]])
 def test_notes_that_could_hash_differently_are_rejected(notes):
     """Notes must be at most 200 printable ASCII characters, on which the two

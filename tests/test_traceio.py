@@ -1,6 +1,7 @@
-"""The bulk trace reader and the one-call renders against the line-at-a-time
+"""The trace reader and the one-call renders against the line-at-a-time
 code they replaced, kept here as oracles: same arrays bit for bit, same
-warnings in the same order, same bytes."""
+warnings in the same order, same bytes.  Every warning is an error here, so
+an empty body cannot leak numpy's "input contained no data"."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from exosim.analysis import AnalysisReport
 from exosim.traceio import CSV_HEADER, read_trace, render_fit_csv, render_trace_csv
 from exosim.trial import TrialTrace
 
+# libcst, which hypothesis loads to print a failing example, warns on import.
+pytestmark = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:libcst")
 
 # --- oracles: the reader and renders as they were, one line at a time ------------
 
@@ -129,16 +132,9 @@ def csv_file(tmp_path_factory):
     return tmp_path_factory.mktemp("traceio") / "trace.csv"
 
 
-def assert_reads_like_oracle(
-    path: Path, block_rows: int | None = None, leaf_rows: int | None = None
-) -> None:
+def assert_reads_like_oracle(path: Path) -> None:
     expected = oracle_read_rows(path)
-    with mock.patch.multiple(
-        traceio,
-        _BLOCK_ROWS=block_rows or traceio._BLOCK_ROWS,
-        _LEAF_ROWS=leaf_rows or traceio._LEAF_ROWS,
-    ):
-        trace, warnings = read_trace(path)
+    trace, warnings = read_trace(path)
     for got, want in zip((trace.t_s, trace.actuator_mm, trace.force_n), expected):
         assert got.dtype == want.dtype == np.float64
         assert got.shape == want.shape
@@ -147,28 +143,58 @@ def assert_reads_like_oracle(
 
 
 @settings(max_examples=250, deadline=None)
-@given(
-    text=csv_texts(),
-    block_rows=st.sampled_from([None, 1, 2, 3, 5]),
-    leaf_rows=st.sampled_from([None, 1, 2]),
-)
-@example(text="", block_rows=None, leaf_rows=None)
-@example(text=CSV_HEADER + "\n", block_rows=None, leaf_rows=None)
-@example(text="\n\n# only comments, 1, 2\n", block_rows=None, leaf_rows=None)
+@given(text=csv_texts())
+@example(text="")
+@example(text=CSV_HEADER + "\n")
+@example(text=CSV_HEADER + "\n\n\n  \n\n")  # a body of blank lines
+@example(text="\n\n# only comments, 1, 2\n")
 # No header: the row is taken for it.
-@example(text="0.0,1.0,2.0\n", block_rows=None, leaf_rows=None)
-@example(
-    text=CSV_HEADER + "\r\n1_0,2,3\r\n#a,b,c\r\n1,2\f4,5,6,7\x1c-0.0,nan,1\n",
-    block_rows=2,
-    leaf_rows=1,
-)
-def test_read_trace_matches_line_loop_oracle(csv_file, text, block_rows, leaf_rows):
+@example(text="0.0,1.0,2.0\n")
+# loadtxt reads "4\x1f" as 4.0, float rejects it.
+@example(text=CSV_HEADER + "\n0.0,0.0,0.0\n0.0,4\x1f,0.0\n")
+@example(text=CSV_HEADER + "\n1_0,2,3\n")  # float reads 10.0, loadtxt rejects it
+@example(text=CSV_HEADER + "\n0.5,1,2\n1e999,1,2\n")
+@example(text=CSV_HEADER + "\r\n0.5,1,2\r\n-1.5,2e3,+3\r\n")
+@example(text=CSV_HEADER + "\r\n1_0,2,3\r\n#a,b,c\r\n1,2\f4,5,6,7\x1c-0.0,nan,1\n")
+def test_read_trace_matches_line_loop_oracle(csv_file, text):
     csv_file.write_text(text, newline="")  # as written: no newline translation
-    assert_reads_like_oracle(csv_file, block_rows, leaf_rows)
+    assert_reads_like_oracle(csv_file)
+
+
+PLAIN = NUMBERS.filter(lambda cell: not cell.encode().translate(None, traceio._PLAIN_BYTES))
+PLAIN_ROWS = st.lists(PLAIN, min_size=3, max_size=3).map(",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(PLAIN_ROWS, min_size=1, max_size=40),
+    ending=st.sampled_from(["", "\n", "\n\n"]),
+)
+def test_plain_bodies_read_in_one_call_like_the_oracle(csv_file, rows, ending):
+    """Bodies of plain numbers only (long digit strings, subnormals, signs,
+    exponents) reach ``np.loadtxt`` and read as ``float`` reads them."""
+    csv_file.write_text(CSV_HEADER + "\n" + "\n".join(rows) + ending)
+    with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert_reads_like_oracle(csv_file)
+    assert loadtxt.call_count == 1
+
+
+def test_written_trace_is_read_in_one_loadtxt_call(tmp_path):
+    rng = np.random.default_rng(9)
+    trace = TrialTrace(
+        t_s=np.arange(1001) / 100.0,
+        actuator_mm=rng.uniform(-50, 50, 1001),
+        force_n=rng.normal(10, 40, 1001),
+        seed=3,
+    )
+    path = traceio.write_trace(trace, tmp_path / "t.csv", config_hash="a28b7240be85")
+    with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert_reads_like_oracle(path)
+    assert loadtxt.call_count == 1
 
 
 def test_read_trace_matches_oracle_on_long_files(tmp_path):
-    """Thousands of rows with faults scattered through several parse blocks."""
+    """Thousands of rows with faults scattered through them."""
     rng = np.random.default_rng(5)
     lines = ["# exosim 0.1.0", CSV_HEADER]
     for i in range(3000):
@@ -179,8 +205,6 @@ def test_read_trace_matches_oracle_on_long_files(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("\n".join(lines) + "\n")
     assert_reads_like_oracle(path)
-    assert_reads_like_oracle(path, block_rows=7)
-    assert_reads_like_oracle(path, block_rows=7, leaf_rows=2)
 
 
 # --- the renders ------------------------------------------------------------------
