@@ -25,14 +25,8 @@ from .analysis import AnalysisReport, analyze, batch_report
 from .config import Bench, ConfigError, TOOL_VERSION
 from .reproduce import run_reproduction
 from .spasticity import calibrate_stiffness
-from .tendons import full_flexion_excursion_mm, index_branch_col
-from .traceio import (
-    read_trace,
-    render_fit_csv,
-    render_report_yaml,
-    write_text_atomic,
-    write_trace,
-)
+from .tendons import index_excursion_mm
+from .traceio import FIT_SUFFIX, read_trace, write_report, write_text_atomic, write_trace
 
 ENV_CONFIG = "EXOSIM_CONFIG"
 # Each analysis process takes at least this many traces, so a fork pays for
@@ -133,8 +127,7 @@ def _analyze_trace(path: Path, out: Path, analysis) -> tuple[list[str], Analysis
     fit CSV needs."""
     trace, warnings = read_trace(path)
     report = analyze(trace, label=path.stem, **analysis)
-    write_text_atomic(out / f"{path.stem}.report.yaml", render_report_yaml(report))
-    write_text_atomic(out / f"{path.stem}_fit.csv", render_fit_csv(report))
+    write_report(report, out)
     report.position_frac = report.force_frac = None
     return warnings, report
 
@@ -191,7 +184,7 @@ def _cmd_analyze(args) -> int:
             paths.append(p)
         else:
             raise CliError(f"no such trace file or directory: {p}")
-    paths = [p for p in paths if not p.name.endswith("_fit.csv")]
+    paths = [p for p in paths if not p.name.endswith(FIT_SUFFIX)]
     if not paths:
         raise CliError("no trace CSVs to analyze")
     # A trace's report files are named after its stem, so two traces with one
@@ -245,7 +238,7 @@ def _cmd_calibrate(args) -> int:
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
     hand = bench.calibrated_hand()
     depth = hand.depth_mm
-    excursion = full_flexion_excursion_mm(hand, bench.extension)[index_branch_col(bench.extension)]
+    excursion = index_excursion_mm(hand, bench.extension)
 
     derived = {**cfg, "hand": {**cfg["hand"], "joint_center_depth_mm": depth}, "subjects": {}}
     provenance = [

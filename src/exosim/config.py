@@ -200,13 +200,17 @@ def _finite(raw: Any, key: str) -> float:
     return value
 
 
-def _pair(raw: Any, key: str, *, open_hi: bool = False) -> tuple[float, float | None]:
-    """A ``[lo, hi]`` config list as two finite numbers, ``hi`` None if
-    ``open_hi`` allows a null; ValueError naming its dotted key otherwise."""
+def _pair(raw: Any, key: str, *, open_hi=False, strict=False) -> tuple[float, float | None]:
+    """A ``[lo, hi]`` config list as two finite numbers, lo <= hi (lo < hi if
+    ``strict``), ``hi`` None if ``open_hi`` allows a null; ValueError naming
+    its dotted key otherwise."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ValueError(f"{key} must be two numbers [lo, hi], got {raw!r}")
-    lo, hi = raw
-    return _finite(lo, key), None if open_hi and hi is None else _finite(hi, key)
+    lo = _finite(raw[0], key)
+    hi = None if open_hi and raw[1] is None else _finite(raw[1], key)
+    if hi is not None and not (lo < hi if strict else lo <= hi):
+        raise ValueError(f"{key} must have lo {'<' if strict else '<='} hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _fraction_from_config(raw: Any, key: str):
@@ -223,12 +227,7 @@ def _fraction_from_config(raw: Any, key: str):
 
 
 def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
-    if raw is None:
-        return None
-    lo, hi = _pair(raw, key, open_hi=True)
-    if hi is not None and hi < lo:
-        raise ValueError(f"{key} must have lo <= hi, got [{lo}, {hi}]")
-    return lo, hi
+    return None if raw is None else _pair(raw, key, open_hi=True)
 
 
 def _notes(raw: Any, key: str) -> str:
@@ -296,8 +295,9 @@ class Bench:
     """Everything a command drives, read once from an effective config.
 
     ``from_config`` is the only reader of the config's sections, so every
-    malformed config fails in one place, with a ConfigError.  A bench builds
-    every subject's trial as it is made, so it holds no trial that fails.
+    malformed config fails in one place, with a ConfigError.  A bench holds
+    at least one subject and builds every subject's trial as it is made, so
+    it holds no trial that fails.
     """
 
     hand: HandModel
@@ -316,6 +316,12 @@ class Bench:
     trial_configs: Mapping[str, TrialConfig] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.bank.profiles:
+            raise ValueError("subjects must name at least one subject")
+        if not self.depth_tolerance_mm > 0.0:
+            raise ValueError(
+                f"calibration.depth_tolerance_mm must be > 0, got {self.depth_tolerance_mm}"
+            )
         configs = {
             p.subject_id: TrialConfig(
                 self.hand, self.network, p, actuator=self.actuator, magnet=self.magnet,
@@ -342,7 +348,10 @@ class Bench:
             ranges = cfg["hand"]["flexion_ranges_deg"]
             hand = default_hand(
                 _finite(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
-                {k: _pair(v, f"hand.flexion_ranges_deg.{k}") for k, v in ranges.items()},
+                {
+                    k: _pair(v, f"hand.flexion_ranges_deg.{k}", strict=True)
+                    for k, v in ranges.items()
+                },
             )
             net = cfg["network"]
             slack = _finite(net["branch_slack_mm"], "network.branch_slack_mm")
@@ -382,8 +391,7 @@ class Bench:
     def calibrated_hand(self) -> HandModel:
         """The hand at the joint depth where the extension network's index
         branch pays out the excursion target."""
-        target, tol = self.excursion_target_mm, self.depth_tolerance_mm
-        return calibrate_depth(self.hand, self.extension, target, tol_mm=tol)
+        return calibrate_depth(self.hand, self.extension, self.excursion_target_mm)
 
     def trials(
         self, seed: int, per_subject: int, ids: Sequence[str] | None = None

@@ -18,14 +18,9 @@ from .analysis import analyze, batch_report
 from .config import Bench
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
-from .tendons import (
-    NetworkKind,
-    excursion_mm,
-    full_flexion_excursion_mm,
-    index_branch_col,
-)
+from .tendons import NetworkKind, excursion_mm, index_excursion_mm
 from .trial import PoseResponse
-from .traceio import render_fit_csv, render_report_yaml, write_text_atomic, write_trace
+from .traceio import write_report, write_text_atomic, write_trace
 
 R_BAND = (0.97, 1.0)
 R_TOL = 5e-4  # correlation band edges are quoted to two decimals
@@ -113,9 +108,7 @@ def run_reproduction(
 
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
     bench = replace(bench, hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION)
-    excursion = full_flexion_excursion_mm(bench.hand, bench.extension)[
-        index_branch_col(bench.extension)
-    ]
+    excursion = index_excursion_mm(bench.hand, bench.extension)
     checks.append(
         CheckResult(
             "excursion_calibration",
@@ -133,8 +126,7 @@ def run_reproduction(
         label = f"{profile.subject_id}_t{t_idx:02d}"
         write_trace(trace, traces_dir / f"{label}.csv", config_hash=config_hash)
         report = analyze(trace, label=label, **bench.analysis)
-        write_text_atomic(reports_dir / f"{label}.report.yaml", render_report_yaml(report))
-        write_text_atomic(reports_dir / f"{label}_fit.csv", render_fit_csv(report))
+        write_report(report, reports_dir)
         reports.append(report)
         if t_idx == 0:
             traces[profile.subject_id] = trace

@@ -38,7 +38,8 @@ PIP_GUIDE_HEIGHT_MM = 7.5
 
 DEFAULT_BRANCH_SLACK_MM = 2.0
 DEFAULT_EXCURSION_TARGET_MM = 57.0
-DEFAULT_DEPTH_TOLERANCE_MM = 0.01
+DEFAULT_DEPTH_TOLERANCE_MM = 0.01  # reproduce's excursion_calibration check
+DEPTH_MAX_MM = 30.0  # the deepest joint center the depth calibration considers
 
 # A branch whose elastic demand is within this of zero counts as taut: the
 # branch that is actively driving the pose sits exactly at zero demand.
@@ -207,13 +208,15 @@ def index_branch_col(net: TendonNetwork) -> int:
     raise ValueError("network has no index branch")
 
 
-def full_flexion_excursion_mm(hand: HandModel, net: TendonNetwork) -> np.ndarray:
-    """Excursion of each branch between the zero pose and full flexion."""
-    return excursion_mm(hand, net, full_flexion_pose(hand).angles_deg)
+def index_excursion_mm(hand: HandModel, net: TendonNetwork) -> float:
+    """Excursion of the network's index branch between the zero pose and full
+    flexion: what the depth calibration sets to its target."""
+    full = full_flexion_pose(hand).angles_deg
+    return float(excursion_mm(hand, net, full)[index_branch_col(net)])
 
 
 class DepthCalibrationError(ValueError):
-    """Raised when no joint depth in the search interval meets the target."""
+    """Raised when no joint depth in (0, DEPTH_MAX_MM] meets the target."""
 
     def __init__(self, message: str, bracket_mm: tuple[float, float]):
         super().__init__(message)
@@ -221,54 +224,31 @@ class DepthCalibrationError(ValueError):
 
 
 def calibrate_depth(
-    hand: HandModel,
-    extension: TendonNetwork,
-    target_mm: float = DEFAULT_EXCURSION_TARGET_MM,
-    *,
-    depth_max_mm: float = 30.0,
-    tol_mm: float = DEFAULT_DEPTH_TOLERANCE_MM,
+    hand: HandModel, extension: TendonNetwork, target_mm: float = DEFAULT_EXCURSION_TARGET_MM
 ) -> HandModel:
     """Solve the uniform joint depth so the index branch of the extension
     network pays out ``target_mm`` over the full flexion range.
 
-    The excursion is affine and strictly increasing in depth, so bisection on
-    (0, depth_max_mm] converges; the result satisfies
-    ``|excursion - target| <= tol_mm``.  Targets outside the achievable
-    bracket raise DepthCalibrationError carrying the interval examined.
+    Every moment arm is ``guide + depth``, so the excursion is affine in the
+    depth, ``e(d) = e(d0) + (d - d0) * k``: ``e(d0)`` is ``index_excursion_mm``
+    at the hand's depth, ``k`` the signed sum of the branch's routed
+    full-flexion angles (radians).  The depth is one solve, from ``e(0)``, so a
+    target above ``e(0)`` gives a depth above 0.  A target outside
+    ``(e(0), e(DEPTH_MAX_MM)]`` raises DepthCalibrationError carrying that
+    bracket, which is empty when ``k <= 0``.
     """
-    branch = extension.branches[index_branch_col(extension)]
-    thetas = [math.radians(hand.hi[hand.col(pt.joint)]) for pt in branch.routing]
-    guides = [pt.guide_height_mm for pt in branch.routing]
-
-    def excursion_at(depth: float) -> float:
-        return sum((g + depth) * th for g, th in zip(guides, thetas))
-
-    if target_mm <= 0.0:
-        raise DepthCalibrationError(
-            f"target excursion must be positive, got {target_mm}",
-            (excursion_at(0.0), excursion_at(depth_max_mm)),
-        )
-    lo, hi = 0.0, depth_max_mm
-    e_lo, e_hi = excursion_at(lo), excursion_at(hi)
-    if target_mm < e_lo or target_mm > e_hi:
+    full = full_flexion_pose(hand).angles_deg
+    routing = extension.branches[index_branch_col(extension)].routing
+    k = sum(EXCURSION_SIGN[pt.side] * math.radians(full[hand.col(pt.joint)]) for pt in routing)
+    e_lo = index_excursion_mm(hand, extension) - hand.depth_mm * k
+    e_hi = e_lo + DEPTH_MAX_MM * k
+    if not e_lo < target_mm <= e_hi:
         raise DepthCalibrationError(
             f"target excursion {target_mm} mm unreachable: depths in "
-            f"(0, {depth_max_mm}] mm give [{e_lo:.3f}, {e_hi:.3f}] mm",
+            f"(0, {DEPTH_MAX_MM}] mm give ({e_lo:.3f}, {e_hi:.3f}] mm",
             (e_lo, e_hi),
         )
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if excursion_at(mid) < target_mm:
-            lo = mid
-        else:
-            hi = mid
-    depth = 0.5 * (lo + hi)
-    if abs(excursion_at(depth) - target_mm) > tol_mm:
-        raise DepthCalibrationError(
-            f"bisection failed to meet target {target_mm} mm within {tol_mm} mm",
-            (e_lo, e_hi),
-        )
-    return hand.with_uniform_depth(depth)
+    return hand.with_uniform_depth((target_mm - e_lo) / k)
 
 
 @dataclass(frozen=True)

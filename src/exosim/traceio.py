@@ -22,6 +22,8 @@ from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
+REPORT_SUFFIX = ".report.yaml"
+FIT_SUFFIX = "_fit.csv"
 # The bytes of a trace body on which ``np.loadtxt`` and ``float`` read every
 # cell alike.  Every body exosim writes holds only these; outside them the two
 # differ (``float`` reads "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).
@@ -269,3 +271,10 @@ def render_fit_csv(report) -> str:
     if fitted is None:
         fitted = np.full_like(report.position_frac, np.nan)
     return header + _render_rows(report.position_frac, report.force_frac, fitted)
+
+
+def write_report(report, out_dir: Path) -> None:
+    """Write a report's YAML and fit CSV into ``out_dir`` as
+    ``<label>.report.yaml`` and ``<label>_fit.csv``."""
+    write_text_atomic(out_dir / f"{report.label}{REPORT_SUFFIX}", render_report_yaml(report))
+    write_text_atomic(out_dir / f"{report.label}{FIT_SUFFIX}", render_fit_csv(report))

@@ -28,8 +28,7 @@ from exosim.tendons import (
     config1_extension,
     config2_pinch,
     excursion_mm,
-    full_flexion_excursion_mm,
-    index_branch_col,
+    index_excursion_mm,
     network_state,
 )
 from exosim.config import Bench, default_config
@@ -53,7 +52,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_c01_depth_calibration(hand):
     net = config1_extension()
-    excursion = full_flexion_excursion_mm(hand, net)[index_branch_col(net)]
+    excursion = index_excursion_mm(hand, net)
     depth = hand.depth_mm
     ok = abs(excursion - 57.0) <= 0.01 and depth > 0.0
     try:

@@ -12,7 +12,7 @@ from exosim import cli
 from exosim.cli import main
 from exosim.hand import default_hand
 from exosim.spasticity import calibrate_stiffness
-from exosim.tendons import config1_extension, full_flexion_excursion_mm, index_branch_col
+from exosim.tendons import config1_extension, index_excursion_mm
 
 
 def run_cli(args):
@@ -297,9 +297,11 @@ def test_reproduce_rejects_no_trials(tmp_path, capsys):
 
 
 def test_reproduce_fails_correlation_band_without_fitted_traces(tmp_path):
-    """With no subject there is no fit, so the band check vouches for nothing."""
+    """With a trim threshold above every force no trace is fitted, so the band
+    check vouches for nothing."""
     out = tmp_path / "rep"
-    assert run_cli(["reproduce", "--out", str(out), "--set", "subjects={}"]) == 2
+    args = ["reproduce", "--out", str(out), "--set", "analysis.trim_threshold_n=1000"]
+    assert run_cli(args) == 2
     lines = (out / "manifest.txt").read_text().splitlines()
     assert "FAIL correlation_band: no fitted traces" in lines
     assert lines[-1] == "RESULT: FAIL"
@@ -326,6 +328,7 @@ MALFORMED = [
     "trial.noise_sigma_n=null",
     "hand.flexion_ranges_deg.finger_mcp=5",
     "subjects.S1.peak_band_n=3",
+    "subjects={}",  # an empty subject bank
     "calibration=2",
     "trial.noise_sigm=0.2",  # misspelled key of a section passed on as keywords
     "analysis.trim_threshold=2",
@@ -387,13 +390,30 @@ def test_calibration_solves_for_configured_extension_network(tmp_path):
     depth = derived["hand"]["joint_center_depth_mm"]
     hand = default_hand(depth)
     net = config1_extension(mcp_guide_mm=9.5)
-    excursion = full_flexion_excursion_mm(hand, net)[index_branch_col(net)]
+    excursion = index_excursion_mm(hand, net)
     assert excursion == pytest.approx(57.0, abs=0.01)
 
     out = tmp_path / "rep"
     assert run_cli(["reproduce", "--out", str(out)] + guide) == 0
     manifest = (out / "manifest.txt").read_text()
     assert f"(depth {depth:.4f} mm)" in manifest
+
+
+@pytest.mark.parametrize("hi", ["-10", "0"])
+def test_calibrate_without_flexion_names_the_bracket(tmp_path, capsys, hi):
+    """MCP and PIP maxima at or below 0 leave the excursion flat or falling in
+    the depth: calibrate names the empty bracket and writes nothing."""
+    args = ["calibrate", "--out", str(tmp_path / "out")]
+    for key in ("finger_mcp", "finger_pip"):
+        args += ["--set", f"hand.flexion_ranges_deg.{key}=[-20,{hi}]"]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: target excursion 57\.0 mm unreachable: depths in \(0, 30\.0\] mm "
+        r"give \(-?\d+\.\d{3}, -?\d+\.\d{3}\] mm\n",
+        err,
+    )
+    assert not (tmp_path / "out").exists()
 
 
 # --- analyze split over processes ---------------------------------------------------

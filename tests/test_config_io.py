@@ -158,11 +158,21 @@ def test_open_peak_band_stays_allowed():
          "hand.flexion_ranges_deg.finger_mcp must be two numbers [lo, hi], got [5]"),
         ("hand.flexion_ranges_deg.finger_mcp", "[0, null]",
          "hand.flexion_ranges_deg.finger_mcp must be a finite number, got None"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[10, 10]",
+         "hand.flexion_ranges_deg.finger_mcp must have lo < hi, got [10.0, 10.0]"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[20, 10]",
+         "hand.flexion_ranges_deg.finger_mcp must have lo < hi, got [20.0, 10.0]"),
+        ("calibration.depth_tolerance_mm", "-1",
+         "calibration.depth_tolerance_mm must be > 0, got -1.0"),
+        ("calibration.depth_tolerance_mm", "0",
+         "calibration.depth_tolerance_mm must be > 0, got 0.0"),
+        ("subjects", "{}", "subjects must name at least one subject"),
     ],
 )
 def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value, message):
-    """A rest fraction outside [0, 1], and a band or range that is not two
-    numbers in order, fail naming their dotted key, before anything is written."""
+    """A rest fraction outside [0, 1], a band or range that is not two numbers
+    in order, a depth tolerance that is not positive and an empty subject bank
+    fail naming their dotted key, before anything is written."""
     cfg = apply_overrides(default_config(), {key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):
         Bench.from_config(cfg)

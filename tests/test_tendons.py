@@ -15,6 +15,7 @@ from exosim.hand import (
 from exosim.tendons import (
     EXCURSION_SIGN,
     Attachment,
+    DEPTH_MAX_MM,
     DepthCalibrationError,
     NetworkKind,
     RoutingPoint,
@@ -25,8 +26,8 @@ from exosim.tendons import (
     config1_extension,
     config2_pinch,
     excursion_mm,
-    full_flexion_excursion_mm,
     index_branch_col,
+    index_excursion_mm,
     moment_arms,
     network_state,
 )
@@ -37,12 +38,6 @@ IDX_PIP = (Digit.INDEX, JointKind.PIP)
 
 def network(*branches):
     return TendonNetwork(NetworkKind.EXTENSION, branches)
-
-
-def index_excursion(hand):
-    """The index extension branch's excursion over the full flexion range."""
-    net = config1_extension()
-    return full_flexion_excursion_mm(hand, net)[index_branch_col(net)]
 
 
 def test_moment_arm_is_guide_plus_depth():
@@ -223,17 +218,17 @@ def closed_form_depth(target):
 def test_calibrate_depth_matches_closed_form():
     hand = calibrate_depth(default_hand(), config1_extension(), 57.0)
     depth = hand.depth_mm
-    assert depth == pytest.approx(closed_form_depth(57.0), abs=1e-6)
-    excursion = index_excursion(hand)
-    assert abs(excursion - 57.0) <= 0.01
+    assert depth == pytest.approx(closed_form_depth(57.0), rel=1e-12)
+    excursion = index_excursion_mm(hand, config1_extension())
+    assert abs(excursion - 57.0) <= 1e-9
 
 
 @given(st.floats(min_value=27.0, max_value=120.0))
 def test_calibrate_depth_meets_tolerance(target):
     hand = calibrate_depth(default_hand(), config1_extension(), target)
-    excursion = index_excursion(hand)
-    assert abs(excursion - target) <= 0.01
-    assert hand.depth_mm == pytest.approx(closed_form_depth(target), abs=1e-6)
+    excursion = index_excursion_mm(hand, config1_extension())
+    assert abs(excursion - target) <= 1e-9
+    assert hand.depth_mm == pytest.approx(closed_form_depth(target), rel=1e-12)
 
 
 def test_calibrate_depth_unreachable_targets():
@@ -248,9 +243,25 @@ def test_calibrate_depth_unreachable_targets():
         calibrate_depth(hand, config1_extension(), 0.0)
 
 
+def test_calibrate_depth_bracket_is_open_below_and_closed_above():
+    """The zero-depth excursion needs a depth of 0, which no hand has; the
+    deepest excursion is reached at DEPTH_MAX_MM."""
+    hand = default_hand()
+    with pytest.raises(DepthCalibrationError) as info:
+        calibrate_depth(hand, config1_extension(), 1000.0)
+    lo, hi = info.value.bracket_mm
+    assert lo == pytest.approx(_BASE, rel=1e-12)
+    assert hi == pytest.approx(_BASE + DEPTH_MAX_MM * _THETA, rel=1e-12)
+    with pytest.raises(DepthCalibrationError) as at_lo:
+        calibrate_depth(hand, config1_extension(), lo)
+    assert at_lo.value.bracket_mm == (lo, hi)
+    deepest = calibrate_depth(hand, config1_extension(), hi).depth_mm
+    assert deepest == pytest.approx(DEPTH_MAX_MM, rel=1e-12)
+
+
 def test_default_depth_constant_matches_target():
     hand = default_hand()  # ships with the solved depth baked in
-    excursion = index_excursion(hand)
+    excursion = index_excursion_mm(hand, config1_extension())
     assert abs(excursion - 57.0) <= 0.01
 
 
