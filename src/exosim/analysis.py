@@ -9,6 +9,7 @@ nearly-affine data and are deliberately not used.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -206,6 +207,11 @@ def analyze(
         report.degenerate = True
         report.degenerate_reason = str(err)
     return report
+
+
+# Read at import: a wrapper put in analyze()'s place later (a tracer's) would
+# hide its keywords, from which config takes the default analysis section.
+ANALYZE_SIGNATURE = inspect.signature(analyze)
 
 
 @dataclass(frozen=True)

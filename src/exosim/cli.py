@@ -9,6 +9,9 @@ environment variable, with built-in defaults underneath.
 
 Exit codes: 0 success, 1 validation or input error, 2 reproduction checks
 failed.
+
+This module imports only the standard library; each command imports what it
+runs, so ``--version``, ``--help`` and usage errors answer without numpy.
 """
 
 from __future__ import annotations
@@ -19,16 +22,18 @@ import os
 import pickle
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import config as cfgmod
-from .analysis import AnalysisReport, analyze, batch_report
-from .config import Bench, ConfigError, TOOL_VERSION
-from .reproduce import run_reproduction
-from .spasticity import calibrate_stiffness
-from .tendons import index_excursion_mm
-from .traceio import FIT_SUFFIX, read_trace, write_report, write_text_atomic, write_trace
+from . import TOOL_VERSION
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisReport
 
 ENV_CONFIG = "EXOSIM_CONFIG"
+# numpy's BLAS starts a thread per CPU when it loads, and no command runs BLAS.
+# ``main`` sets each of these to 1 before numpy loads, unless it is set already.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 # Each analysis process takes at least this many traces, so a fork pays for
 # itself: on 2 CPUs a split CLI run was slower than one process at 32 traces
 # and faster at 48.
@@ -88,6 +93,8 @@ def _resolve_config_path(arg: str | None) -> Path | None:
 
 
 def _effective_config(args) -> dict:
+    from . import config as cfgmod
+
     cfg = cfgmod.load_config(_resolve_config_path(args.config))
     overrides: dict[str, str] = {}
     for item in args.set or []:
@@ -104,8 +111,11 @@ def _effective_config(args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from .config import Bench, config_hash
+    from .traceio import write_trace
+
     cfg = _effective_config(args)
-    chash = cfgmod.config_hash(cfg)
+    chash = config_hash(cfg)
     bench = Bench.from_config(cfg)
     subjects = _parse_subjects(args.subjects, bench.bank.ids())
     if args.trials < 1:
@@ -125,6 +135,9 @@ def _analyze_trace(path: Path, out: Path, analysis) -> tuple[list[str], Analysis
     """Read, analyze and write the report files of one trace; returns its
     warnings and its report without the normalized series, which only the
     fit CSV needs."""
+    from .analysis import analyze
+    from .traceio import read_trace, write_report
+
     trace, warnings = read_trace(path)
     report = analyze(trace, label=path.stem, **analysis)
     write_report(report, out)
@@ -175,6 +188,12 @@ def _reap(pid: int, read_fd: int):
 
 
 def _cmd_analyze(args) -> int:
+    # These load every module that _analyze_trace uses, before the fork, so
+    # no child imports one again.
+    from .analysis import batch_report
+    from .config import Bench
+    from .traceio import FIT_SUFFIX, write_text_atomic
+
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -233,6 +252,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .config import Bench, config_hash, write_config
+    from .spasticity import calibrate_stiffness
+    from .tendons import index_excursion_mm
+
     cfg = _effective_config(args)
     bench = Bench.from_config(cfg)
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
@@ -243,7 +266,7 @@ def _cmd_calibrate(args) -> int:
     derived = {**cfg, "hand": {**cfg["hand"], "joint_center_depth_mm": depth}, "subjects": {}}
     provenance = [
         f"exosim calibrate {TOOL_VERSION}",
-        f"config: {cfgmod.config_hash(cfg)}",
+        f"config: {config_hash(cfg)}",
         f"joint_center_depth_mm = {depth:.6f} "
         f"(index extension excursion {excursion:.4f} mm, target {target} mm)",
     ]
@@ -265,14 +288,17 @@ def _cmd_calibrate(args) -> int:
         derived["subjects"][sid] = entry
 
     out = Path(args.out) / "calibrated_config.yaml"
-    cfgmod.write_config(derived, out, provenance)
+    write_config(derived, out, provenance)
     print(out)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
+    from .config import Bench, config_hash
+    from .reproduce import run_reproduction
+
     cfg = _effective_config(args)
-    chash = cfgmod.config_hash(cfg)
+    chash = config_hash(cfg)
     bench = Bench.from_config(cfg)
     seeds = _parse_seed_spec(str(args.seed))
     if args.trials < 1:
@@ -346,6 +372,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Only a process whose numpy is still to load: an in-process caller's
+    # environment, and a value the user set, are left as they are.
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -355,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, OSError, ValueError) as err:
+    except (CliError, OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,6 @@ the canonical dump identifies the effective configuration in output headers.
 from __future__ import annotations
 
 import copy
-import hashlib
 import inspect
 import math
 import re
@@ -19,7 +18,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import yaml
 
 from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
-from .analysis import analyze
+from .analysis import ANALYZE_SIGNATURE
 from .hand import (
     DEFAULT_FLEXION_RANGES_DEG,
     DEFAULT_JOINT_DEPTH_MM,
@@ -49,8 +48,6 @@ from .trial import (
     run_trial,
 )
 
-TOOL_VERSION = "0.1.0"
-
 # A subject id names output files (``S1_extension_t00.csv``), so it must be a
 # plain file-name stem: no path separator, no dot-only or empty name, and
 # nothing that YAML's emitters quote or escape differently.
@@ -79,11 +76,6 @@ def dump_yaml(data: Any) -> str:
 
 def load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=YAML_LOADER)
-
-
-# Read at import: a wrapper put in analyze()'s place later (perfbench's tracer)
-# would hide its keywords and so change the default config.
-_ANALYZE = inspect.signature(analyze)
 
 
 def _keyword_defaults(signature: inspect.Signature, *skip: str) -> dict:
@@ -122,7 +114,7 @@ def default_config() -> dict:
             "excursion_target_mm": DEFAULT_EXCURSION_TARGET_MM,
             "depth_tolerance_mm": DEFAULT_DEPTH_TOLERANCE_MM,
         },
-        "analysis": _keyword_defaults(_ANALYZE, "label"),
+        "analysis": _keyword_defaults(ANALYZE_SIGNATURE, "label"),
         "subjects": {
             sid: dict(copy.deepcopy(params), engage_slack_mm=SubjectProfile.engage_slack_mm)
             for sid, params in BANK_PARAMS.items()
@@ -153,8 +145,8 @@ def load_config(path: str | Path | None = None) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        loaded = load_yaml(path.read_text()) or {}
-    except yaml.YAMLError as err:
+        loaded = load_yaml(path.read_text(encoding="utf-8")) or {}
+    except (UnicodeDecodeError, yaml.YAMLError) as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     if not isinstance(loaded, Mapping):
         raise ConfigError(f"config {path} must be a mapping at top level")
@@ -185,6 +177,8 @@ def canonical_yaml(cfg: Mapping) -> str:
 
 
 def config_hash(cfg: Mapping) -> str:
+    import hashlib  # here, not at import: it loads OpenSSL, which analyze never needs
+
     return hashlib.sha256(canonical_yaml(cfg).encode()).hexdigest()[:12]
 
 
@@ -210,6 +204,16 @@ def _pair(raw: Any, key: str, *, open_hi=False, strict=False) -> tuple[float, fl
     hi = None if open_hi and raw[1] is None else _finite(raw[1], key)
     if hi is not None and not (lo < hi if strict else lo <= hi):
         raise ValueError(f"{key} must have lo {'<' if strict else '<='} hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def _flexion_range(raw: Any, key: str) -> tuple[float, float]:
+    """A joint's ``[lo, hi]`` flexion range, lo < hi, holding 0: a trial
+    straightens a joint from its rest angle toward 0, which would leave a
+    range without 0."""
+    lo, hi = _pair(raw, key, strict=True)
+    if not lo <= 0.0 <= hi:
+        raise ValueError(f"{key} must hold 0, got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -348,10 +352,7 @@ class Bench:
             ranges = cfg["hand"]["flexion_ranges_deg"]
             hand = default_hand(
                 _finite(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
-                {
-                    k: _pair(v, f"hand.flexion_ranges_deg.{k}", strict=True)
-                    for k, v in ranges.items()
-                },
+                {k: _flexion_range(v, f"hand.flexion_ranges_deg.{k}") for k, v in ranges.items()},
             )
             net = cfg["network"]
             slack = _finite(net["branch_slack_mm"], "network.branch_slack_mm")

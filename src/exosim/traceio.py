@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import TOOL_VERSION, dump_yaml, load_yaml
+from . import TOOL_VERSION
+from .config import dump_yaml, load_yaml
 from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
@@ -35,7 +36,7 @@ def write_text_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -162,7 +163,9 @@ def _sidecar_fields(meta) -> dict:
 def _plain_rows(lines: list[str]) -> np.ndarray | None:
     """The rows of a trace CSV, read in one ``np.loadtxt`` call, when its
     header is ``CSV_HEADER`` and its body holds only ``_PLAIN_BYTES`` and
-    three finite numbers a row; None for any other file."""
+    three finite numbers a row, in increasing time; None for any other file.
+    A body whose comma count is not two a non-blank line has a row of
+    another width, so it is not handed to ``np.loadtxt`` at all."""
     stripped = map(str.strip, lines)
     header = next((i for i, line in enumerate(stripped) if line[:1] not in ("", "#")), None)
     if header is None or lines[header].strip() != CSV_HEADER:
@@ -171,16 +174,21 @@ def _plain_rows(lines: list[str]) -> np.ndarray | None:
     plain = "\n".join(body).encode()
     if not plain.strip(b"\n") or plain.translate(None, _PLAIN_BYTES):
         return None
+    if plain.count(b",") != 2 * (len(body) - body.count("")):
+        return None
     try:
         table = np.loadtxt(body, float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape[1] == 3 and np.isfinite(table).all() else None
+    if table.shape[1] != 3 or not np.isfinite(table).all():
+        return None
+    return table if (table[1:, 0] > table[:-1, 0]).all() else None
 
 
 def _line_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]]:
     """The rows of a trace CSV one line at a time, with a ``file:line``
-    warning for a wrong header and for each row that is skipped."""
+    warning for a wrong header and for each row that is skipped.  A row is
+    kept only if its time is above that of every row kept before it."""
     values: list[float] = []  # three a row
     warnings: list[str] = []
     header_seen = False
@@ -204,6 +212,9 @@ def _line_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]]:
         if not (math.isfinite(t) and math.isfinite(position) and math.isfinite(force)):
             warnings.append(f"{name}:{lineno}: non-finite row {line!r}")
             continue
+        if values and t <= values[-3]:
+            warnings.append(f"{name}:{lineno}: non-increasing time in row {line!r}")
+            continue
         values += (t, position, force)
     return np.array(values, float).reshape(-1, 3), warnings
 
@@ -213,14 +224,15 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
 
     Blank lines and ``#`` comments are skipped; the first other line is the
     header.  Malformed data rows (wrong column count, non-numeric or
-    non-finite values) are skipped and reported as warnings with their line
-    numbers; the rest of the file still loads.  A body of plain numbers is
-    read in one call, any other line by line.  Without a sidecar the stroke
-    is taken as the largest recorded actuator position.
+    non-finite values, a time not above the last kept row's) are skipped and
+    reported as warnings with their line numbers; the rest of the file still
+    loads.  A body of plain numbers is read in one call, any other line by
+    line.  Files are read as UTF-8 in any locale.  Without a sidecar the
+    stroke is taken as the largest recorded actuator position.
     """
     csv_path = Path(csv_path)
     try:
-        lines = csv_path.read_text().splitlines()
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{csv_path.name}: {err}") from None
     table, warnings = _plain_rows(lines), []
@@ -232,7 +244,7 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     side = sidecar_path(csv_path)
     if side.exists():
         try:
-            fields = _sidecar_fields(load_yaml(side.read_text()) or {})
+            fields = _sidecar_fields(load_yaml(side.read_text(encoding="utf-8")) or {})
         except (yaml.YAMLError, OSError, ValueError) as err:
             warnings.append(f"{side.name}: unreadable sidecar ({err})")
     if fields["stroke_mm"] is None:

@@ -2,6 +2,8 @@ import gc
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,41 @@ def test_analyze_names_a_trace_that_is_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_python(args, env=()):
+    """A fresh interpreter with exosim on its path and ``env`` over this one's
+    environment."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(src), **dict(env)},
+        capture_output=True, timeout=120,
+    )
+
+
+def test_utf8_files_read_alike_in_an_ascii_locale(tmp_path):
+    """Traces, sidecars and a config file with UTF-8 comments are read as
+    UTF-8 whatever the locale: an ASCII locale writes the default's bytes."""
+    traces = tmp_path / "traces"
+    assert run_cli(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
+    for path in traces.iterdir():
+        path.write_bytes("# Messung \u00e4\n".encode() + path.read_bytes())
+    config = tmp_path / "bench.yaml"
+    config.write_text("# Pr\u00fcfstand\nanalysis:\n  trim_threshold_n: 2.5\n", encoding="utf-8")
+    probe = run_python(["-c", "import locale; print(locale.getpreferredencoding())"], ASCII_LOCALE)
+    assert probe.stdout == b"ANSI_X3.4-1968\n"  # the locale's text encoding is ASCII
+    results = []
+    for env in ({}, ASCII_LOCALE):
+        out = tmp_path / f"out{len(results)}"
+        args = ["analyze", str(traces), "--out", str(out), "--config", str(config)]
+        proc = run_python(["-m", "exosim.cli", *args], env)
+        assert proc.returncode == 0, proc.stderr
+        results.append((proc.stdout, proc.stderr, tree(out)))
+    assert results[0] == results[1]
+
+
 def test_calibrate_writes_derived_config(tmp_path):
     out = tmp_path / "cal"
     assert run_cli(["calibrate", "--out", str(out)]) == 0
@@ -328,6 +365,8 @@ MALFORMED = [
     "trial.noise_sigma_n=null",
     "hand.flexion_ranges_deg.finger_mcp=5",
     "subjects.S1.peak_band_n=3",
+    "hand.flexion_ranges_deg.finger_mcp=[-30,-5]",  # ranges that do not hold 0
+    "hand.flexion_ranges_deg.finger_mcp=[5,30]",
     "subjects={}",  # an empty subject bank
     "calibration=2",
     "trial.noise_sigm=0.2",  # misspelled key of a section passed on as keywords
@@ -399,13 +438,14 @@ def test_calibration_solves_for_configured_extension_network(tmp_path):
     assert f"(depth {depth:.4f} mm)" in manifest
 
 
-@pytest.mark.parametrize("hi", ["-10", "0"])
-def test_calibrate_without_flexion_names_the_bracket(tmp_path, capsys, hi):
-    """MCP and PIP maxima at or below 0 leave the excursion flat or falling in
-    the depth: calibrate names the empty bracket and writes nothing."""
+@pytest.mark.parametrize("lo", ["-20", "-60"])
+def test_calibrate_without_flexion_names_the_bracket(tmp_path, capsys, lo):
+    """MCP and PIP maxima of 0 leave the excursion flat in the depth (a
+    maximum below 0 is a range without 0, a config error): calibrate names
+    the empty bracket and writes nothing."""
     args = ["calibrate", "--out", str(tmp_path / "out")]
     for key in ("finger_mcp", "finger_pip"):
-        args += ["--set", f"hand.flexion_ranges_deg.{key}=[-20,{hi}]"]
+        args += ["--set", f"hand.flexion_ranges_deg.{key}=[{lo},0]"]
     assert run_cli(args) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(

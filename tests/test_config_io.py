@@ -57,6 +57,15 @@ def test_missing_config_file_errors():
         load_config("/nonexistent/exosim.yaml")
 
 
+def test_config_file_is_utf8_and_named_when_it_is_not(tmp_path):
+    path = tmp_path / "bench.yaml"
+    path.write_text("# Pr\u00fcfstand\ntrial:\n  noise_sigma_n: 0.9\n", encoding="utf-8")
+    assert load_config(path)["trial"]["noise_sigma_n"] == 0.9
+    path.write_bytes(b"# Pr\xfcfstand\ntrial:\n  noise_sigma_n: 0.9\n")  # Latin-1
+    with pytest.raises(ConfigError, match=f"^cannot parse config {re.escape(str(path))}: 'utf-8'"):
+        load_config(path)
+
+
 def test_overrides_dotted_keys():
     cfg = apply_overrides(default_config(), {"trial.noise_sigma_n": "0.25"})
     assert cfg["trial"]["noise_sigma_n"] == 0.25
@@ -162,6 +171,12 @@ def test_open_peak_band_stays_allowed():
          "hand.flexion_ranges_deg.finger_mcp must have lo < hi, got [10.0, 10.0]"),
         ("hand.flexion_ranges_deg.finger_mcp", "[20, 10]",
          "hand.flexion_ranges_deg.finger_mcp must have lo < hi, got [20.0, 10.0]"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[-30, -5]",
+         "hand.flexion_ranges_deg.finger_mcp must hold 0, got [-30.0, -5.0]"),
+        ("hand.flexion_ranges_deg.finger_mcp", "[5, 30]",
+         "hand.flexion_ranges_deg.finger_mcp must hold 0, got [5.0, 30.0]"),
+        ("hand.flexion_ranges_deg.finger_pip", "[-20, -10]",
+         "hand.flexion_ranges_deg.finger_pip must hold 0, got [-20.0, -10.0]"),
         ("calibration.depth_tolerance_mm", "-1",
          "calibration.depth_tolerance_mm must be > 0, got -1.0"),
         ("calibration.depth_tolerance_mm", "0",
@@ -171,7 +186,7 @@ def test_open_peak_band_stays_allowed():
 )
 def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value, message):
     """A rest fraction outside [0, 1], a band or range that is not two numbers
-    in order, a depth tolerance that is not positive and an empty subject bank
+    in order, a flexion range without 0, a depth tolerance that is not positive and an empty subject bank
     fail naming their dotted key, before anything is written."""
     cfg = apply_overrides(default_config(), {key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):

@@ -25,13 +25,15 @@ pytestmark = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:lib
 
 
 def oracle_read_rows(csv_path: Path):
-    """``(t, position, force, warnings)`` as the line-loop reader gave them."""
+    """``(t, position, force, warnings)`` as the line-loop reader gave them,
+    plus the later rule that a row whose time is not above the last kept
+    row's is dropped."""
     warnings: list[str] = []
     t: list[float] = []
     position: list[float] = []
     force: list[float] = []
     header_seen = False
-    for lineno, line in enumerate(csv_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(csv_path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -51,6 +53,9 @@ def oracle_read_rows(csv_path: Path):
             continue
         if not all(map(math.isfinite, values)):
             warnings.append(f"{csv_path.name}:{lineno}: non-finite row {stripped!r}")
+            continue
+        if t and values[0] <= t[-1]:
+            warnings.append(f"{csv_path.name}:{lineno}: non-increasing time in row {stripped!r}")
             continue
         t.append(values[0])
         position.append(values[1])
@@ -179,7 +184,7 @@ def test_plain_bodies_read_in_one_call_like_the_oracle(csv_file, rows, ending):
     assert loadtxt.call_count == 1
 
 
-def test_written_trace_is_read_in_one_loadtxt_call(tmp_path):
+def written_trace(tmp_path) -> Path:
     rng = np.random.default_rng(9)
     trace = TrialTrace(
         t_s=np.arange(1001) / 100.0,
@@ -187,7 +192,11 @@ def test_written_trace_is_read_in_one_loadtxt_call(tmp_path):
         force_n=rng.normal(10, 40, 1001),
         seed=3,
     )
-    path = traceio.write_trace(trace, tmp_path / "t.csv", config_hash="a28b7240be85")
+    return traceio.write_trace(trace, tmp_path / "t.csv", config_hash="a28b7240be85")
+
+
+def test_written_trace_is_read_in_one_loadtxt_call(tmp_path):
+    path = written_trace(tmp_path)
     with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
         assert_reads_like_oracle(path)
     assert loadtxt.call_count == 1
@@ -205,6 +214,37 @@ def test_read_trace_matches_oracle_on_long_files(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("\n".join(lines) + "\n")
     assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("comment", ["", "# a comment sends the file to the line loop"])
+def test_row_whose_time_does_not_increase_is_dropped(tmp_path, comment):
+    """Swapping data rows 100 and 101 (file lines 105 and 106) puts a time
+    below the one before it: that row is dropped with a ``file:line``
+    warning, on both reading paths."""
+    path = written_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    assert lines[3] == CSV_HEADER
+    lines[104], lines[105] = lines[105], lines[104]
+    if comment:
+        lines.insert(500, comment)
+    path.write_text("\n".join(lines) + "\n")
+    trace, warnings = read_trace(path)
+    assert warnings == [f"t.csv:106: non-increasing time in row {lines[105]!r}"]
+    assert len(trace) == 1000 and (np.diff(trace.t_s) > 0).all()
+    assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,3.0,4.0", ",,,", "5"])
+def test_body_with_a_row_of_another_width_skips_loadtxt(tmp_path, row):
+    """A plain body whose comma count is not two a row cannot give three
+    columns, so it goes straight to the line loop."""
+    path = written_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    lines.insert(300, row)
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert_reads_like_oracle(path)
+    assert loadtxt.call_count == 0
 
 
 # --- the renders ------------------------------------------------------------------
