@@ -7,32 +7,29 @@ law returns the same shape it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ActuatorSpec:
     """Linear actuator retracting at constant speed from full stroke."""
 
-    stroke_mm: float = 50.0
-    max_speed_mm_s: float = 5.0
-    peak_force_n: float = 50.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, stroke_mm: float = 50.0, max_speed_mm_s: float = 5.0, peak_force_n: float = 50.0
+    ) -> None:
+        self.stroke_mm = stroke_mm
+        self.max_speed_mm_s = max_speed_mm_s
+        self.peak_force_n = peak_force_n
         for name in ("stroke_mm", "max_speed_mm_s", "peak_force_n"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
 
 
-@dataclass(frozen=True)
 class CouplingSpec:
     """Magnetic breakaway coupling in series with the tendon."""
 
-    breakaway_force_n: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, breakaway_force_n: float) -> None:
+        self.breakaway_force_n = breakaway_force_n
         if not self.breakaway_force_n > 0.0:
             raise ValueError("breakaway_force_n must be > 0")
 
@@ -49,12 +46,10 @@ def coupling_for_magnet(name: str) -> CouplingSpec:
         ) from None
 
 
-@dataclass(frozen=True)
 class LoadCellSpec:
-    resolution_n: float = 0.196
-    range_max_n: float = 50.0
-
-    def __post_init__(self) -> None:
+    def __init__(self, resolution_n: float = 0.196, range_max_n: float = 50.0) -> None:
+        self.resolution_n = resolution_n
+        self.range_max_n = range_max_n
         if not self.resolution_n > 0.0:
             raise ValueError("resolution_n must be > 0")
         if not self.range_max_n > 0.0:

@@ -9,9 +9,7 @@ nearly-affine data and are deliberately not used.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -142,7 +140,6 @@ def linear_fit_and_correlation(
     return LinearFit(slope, intercept, correlation)
 
 
-@dataclass
 class AnalysisReport:
     """Per-trace result: fit, peak statistics, and event flags.
 
@@ -150,21 +147,39 @@ class AnalysisReport:
     a reason instead of fit numbers so a batch can account for every input.
     """
 
-    label: str
-    subject_id: str = ""
-    trimmed_samples: int = 0
-    used_samples: int = 0
-    slope: float | None = None
-    intercept: float | None = None
-    correlation: float | None = None
-    peak_force_n: float | None = None
-    peak_retraction_mm: float | None = None
-    breakaway_detected: bool = False
-    functional_extension: bool | None = None
-    degenerate: bool = False
-    degenerate_reason: str | None = None
-    position_frac: np.ndarray | None = None
-    force_frac: np.ndarray | None = None
+    def __init__(
+        self,
+        label: str,
+        subject_id: str = "",
+        trimmed_samples: int = 0,
+        used_samples: int = 0,
+        slope: float | None = None,
+        intercept: float | None = None,
+        correlation: float | None = None,
+        peak_force_n: float | None = None,
+        peak_retraction_mm: float | None = None,
+        breakaway_detected: bool = False,
+        functional_extension: bool | None = None,
+        degenerate: bool = False,
+        degenerate_reason: str | None = None,
+        position_frac: np.ndarray | None = None,
+        force_frac: np.ndarray | None = None,
+    ) -> None:
+        self.label = label
+        self.subject_id = subject_id
+        self.trimmed_samples = trimmed_samples
+        self.used_samples = used_samples
+        self.slope = slope
+        self.intercept = intercept
+        self.correlation = correlation
+        self.peak_force_n = peak_force_n
+        self.peak_retraction_mm = peak_retraction_mm
+        self.breakaway_detected = breakaway_detected
+        self.functional_extension = functional_extension
+        self.degenerate = degenerate
+        self.degenerate_reason = degenerate_reason
+        self.position_frac = position_frac
+        self.force_frac = force_frac
 
     def fitted_frac(self) -> np.ndarray | None:
         if self.position_frac is None or self.slope is None:
@@ -211,11 +226,10 @@ def analyze(
 
 # Read at import: a wrapper put in analyze()'s place later (a tracer's) would
 # hide its keywords, from which config takes the default analysis section.
-ANALYZE_SIGNATURE = inspect.signature(analyze)
+ANALYZE_DEFAULTS = dict(analyze.__kwdefaults__)
 
 
-@dataclass(frozen=True)
-class SubjectSummary:
+class SubjectSummary(NamedTuple):
     subject_id: str
     trials: int
     degenerate: int
@@ -228,8 +242,7 @@ class SubjectSummary:
     functional_known: int
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     subjects: tuple[SubjectSummary, ...]
     total_reports: int
     degenerate_reports: int

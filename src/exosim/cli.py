@@ -17,9 +17,7 @@ runs, so ``--version``, ``--help`` and usage errors answer without numpy.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
-import pickle
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -163,6 +161,8 @@ def _fork(fn, *args) -> tuple[int, int]:
     read end of the pipe that carries its pickled result.  The child leaves
     with ``os._exit``, so it never flushes the parent's stdio or runs its
     atexit hooks, and it writes nothing if ``fn`` raises."""
+    import pickle
+
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -181,6 +181,8 @@ def _fork(fn, *args) -> tuple[int, int]:
 def _reap(pid: int, read_fd: int):
     """The result of a child from ``_fork`` once it has exited; None if it
     ended without one."""
+    import pickle
+
     with os.fdopen(read_fd, "rb") as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
@@ -188,6 +190,8 @@ def _reap(pid: int, read_fd: int):
 
 
 def _cmd_analyze(args) -> int:
+    import gc
+
     # These load every module that _analyze_trace uses, before the fork, so
     # no child imports one again.
     from .analysis import batch_report
@@ -245,9 +249,12 @@ def _cmd_analyze(args) -> int:
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             reports.append(report)
-    summary = batch_report(reports)
-    write_text_atomic(out / "summary.txt", summary.render())
-    print(summary.render(), end="")
+    text = batch_report(reports).render()
+    write_text_atomic(out / "summary.txt", text)
+    # A label is a trace's file-name stem, which the terminal's encoding may
+    # not hold; such a character is printed as its escape.
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end="")
     return 0
 
 

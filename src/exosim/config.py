@@ -8,17 +8,15 @@ the canonical dump identifies the effective configuration in output headers.
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 import re
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import yaml
 
 from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
-from .analysis import ANALYZE_SIGNATURE
+from .analysis import ANALYZE_DEFAULTS
 from .hand import (
     DEFAULT_FLEXION_RANGES_DEG,
     DEFAULT_JOINT_DEPTH_MM,
@@ -78,13 +76,10 @@ def load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=YAML_LOADER)
 
 
-def _keyword_defaults(signature: inspect.Signature, *skip: str) -> dict:
-    """Keyword-only parameter defaults: the values the library itself uses."""
-    return {
-        name: p.default
-        for name, p in signature.parameters.items()
-        if p.kind is p.KEYWORD_ONLY and name not in skip
-    }
+def _keyword_defaults(defaults: Mapping[str, Any], *skip: str) -> dict:
+    """Keyword-only parameter defaults (a function's ``__kwdefaults__``)
+    without ``skip``: the values the library itself uses."""
+    return {name: value for name, value in defaults.items() if name not in skip}
 
 
 def default_config() -> dict:
@@ -99,12 +94,12 @@ def default_config() -> dict:
         "network": {
             "kind": NetworkKind.EXTENSION.value,
             "branch_slack_mm": DEFAULT_BRANCH_SLACK_MM,
-            "extension": _keyword_defaults(inspect.signature(config1_extension), "slack_mm"),
-            "pinch": _keyword_defaults(inspect.signature(config2_pinch), "slack_mm"),
+            "extension": _keyword_defaults(config1_extension.__kwdefaults__, "slack_mm"),
+            "pinch": _keyword_defaults(config2_pinch.__kwdefaults__, "slack_mm"),
         },
-        "actuator": asdict(ActuatorSpec()),
+        "actuator": vars(ActuatorSpec()),
         "coupling": {"magnet": None},  # None: each subject's own magnet
-        "load_cell": asdict(LoadCellSpec()),
+        "load_cell": vars(LoadCellSpec()),
         "trial": {
             "sample_rate_hz": DEFAULT_SAMPLE_RATE_HZ,
             "noise_sigma_n": DEFAULT_NOISE_SIGMA_N,
@@ -114,7 +109,7 @@ def default_config() -> dict:
             "excursion_target_mm": DEFAULT_EXCURSION_TARGET_MM,
             "depth_tolerance_mm": DEFAULT_DEPTH_TOLERANCE_MM,
         },
-        "analysis": _keyword_defaults(ANALYZE_SIGNATURE, "label"),
+        "analysis": _keyword_defaults(ANALYZE_DEFAULTS, "label"),
         "subjects": {
             sid: dict(copy.deepcopy(params), engage_slack_mm=SubjectProfile.engage_slack_mm)
             for sid, params in BANK_PARAMS.items()
@@ -294,7 +289,6 @@ def _check_keys(section: Any, known: Mapping, name: str) -> None:
             _check_keys(value, known[key], path)
 
 
-@dataclass(frozen=True)
 class Bench:
     """Everything a command drives, read once from an effective config.
 
@@ -304,36 +298,47 @@ class Bench:
     it holds no trial that fails.
     """
 
-    hand: HandModel
-    kind: NetworkKind
-    extension: TendonNetwork
-    pinch: TendonNetwork
-    actuator: ActuatorSpec
-    cell: LoadCellSpec
-    bank: SubjectBank
-    magnet: str | None  # one coupling for every subject; None keeps each one's own
-    trial: Mapping[str, float]  # further TrialConfig fields
-    analysis: Mapping[str, float]  # analyze() thresholds
-    excursion_target_mm: float
-    depth_tolerance_mm: float
-    # Each subject's trial on the selected network, by subject id.
-    trial_configs: Mapping[str, TrialConfig] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        hand: HandModel,
+        kind: NetworkKind,
+        extension: TendonNetwork,
+        pinch: TendonNetwork,
+        actuator: ActuatorSpec,
+        cell: LoadCellSpec,
+        bank: SubjectBank,
+        magnet: str | None,  # one coupling for every subject; None keeps each one's own
+        trial: Mapping[str, float],  # further TrialConfig fields
+        analysis: Mapping[str, float],  # analyze() thresholds
+        excursion_target_mm: float,
+        depth_tolerance_mm: float,
+    ) -> None:
+        self.hand = hand
+        self.kind = kind
+        self.extension = extension
+        self.pinch = pinch
+        self.actuator = actuator
+        self.cell = cell
+        self.bank = bank
+        self.magnet = magnet
+        self.trial = trial
+        self.analysis = analysis
+        self.excursion_target_mm = excursion_target_mm
+        self.depth_tolerance_mm = depth_tolerance_mm
         if not self.bank.profiles:
             raise ValueError("subjects must name at least one subject")
         if not self.depth_tolerance_mm > 0.0:
             raise ValueError(
                 f"calibration.depth_tolerance_mm must be > 0, got {self.depth_tolerance_mm}"
             )
-        configs = {
+        # Each subject's trial on the selected network, by subject id.
+        self.trial_configs = {
             p.subject_id: TrialConfig(
                 self.hand, self.network, p, actuator=self.actuator, magnet=self.magnet,
                 cell=self.cell, **self.trial,
             )
             for p in self.bank
         }
-        object.__setattr__(self, "trial_configs", configs)
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "Bench":

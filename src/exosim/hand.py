@@ -4,13 +4,11 @@ Angles are in degrees throughout, flexion positive.  A pose is one array of
 angles over the hand's fixed joint order: shape ``(n_joints,)`` for one
 posture, or ``(n, n_joints)`` for one row per sample of a trial.  The wrist
 is held at a fixed extension angle by the orthosis shell and is not an
-articulation of the model; it is carried on the pose only so downstream
-records state it.
+articulation of the model; a pose carries it alongside the angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
 
@@ -75,16 +73,16 @@ def joint_name(jid: JointId) -> str:
     return f"{jid[0].value}/{jid[1].value}"
 
 
-@dataclass(frozen=True)
 class Joint:
     """One articulation with its admissible angle interval."""
 
-    digit: Digit
-    kind: JointKind
-    flexion_min_deg: float
-    flexion_max_deg: float
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, digit: Digit, kind: JointKind, flexion_min_deg: float, flexion_max_deg: float
+    ) -> None:
+        self.digit = digit
+        self.kind = kind
+        self.flexion_min_deg = flexion_min_deg
+        self.flexion_max_deg = flexion_max_deg
         if not self.flexion_min_deg < self.flexion_max_deg:
             raise ValueError(
                 f"joint {joint_name(self.jid)}: empty angle range "
@@ -96,44 +94,42 @@ class Joint:
         return (self.digit, self.kind)
 
 
-@dataclass(frozen=True, eq=False)
 class HandPose:
     """Joint angles over a hand's joint order, plus the fixed wrist posture.
 
     ``angles_deg`` has shape ``(n_joints,)``, or ``(n, n_joints)`` for one row
     per sample."""
 
-    angles_deg: np.ndarray
-    wrist_extension_deg: float = WRIST_EXTENSION_DEG
+    def __init__(
+        self, angles_deg: np.ndarray, wrist_extension_deg: float = WRIST_EXTENSION_DEG
+    ) -> None:
+        self.angles_deg = angles_deg
+        self.wrist_extension_deg = wrist_extension_deg
 
 
-@dataclass(frozen=True)
 class HandModel:
     """Joints in a fixed order, the order of every pose's last axis, plus the
     skin-to-axis depth every joint shares (mm, strictly positive).
 
     ``lo`` and ``hi`` hold the joints' angle limits in that order."""
 
-    joints: tuple[Joint, ...]
-    depth_mm: float
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, joints: tuple[Joint, ...], depth_mm: float) -> None:
+        self.joints = joints
+        self.depth_mm = depth_mm
         if not self.depth_mm > 0.0:
             raise ValueError(f"joint_center_depth must be > 0, got {self.depth_mm}")
         cols = {j.jid: c for c, j in enumerate(self.joints)}
         if len(cols) < len(self.joints):
             dup = next(j for c, j in enumerate(self.joints) if cols[j.jid] != c)
             raise ValueError(f"duplicate joint {joint_name(dup.jid)}")
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "lo", np.array([j.flexion_min_deg for j in self.joints]))
-        object.__setattr__(self, "hi", np.array([j.flexion_max_deg for j in self.joints]))
+        self._cols = cols
+        self.lo = np.array([j.flexion_min_deg for j in self.joints])
+        self.hi = np.array([j.flexion_max_deg for j in self.joints])
 
     def col(self, jid: JointId) -> int:
         """Position of a joint on a pose's last axis."""
         try:
-            return self._cols[jid]  # type: ignore[attr-defined]
+            return self._cols[jid]
         except KeyError:
             raise KeyError(f"no such joint: {jid}") from None
 

@@ -9,8 +9,8 @@ motion of the pinch-shaping network.  Results land in a pass/fail manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ R_BAND = (0.97, 1.0)
 R_TOL = 5e-4  # correlation band edges are quoted to two decimals
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -107,7 +106,12 @@ def run_reproduction(
     checks: list[CheckResult] = []
 
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
-    bench = replace(bench, hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION)
+    bench = Bench(
+        hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION, extension=bench.extension,
+        pinch=bench.pinch, actuator=bench.actuator, cell=bench.cell, bank=bench.bank,
+        magnet=bench.magnet, trial=bench.trial, analysis=bench.analysis,
+        excursion_target_mm=target, depth_tolerance_mm=tol,
+    )
     excursion = index_excursion_mm(bench.hand, bench.extension)
     checks.append(
         CheckResult(

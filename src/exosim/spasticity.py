@@ -10,7 +10,6 @@ higher clinical tone grades.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,19 +32,29 @@ class MasLevel(Enum):
     THREE = "3"
 
 
-@dataclass(frozen=True)
 class SubjectProfile:
-    subject_id: str
-    mas: MasLevel
-    stiffness_n_per_mm: float
-    rest_pose: HandPose
-    engage_slack_mm: float = 0.0
-    # Expected recorded peak-force band (N); upper bound None = unbounded.
-    peak_band_n: tuple[float, float | None] | None = None
-    magnet: str = "standard"
-    notes: str = ""
+    engage_slack_mm = 0.0  # read by the class name for the default config's subjects
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        subject_id: str,
+        mas: MasLevel,
+        stiffness_n_per_mm: float,
+        rest_pose: HandPose,
+        engage_slack_mm: float = engage_slack_mm,
+        # Expected recorded peak-force band (N); upper bound None = unbounded.
+        peak_band_n: tuple[float, float | None] | None = None,
+        magnet: str = "standard",
+        notes: str = "",
+    ) -> None:
+        self.subject_id = subject_id
+        self.mas = mas
+        self.stiffness_n_per_mm = stiffness_n_per_mm
+        self.rest_pose = rest_pose
+        self.engage_slack_mm = engage_slack_mm
+        self.peak_band_n = peak_band_n
+        self.magnet = magnet
+        self.notes = notes
         if self.stiffness_n_per_mm < 0.0:
             raise ValueError("stiffness must be >= 0")
         if self.engage_slack_mm < 0.0:
@@ -75,11 +84,9 @@ def calibrate_stiffness(
     return peak_force_n / travel
 
 
-@dataclass(frozen=True)
 class SubjectBank:
-    profiles: tuple[SubjectProfile, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
+    def __init__(self, profiles: tuple[SubjectProfile, ...] = ()) -> None:
+        self.profiles = profiles
         ids = [p.subject_id for p in self.profiles]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate subject ids in bank")

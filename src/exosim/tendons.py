@@ -17,8 +17,8 @@ sample); each per-branch result has a last axis over the branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,37 +64,37 @@ class NetworkKind(Enum):
     PINCH = "pinch"
 
 
-@dataclass(frozen=True)
 class RoutingPoint:
-    joint: JointId
-    side: Side
-    guide_height_mm: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, joint: JointId, side: Side, guide_height_mm: float) -> None:
+        self.joint = joint
+        self.side = side
+        self.guide_height_mm = guide_height_mm
         if self.guide_height_mm < 0.0:
             raise ValueError(f"guide height must be >= 0, got {self.guide_height_mm}")
 
 
-@dataclass(frozen=True)
 class TendonBranch:
-    digit: Digit
-    routing: tuple[RoutingPoint, ...]
-    attachment: Attachment
-    slack_mm: float = DEFAULT_BRANCH_SLACK_MM
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        digit: Digit,
+        routing: tuple[RoutingPoint, ...],
+        attachment: Attachment,
+        slack_mm: float = DEFAULT_BRANCH_SLACK_MM,
+    ) -> None:
+        self.digit = digit
+        self.routing = routing
+        self.attachment = attachment
+        self.slack_mm = slack_mm
         if self.slack_mm < 0.0:
             raise ValueError(f"branch slack must be >= 0, got {self.slack_mm}")
         if not self.routing:
             raise ValueError("branch needs at least one routing point")
 
 
-@dataclass(frozen=True)
 class TendonNetwork:
-    kind: NetworkKind
-    branches: tuple[TendonBranch, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, kind: NetworkKind, branches: tuple[TendonBranch, ...]) -> None:
+        self.kind = kind
+        self.branches = branches
         if not self.branches:
             raise ValueError("network needs at least one branch")
 
@@ -251,8 +251,7 @@ def calibrate_depth(
     return hand.with_uniform_depth((target_mm - e_lo) / k)
 
 
-@dataclass(frozen=True)
-class NetworkState:
+class NetworkState(NamedTuple):
     """The junction at one displacement, or at every sample of a grid.
 
     Each branch field has one column per branch, in network order, on its

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import TOOL_VERSION
-from .config import dump_yaml, load_yaml
+from .config import SUBJECT_ID, dump_yaml, load_yaml
 from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
@@ -124,8 +124,9 @@ def _is_int(value) -> bool:
 def _sidecar_fields(meta) -> dict:
     """The metadata fields of TrialTrace from a loaded sidecar document;
     ValueError if the document or its ``breakaway`` is not a mapping, if a
-    number field does not convert, or if ``subject_id`` is not a string,
-    ``seed`` not null, an int or a list of ints, or ``functional_extension``
+    number field does not convert, or if ``subject_id`` is neither empty nor
+    a bench's subject id (``config.SUBJECT_ID``), ``seed`` not null, an int or
+    a list of ints, or ``functional_extension``
     or ``breakaway.occurred`` neither a bool nor null.  A missing
     ``stroke_mm`` stays None."""
     if not isinstance(meta, dict):
@@ -136,6 +137,8 @@ def _sidecar_fields(meta) -> dict:
     subject_id, seed = meta.get("subject_id", ""), meta.get("seed")
     if not isinstance(subject_id, str):
         raise ValueError(f"subject_id: expected a string, got {type(subject_id).__name__}")
+    if subject_id and not SUBJECT_ID.fullmatch(subject_id):
+        raise ValueError(f"subject_id: {subject_id!r} is not a bench's subject id")
     if not (seed is None or _is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
         raise ValueError(f"seed: expected null, an int or a list of ints, got {seed!r}")
     for name, flag in (

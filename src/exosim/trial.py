@@ -13,7 +13,6 @@ force-balanced states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -53,19 +52,28 @@ DEFAULT_FUNCTIONAL_FLEXION_DEG = 110.0
 MAX_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True)
 class TrialConfig:
-    hand: HandModel
-    network: TendonNetwork
-    subject: SubjectProfile
-    actuator: ActuatorSpec = field(default_factory=ActuatorSpec)
-    magnet: str | None = None  # None: the subject's own magnet
-    cell: LoadCellSpec = field(default_factory=LoadCellSpec)
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    noise_sigma_n: float = 0.0
-    functional_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        hand: HandModel,
+        network: TendonNetwork,
+        subject: SubjectProfile,
+        actuator: ActuatorSpec = ActuatorSpec(),
+        magnet: str | None = None,  # None: the subject's own magnet
+        cell: LoadCellSpec = LoadCellSpec(),
+        sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
+        noise_sigma_n: float = 0.0,
+        functional_flexion_deg: float = DEFAULT_FUNCTIONAL_FLEXION_DEG,
+    ) -> None:
+        self.hand = hand
+        self.network = network
+        self.subject = subject
+        self.actuator = actuator
+        self.magnet = magnet
+        self.cell = cell
+        self.sample_rate_hz = sample_rate_hz
+        self.noise_sigma_n = noise_sigma_n
+        self.functional_flexion_deg = functional_flexion_deg
         if not 0.0 < self.sample_rate_hz < math.inf:
             raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if not 0.0 <= self.noise_sigma_n < math.inf:
@@ -152,7 +160,6 @@ class PoseResponse:
         return HandPose(self.angles(displacement_mm), self.rest.wrist_extension_deg)
 
 
-@dataclass
 class TrialTrace:
     """Sampled record of one trial plus per-sample internals.
 
@@ -162,27 +169,51 @@ class TrialTrace:
     re-checked against the constitutive relations.
     """
 
-    t_s: np.ndarray
-    actuator_mm: np.ndarray
-    force_n: np.ndarray
-    subject_id: str = ""
-    network: str = ""
-    stroke_mm: float = ActuatorSpec.stroke_mm
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    noise_sigma_n: float = 0.0
-    seed: Sequence[int] | int | None = None
-    breakaway: bool = False
-    breakaway_time_s: float | None = None
-    functional_extension: bool | None = None
-    functional_time_s: float | None = None
-    joints: tuple[JointId, ...] = ()
-    angles_deg: np.ndarray | None = None
-    wrist_extension_deg: float = WRIST_EXTENSION_DEG
-    true_force_n: np.ndarray | None = None
-    actuator_tension_n: np.ndarray | None = None
-    branch_taut: np.ndarray | None = None
-    branch_elongation_mm: np.ndarray | None = None
-    branch_tension_n: np.ndarray | None = None
+    def __init__(
+        self,
+        t_s: np.ndarray,
+        actuator_mm: np.ndarray,
+        force_n: np.ndarray,
+        subject_id: str = "",
+        network: str = "",
+        stroke_mm: float = ActuatorSpec().stroke_mm,
+        sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
+        noise_sigma_n: float = 0.0,
+        seed: Sequence[int] | int | None = None,
+        breakaway: bool = False,
+        breakaway_time_s: float | None = None,
+        functional_extension: bool | None = None,
+        functional_time_s: float | None = None,
+        joints: tuple[JointId, ...] = (),
+        angles_deg: np.ndarray | None = None,
+        wrist_extension_deg: float = WRIST_EXTENSION_DEG,
+        true_force_n: np.ndarray | None = None,
+        actuator_tension_n: np.ndarray | None = None,
+        branch_taut: np.ndarray | None = None,
+        branch_elongation_mm: np.ndarray | None = None,
+        branch_tension_n: np.ndarray | None = None,
+    ) -> None:
+        self.t_s = t_s
+        self.actuator_mm = actuator_mm
+        self.force_n = force_n
+        self.subject_id = subject_id
+        self.network = network
+        self.stroke_mm = stroke_mm
+        self.sample_rate_hz = sample_rate_hz
+        self.noise_sigma_n = noise_sigma_n
+        self.seed = seed
+        self.breakaway = breakaway
+        self.breakaway_time_s = breakaway_time_s
+        self.functional_extension = functional_extension
+        self.functional_time_s = functional_time_s
+        self.joints = joints
+        self.angles_deg = angles_deg
+        self.wrist_extension_deg = wrist_extension_deg
+        self.true_force_n = true_force_n
+        self.actuator_tension_n = actuator_tension_n
+        self.branch_taut = branch_taut
+        self.branch_elongation_mm = branch_elongation_mm
+        self.branch_tension_n = branch_tension_n
 
     def __len__(self) -> int:
         return len(self.t_s)
@@ -202,14 +233,11 @@ class TrialTrace:
     def window(self, start: int, stop: int) -> "TrialTrace":
         """Contiguous sample window with every array channel sliced alike."""
         sl = slice(start, stop)
-        return replace(
-            self,
-            **{
-                f.name: value[sl]
-                for f in fields(self)
-                if isinstance(value := getattr(self, f.name), np.ndarray)
-            },
-        )
+        return TrialTrace(**{
+            name: value[sl] if isinstance(value, np.ndarray) else value
+            for name, value in vars(self).items()
+            if name != "poses"  # a cache of angles_deg, not a field
+        })
 
 
 def trial_sample_count(cfg: TrialConfig) -> int:

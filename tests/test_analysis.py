@@ -274,11 +274,14 @@ def test_analyze_breakaway_subject(noiseless_traces):
 
 def test_analyze_free_run_is_degenerate(hand, extension_net, bank):
     """Stiffness zero: no force ever develops, so the report is degenerate."""
-    from dataclasses import replace
-
+    from exosim.spasticity import SubjectProfile
     from exosim.trial import TrialConfig, run_trial
 
-    free = replace(bank.by_id("S1"), stiffness_n_per_mm=0.0)
+    s1 = bank.by_id("S1")
+    free = SubjectProfile(
+        s1.subject_id, s1.mas, 0.0, s1.rest_pose, s1.engage_slack_mm, s1.peak_band_n,
+        s1.magnet, s1.notes,
+    )
     trace = run_trial(TrialConfig(hand, extension_net, free), seed=0)
     report = analyze(trace, label="free")
     assert report.degenerate

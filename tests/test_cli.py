@@ -258,6 +258,29 @@ def test_utf8_files_read_alike_in_an_ascii_locale(tmp_path):
     assert results[0] == results[1]
 
 
+def test_analyze_in_an_ascii_locale_warns_of_a_non_ascii_subject_id(tmp_path):
+    """A sidecar subject id that no bench could have is a warning, also in an
+    ASCII locale, and a trace stem the terminal cannot print is printed
+    escaped; summary.txt keeps it as UTF-8."""
+    traces, out = tmp_path / "traces", tmp_path / "an"
+    assert run_cli(["simulate", "--out", str(traces), "--subjects", "S1"]) == 0
+    side = traces / "S1_extension_t00.meta.yaml"
+    side.write_text(side.read_text().replace("subject_id: S1", 'subject_id: "S\u00e4"'))
+    warning = (
+        b"warning: S1_extension_t00.meta.yaml: unreadable sidecar "
+        b"(subject_id: 'S\\xe4' is not a bench's subject id)\n"
+    )
+    proc = run_python(["-m", "exosim.cli", "analyze", str(traces), "--out", str(out)], ASCII_LOCALE)
+    assert (proc.returncode, proc.stderr) == (0, warning)
+    assert b"S1_extension_t00 " in proc.stdout
+    (traces / "S\u00e4_t01.csv").write_bytes((traces / "S1_extension_t00.csv").read_bytes())
+    ascii_terminal = {"PYTHONUTF8": "1", "PYTHONIOENCODING": "ascii"}
+    proc = run_python(["-m", "exosim.cli", "analyze", str(traces), "--out", str(out)], ascii_terminal)
+    assert (proc.returncode, proc.stderr) == (0, warning)
+    assert b"\nS\\xe4_t01 " in proc.stdout
+    assert "\nS\u00e4_t01 " in (out / "summary.txt").read_text(encoding="utf-8")
+
+
 def test_calibrate_writes_derived_config(tmp_path):
     out = tmp_path / "cal"
     assert run_cli(["calibrate", "--out", str(out)]) == 0

@@ -1,7 +1,8 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
-command load no numpy, ``analyze`` loads neither OpenSSL nor the campaign,
-the default config does not depend on import order, and the CLI caps BLAS
-threads only for a numpy still to load.  Each check of what loads runs in a
+command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
+campaign, no command loads ``dataclasses``, the default config does not
+depend on import order, and the CLI caps BLAS threads only for a numpy still
+to load.  Each check of what loads runs in a
 fresh interpreter, since this one has loaded everything."""
 
 import json
@@ -52,7 +53,7 @@ def test_import_exosim_loads_no_submodule():
 )
 def test_cli_answers_without_a_command_load_no_numpy(argv, code):
     run = f"from exosim.cli import main\nassert main({argv!r}) == {code}"
-    assert loaded_after(run, "numpy", "yaml", "exosim.config") == []
+    assert loaded_after(run, "numpy", "yaml", "exosim.config", "pickle") == []
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -72,6 +73,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         f"assert main(['calibrate', '--out', {str(tmp_path / 'cal')!r}]) == 0"
     )
     assert "exosim.reproduce" not in loaded_after(run, *watched)
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    """Every record is a NamedTuple or a plain class, so no command, a split
+    ``analyze`` included, pays for ``dataclasses`` building classes."""
+    traces = str(tmp_path / "traces")
+    run = (
+        "import os\n"
+        "from exosim import cli\n"
+        "forks = []\n"
+        "fork = cli._fork\n"
+        "cli._fork = lambda *args: forks.append(args) or fork(*args)\n"
+        "cli.TRACES_PER_PROCESS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"assert cli.main(['simulate', '--out', {traces!r}, '--subjects', 'S1,S4']) == 0\n"
+        f"assert cli.main(['analyze', {traces!r}, '--out', {str(tmp_path / 'an')!r}]) == 0\n"
+        "assert len(forks) == 1\n"
+        f"assert cli.main(['calibrate', '--out', {str(tmp_path / 'cal')!r}]) == 0\n"
+        f"assert cli.main(['reproduce', '--out', {str(tmp_path / 'rep')!r}]) == 0\n"
+    )
+    assert loaded_after(run, "dataclasses", "exosim.reproduce") == ["exosim.reproduce"]
 
 
 def test_default_analysis_section_survives_a_wrapped_analyze():

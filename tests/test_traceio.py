@@ -339,6 +339,8 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         (b"stroke_mm: \xff\n", "'utf-8' codec can't decode byte 0xff"),
         ("subject_id: null\n", "subject_id: expected a string, got NoneType"),
         ("subject_id: 7\n", "subject_id: expected a string, got int"),
+        ("subject_id: S\u00e4\n", "subject_id: 'S\u00e4' is not a bench's subject id"),
+        ("subject_id: ../S1\n", "subject_id: '../S1' is not a bench's subject id"),
         ("functional_extension: maybe\n", "functional_extension: expected a bool or null"),
         ("functional_extension: 1\n", "functional_extension: expected a bool or null, got int"),
         ("breakaway:\n  occurred: maybe\n", "breakaway.occurred: expected a bool or null"),
@@ -349,7 +351,8 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
     ],
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
          "release-time-text", "functional-time-map", "breakaway-list", "breakaway-bool",
-         "not-yaml", "not-utf8", "subject-null", "subject-int", "functional-text",
+         "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
+         "subject-path", "functional-text",
          "functional-int", "occurred-text", "seed-text", "seed-float", "seed-bool",
          "seed-list-text"],
 )
