@@ -22,10 +22,10 @@ _EXPORTS = {
         "AnalysisReport", "analyze", "batch_report", "linear_fit_and_correlation",
         "normalize", "trim_slack", "truncate_breakaway",
     ),
-    "config": ("Bench", "default_config", "default_subject_bank", "load_config"),
+    "config": ("Bench", "default_config", "load_config"),
     "hand": (
-        "Digit", "HandModel", "HandPose", "Joint", "JointKind", "clamp_pose",
-        "default_hand", "full_flexion_pose", "spastic_rest_pose", "zero_pose",
+        "Digit", "HandModel", "JointKind", "clamp_pose", "default_hand",
+        "full_flexion_pose", "spastic_rest_pose",
     ),
     "spasticity": (
         "MasLevel", "SubjectBank", "SubjectProfile", "calibrate_stiffness",

@@ -211,9 +211,14 @@ def _cmd_analyze(args) -> int:
     if not paths:
         raise CliError("no trace CSVs to analyze")
     # A trace's report files are named after its stem, so two traces with one
-    # stem would write the same files.
+    # stem would write the same files; a stem that is not UTF-8 cannot be
+    # written into its report.
     first: dict[str, Path] = {}
     for p in paths:
+        try:
+            p.stem.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CliError(f"trace file name is not UTF-8: {os.fsencode(p)}") from None
         if first.setdefault(p.stem, p) is not p:
             raise CliError(f"two traces named {p.stem}: {first[p.stem]} and {p}")
     bench = Bench.from_config(_effective_config(args))

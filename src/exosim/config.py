@@ -132,7 +132,8 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults deep-merged with an optional YAML file."""
+    """Defaults deep-merged with an optional YAML file.  A file's ``subjects``
+    section is the whole bank: it replaces the default subjects."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -145,6 +146,8 @@ def load_config(path: str | Path | None = None) -> dict:
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     if not isinstance(loaded, Mapping):
         raise ConfigError(f"config {path} must be a mapping at top level")
+    if "subjects" in loaded:
+        del cfg["subjects"]
     return _deep_merge(cfg, loaded)
 
 
@@ -259,11 +262,6 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
             )
         )
     return SubjectBank(tuple(profiles))
-
-
-def default_subject_bank(hand: HandModel | None = None) -> SubjectBank:
-    """The five-subject synthetic cohort spanning tone grades 1-3."""
-    return subject_bank_from_config(default_config(), hand or default_hand())
 
 
 def _floats(section: Mapping, name: str) -> dict[str, float]:

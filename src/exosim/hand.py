@@ -2,9 +2,7 @@
 
 Angles are in degrees throughout, flexion positive.  A pose is one array of
 angles over the hand's fixed joint order: shape ``(n_joints,)`` for one
-posture, or ``(n, n_joints)`` for one row per sample of a trial.  The wrist
-is held at a fixed extension angle by the orthosis shell and is not an
-articulation of the model; a pose carries it alongside the angles.
+posture, or ``(n, n_joints)`` for one row per sample of a trial.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from enum import Enum
 from typing import Mapping, Union
 
 import numpy as np
-
-WRIST_EXTENSION_DEG = 30.0
 
 # Uniform skin-to-rotation-axis offset, solved so that the index extension
 # route travels 57 mm over the full flexion range (see tendons.calibrate_depth).
@@ -73,58 +69,26 @@ def joint_name(jid: JointId) -> str:
     return f"{jid[0].value}/{jid[1].value}"
 
 
-class Joint:
-    """One articulation with its admissible angle interval."""
-
-    def __init__(
-        self, digit: Digit, kind: JointKind, flexion_min_deg: float, flexion_max_deg: float
-    ) -> None:
-        self.digit = digit
-        self.kind = kind
-        self.flexion_min_deg = flexion_min_deg
-        self.flexion_max_deg = flexion_max_deg
-        if not self.flexion_min_deg < self.flexion_max_deg:
-            raise ValueError(
-                f"joint {joint_name(self.jid)}: empty angle range "
-                f"[{self.flexion_min_deg}, {self.flexion_max_deg}]"
-            )
-
-    @property
-    def jid(self) -> JointId:
-        return (self.digit, self.kind)
-
-
-class HandPose:
-    """Joint angles over a hand's joint order, plus the fixed wrist posture.
-
-    ``angles_deg`` has shape ``(n_joints,)``, or ``(n, n_joints)`` for one row
-    per sample."""
-
-    def __init__(
-        self, angles_deg: np.ndarray, wrist_extension_deg: float = WRIST_EXTENSION_DEG
-    ) -> None:
-        self.angles_deg = angles_deg
-        self.wrist_extension_deg = wrist_extension_deg
-
-
 class HandModel:
-    """Joints in a fixed order, the order of every pose's last axis, plus the
-    skin-to-axis depth every joint shares (mm, strictly positive).
+    """Joints in a fixed order, the order of every pose's last axis, with
+    their angle limits ``lo`` and ``hi`` in that order, plus the
+    skin-to-axis depth every joint shares (mm, strictly positive)."""
 
-    ``lo`` and ``hi`` hold the joints' angle limits in that order."""
-
-    def __init__(self, joints: tuple[Joint, ...], depth_mm: float) -> None:
+    def __init__(self, joints: tuple[JointId, ...], lo, hi, depth_mm: float) -> None:
         self.joints = joints
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
         self.depth_mm = depth_mm
+        for jid, low, high in zip(self.joints, self.lo, self.hi):
+            if not low < high:
+                raise ValueError(f"joint {joint_name(jid)}: empty angle range [{low}, {high}]")
         if not self.depth_mm > 0.0:
             raise ValueError(f"joint_center_depth must be > 0, got {self.depth_mm}")
-        cols = {j.jid: c for c, j in enumerate(self.joints)}
+        cols = {jid: c for c, jid in enumerate(self.joints)}
         if len(cols) < len(self.joints):
-            dup = next(j for c, j in enumerate(self.joints) if cols[j.jid] != c)
-            raise ValueError(f"duplicate joint {joint_name(dup.jid)}")
+            dup = next(jid for c, jid in enumerate(self.joints) if cols[jid] != c)
+            raise ValueError(f"duplicate joint {joint_name(dup)}")
         self._cols = cols
-        self.lo = np.array([j.flexion_min_deg for j in self.joints])
-        self.hi = np.array([j.flexion_max_deg for j in self.joints])
 
     def col(self, jid: JointId) -> int:
         """Position of a joint on a pose's last axis."""
@@ -134,7 +98,7 @@ class HandModel:
             raise KeyError(f"no such joint: {jid}") from None
 
     def with_uniform_depth(self, depth_mm: float) -> "HandModel":
-        return HandModel(self.joints, depth_mm)
+        return HandModel(self.joints, self.lo, self.hi, depth_mm)
 
     def validate_pose(self, angles_deg) -> None:
         """Raise ValueError if a pose's angle, on any of its rows, is outside
@@ -145,11 +109,9 @@ class HandModel:
         if not inside.all():
             bad = ~inside.reshape(-1, len(self.joints))
             col = int(np.flatnonzero(bad.any(axis=0))[0])
-            joint = self.joints[col]
             raise ValueError(
                 f"angle {angles.reshape(bad.shape)[bad[:, col], col][0]:.3f} deg outside "
-                f"[{joint.flexion_min_deg}, {joint.flexion_max_deg}] "
-                f"for {joint_name(joint.jid)}"
+                f"[{self.lo[col]}, {self.hi[col]}] for {joint_name(self.joints[col])}"
             )
 
 
@@ -161,12 +123,11 @@ def default_hand(
     ranges = dict(DEFAULT_FLEXION_RANGES_DEG)
     if flexion_ranges_deg:
         ranges.update({k: (float(v[0]), float(v[1])) for k, v in flexion_ranges_deg.items()})
-    joints = [(Digit.THUMB, kind) for kind in THUMB_JOINT_KINDS] + [
+    joints = tuple([(Digit.THUMB, kind) for kind in THUMB_JOINT_KINDS] + [
         (digit, kind) for digit in FINGERS for kind in FINGER_JOINT_KINDS
-    ]
-    return HandModel(
-        tuple(Joint(d, k, *ranges[range_key(d, k)]) for d, k in joints), float(depth_mm)
-    )
+    ])
+    lo, hi = zip(*(ranges[range_key(d, k)] for d, k in joints))
+    return HandModel(joints, lo, hi, float(depth_mm))
 
 
 def finger_flexion_deg(hand: HandModel, angles_deg: np.ndarray) -> np.ndarray:
@@ -180,22 +141,18 @@ def finger_flexion_deg(hand: HandModel, angles_deg: np.ndarray) -> np.ndarray:
 
 
 def _abduction(hand: HandModel) -> np.ndarray:
-    return np.array([j.kind is JointKind.ABDUCTION for j in hand.joints])
+    return np.array([kind is JointKind.ABDUCTION for _, kind in hand.joints])
 
 
-def zero_pose(hand: HandModel) -> HandPose:
-    return HandPose(np.zeros(len(hand.joints)))
-
-
-def full_flexion_pose(hand: HandModel) -> HandPose:
+def full_flexion_pose(hand: HandModel) -> np.ndarray:
     """Every flexion joint at its maximum; abduction axes neutral."""
-    return HandPose(np.where(_abduction(hand), 0.0, hand.hi))
+    return np.where(_abduction(hand), 0.0, hand.hi)
 
 
-def clamp_pose(hand: HandModel, pose: HandPose) -> HandPose:
+def clamp_pose(hand: HandModel, angles_deg) -> np.ndarray:
     """Clamp every angle into its joint's range.  Idempotent; a NaN angle
     stays NaN, so that validate_pose rejects it."""
-    return HandPose(np.clip(pose.angles_deg, hand.lo, hand.hi), pose.wrist_extension_deg)
+    return np.clip(angles_deg, hand.lo, hand.hi)
 
 
 FlexionFraction = Union[float, Mapping[Digit, float]]
@@ -211,7 +168,7 @@ def spastic_rest_pose(
     hand: HandModel,
     flexion_fraction: FlexionFraction,
     dip_ratio: float = DIP_COUPLING_RATIO,
-) -> HandPose:
+) -> np.ndarray:
     """Flexed resting posture of a spastic hand.
 
     Each finger sits at the given fraction of its MCP/PIP range with the DIP
@@ -220,10 +177,10 @@ def spastic_rest_pose(
     may be a scalar or a per-digit mapping (missing digits fall back to the
     mapping's ``"default"`` entry).
     """
-    fraction = np.array([_fraction_for(j.digit, flexion_fraction) for j in hand.joints])
+    fraction = np.array([_fraction_for(digit, flexion_fraction) for digit, _ in hand.joints])
     angles = np.where(_abduction(hand), 0.0, fraction * hand.hi)
     pip, dip = (
         [hand.col((d, kind)) for d in FINGERS] for kind in (JointKind.PIP, JointKind.DIP)
     )
     angles[dip] = dip_ratio * angles[pip]
-    return clamp_pose(hand, HandPose(angles))
+    return clamp_pose(hand, angles)

@@ -40,7 +40,7 @@ def _check_pinch_directions(bench: Bench) -> CheckResult:
     """Pinch network: MCPs advance toward flexion, PIP/DIP straighten, and
     the thumb adducts, monotonically in displacement."""
     response = PoseResponse(bench.hand, bench.pinch, spastic_rest_pose(bench.hand, 0.6))
-    angles = response.angles(np.arange(101) * 0.5)
+    angles = response.at(np.arange(101) * 0.5)
 
     def column(digit: Digit, kind: JointKind) -> np.ndarray:
         return angles[:, bench.hand.col((digit, kind))]
@@ -70,7 +70,7 @@ def _check_pinch_directions(bench: Bench) -> CheckResult:
 def _check_abduction_neutrality(bench: Bench) -> CheckResult:
     """Extension branches must be exactly insensitive to abduction."""
     hand, net = bench.hand, bench.extension
-    rest = spastic_rest_pose(hand, 0.75).angles_deg
+    rest = spastic_rest_pose(hand, 0.75)
     # One row per abduction offset, applied to every finger.
     moved = np.tile(rest, (4, 1))
     moved[:, [hand.col((d, JointKind.ABDUCTION)) for d in FINGERS]] = [

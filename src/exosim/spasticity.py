@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .actuation import ActuatorSpec, coupling_for_magnet
-from .hand import Digit, HandPose
+from .hand import Digit
 from .tendons import DEFAULT_BRANCH_SLACK_MM
 
 # Effective spring travel with the default stroke and branch slack: how far
@@ -40,7 +40,7 @@ class SubjectProfile:
         subject_id: str,
         mas: MasLevel,
         stiffness_n_per_mm: float,
-        rest_pose: HandPose,
+        rest_pose: np.ndarray,  # angles over the hand's joint order
         engage_slack_mm: float = engage_slack_mm,
         # Expected recorded peak-force band (N); upper bound None = unbounded.
         peak_band_n: tuple[float, float | None] | None = None,

@@ -211,7 +211,7 @@ def index_branch_col(net: TendonNetwork) -> int:
 def index_excursion_mm(hand: HandModel, net: TendonNetwork) -> float:
     """Excursion of the network's index branch between the zero pose and full
     flexion: what the depth calibration sets to its target."""
-    full = full_flexion_pose(hand).angles_deg
+    full = full_flexion_pose(hand)
     return float(excursion_mm(hand, net, full)[index_branch_col(net)])
 
 
@@ -237,7 +237,7 @@ def calibrate_depth(
     ``(e(0), e(DEPTH_MAX_MM)]`` raises DepthCalibrationError carrying that
     bracket, which is empty when ``k <= 0``.
     """
-    full = full_flexion_pose(hand).angles_deg
+    full = full_flexion_pose(hand)
     routing = extension.branches[index_branch_col(extension)].routing
     k = sum(EXCURSION_SIGN[pt.side] * math.radians(full[hand.col(pt.joint)]) for pt in routing)
     e_lo = index_excursion_mm(hand, extension) - hand.depth_mm * k

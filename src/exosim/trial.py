@@ -13,7 +13,6 @@ force-balanced states.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,15 +27,7 @@ from .actuation import (
     retraction_duration_s,
     update_coupling,
 )
-from .hand import (
-    WRIST_EXTENSION_DEG,
-    Digit,
-    HandModel,
-    HandPose,
-    JointId,
-    JointKind,
-    finger_flexion_deg,
-)
+from .hand import Digit, HandModel, JointId, JointKind, finger_flexion_deg
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
     Side,
@@ -84,7 +75,7 @@ class TrialConfig:
                 "coupling breakaway force must lie below the actuator peak force, "
                 f"got {self.coupling.breakaway_force_n} vs {self.actuator.peak_force_n}"
             )
-        self.hand.validate_pose(self.subject.rest_pose.angles_deg)
+        self.hand.validate_pose(self.subject.rest_pose)
 
     @property
     def coupling(self) -> CouplingSpec:
@@ -119,10 +110,10 @@ class PoseResponse:
     never leave joint limits and saturate once a branch's range is spent.
     """
 
-    def __init__(self, hand: HandModel, network: TendonNetwork, rest: HandPose):
-        hand.validate_pose(rest.angles_deg)
+    def __init__(self, hand: HandModel, network: TendonNetwork, rest: np.ndarray):
+        hand.validate_pose(rest)
         self.rest = rest
-        self._end = rest.angles_deg.copy()  # each driven joint at its range's end
+        self._end = rest.copy()  # each driven joint at its range's end
         roles = []
         for branch in network.branches:
             straighten = [hand.col(pt.joint) for pt in branch.routing]
@@ -135,29 +126,26 @@ class PoseResponse:
             self._end[straighten] = 0.0
             self._end[advance] = hand.hi[advance]
             roles.append((straighten, advance))
-        scales = excursion_mm(hand, network, rest.angles_deg - self._end).tolist()
+        scales = excursion_mm(hand, network, rest - self._end).tolist()
         self._drives = [
             (branch.slack_mm, scale, straighten, advance)
             for branch, scale, (straighten, advance) in zip(network.branches, scales, roles)
             if scale > 0.0
         ]
 
-    def angles(self, displacements_mm) -> np.ndarray:
+    def at(self, displacements_mm) -> np.ndarray:
         """Joint angles at each displacement, in the hand's joint order:
         shape ``(n_joints,)`` for one displacement, ``(n, n_joints)`` for n."""
         d = np.asarray(displacements_mm, dtype=float)
         if np.any(d < 0.0):
             raise ValueError("displacement must be >= 0")
-        rest, end = self.rest.angles_deg, self._end
+        rest, end = self.rest, self._end
         out = np.tile(rest, d.shape + (1,))
         for slack_mm, scale_mm, straighten, advance in self._drives:
             s = np.clip((d - slack_mm) / scale_mm, 0.0, 1.0)[..., None]
             out[..., straighten] = (1.0 - s) * rest[straighten]
             out[..., advance] = rest[advance] + s * (end[advance] - rest[advance])
         return out
-
-    def at(self, displacement_mm: float) -> HandPose:
-        return HandPose(self.angles(displacement_mm), self.rest.wrist_extension_deg)
 
 
 class TrialTrace:
@@ -168,6 +156,8 @@ class TrialTrace:
     per joint in ``joints``) are kept alongside so recorded samples can be
     re-checked against the constitutive relations.
     """
+
+    poses = None  # read by perfbench/tracer.py's trial-size counter
 
     def __init__(
         self,
@@ -186,7 +176,6 @@ class TrialTrace:
         functional_time_s: float | None = None,
         joints: tuple[JointId, ...] = (),
         angles_deg: np.ndarray | None = None,
-        wrist_extension_deg: float = WRIST_EXTENSION_DEG,
         true_force_n: np.ndarray | None = None,
         actuator_tension_n: np.ndarray | None = None,
         branch_taut: np.ndarray | None = None,
@@ -208,7 +197,6 @@ class TrialTrace:
         self.functional_time_s = functional_time_s
         self.joints = joints
         self.angles_deg = angles_deg
-        self.wrist_extension_deg = wrist_extension_deg
         self.true_force_n = true_force_n
         self.actuator_tension_n = actuator_tension_n
         self.branch_taut = branch_taut
@@ -222,21 +210,12 @@ class TrialTrace:
     def retraction_mm(self) -> np.ndarray:
         return self.stroke_mm - self.actuator_mm
 
-    @cached_property
-    def poses(self) -> tuple[HandPose, ...] | None:
-        """One single-row HandPose per sample, read from ``angles_deg`` on
-        first use."""
-        if self.angles_deg is None:
-            return None
-        return tuple(HandPose(row, self.wrist_extension_deg) for row in self.angles_deg)
-
     def window(self, start: int, stop: int) -> "TrialTrace":
         """Contiguous sample window with every array channel sliced alike."""
         sl = slice(start, stop)
         return TrialTrace(**{
             name: value[sl] if isinstance(value, np.ndarray) else value
             for name, value in vars(self).items()
-            if name != "poses"  # a cache of angles_deg, not a field
         })
 
 
@@ -289,11 +268,11 @@ def run_trial(
     # Once the coupling is open the tendon side is free: no displacement
     # reaches the hand, which relaxes back to rest, and the muscle no longer
     # loads the actuator.
-    angles = response.angles(np.where(held, disp, 0.0))
+    angles = response.at(np.where(held, disp, 0.0))
     true_force = np.where(held, spring, 0.0) + noise
     transmitted = np.where(transmits, np.maximum(0.0, true_force), 0.0)
     kin = network_state(
-        cfg.hand, cfg.network, angles, disp, rest_deg=rest.angles_deg,
+        cfg.hand, cfg.network, angles, disp, rest_deg=rest,
         total_tension_n=transmitted,
     )
     functional = np.flatnonzero(
@@ -314,9 +293,8 @@ def run_trial(
         breakaway_time_s=release_s,
         functional_extension=bool(functional.size),
         functional_time_s=float(t[functional[0]]) if functional.size else None,
-        joints=tuple(j.jid for j in cfg.hand.joints),
+        joints=cfg.hand.joints,
         angles_deg=angles,
-        wrist_extension_deg=rest.wrist_extension_deg,
         true_force_n=true_force,
         actuator_tension_n=kin.actuator_tension_n,
         branch_taut=kin.taut,

@@ -1,7 +1,7 @@
 import pytest
 
 from exosim.hand import default_hand
-from exosim.config import default_subject_bank
+from exosim.config import default_config, subject_bank_from_config
 from exosim.tendons import calibrate_depth, config1_extension, config2_pinch
 from exosim.trial import TrialConfig, run_trial
 
@@ -23,7 +23,7 @@ def pinch_net():
 
 @pytest.fixture(scope="session")
 def bank(hand):
-    return default_subject_bank(hand)
+    return subject_bank_from_config(default_config(), hand)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,7 @@ from exosim.reproduce import run_reproduction
 def in_limits(hand, pose) -> bool:
     """True if validate_pose accepts the pose."""
     try:
-        hand.validate_pose(pose.angles_deg)
+        hand.validate_pose(pose)
     except ValueError:
         return False
     return True
@@ -242,18 +242,18 @@ def test_c08_pose_response_directions(hand, extension_net, pinch_net):
     ext = PoseResponse(hand, extension_net, rest)
     displacements = np.linspace(0.0, 50.0, 201)
     ext_poses = [ext.at(float(d)) for d in displacements]
-    totals = [finger_flexion_deg(hand, p.angles_deg) for p in ext_poses]
+    totals = [finger_flexion_deg(hand, p) for p in ext_poses]
     ext_ok = all(
         np.all(b <= a + 1e-9) for a, b in zip(totals, totals[1:])
     ) and all(in_limits(hand, p) for p in ext_poses)
     sat = ext.at(50.0)
-    ext_ok = ext_ok and bool(np.all(finger_flexion_deg(hand, sat.angles_deg) <= 1e-9))
+    ext_ok = ext_ok and bool(np.all(finger_flexion_deg(hand, sat) <= 1e-9))
     # exact abduction neutrality of the extension network
-    moved = rest.angles_deg.copy()
+    moved = rest.copy()
     moved[[hand.col((d, JointKind.ABDUCTION)) for d in FINGERS]] = 12.0
     abd_ok = (
         excursion_mm(hand, extension_net, moved).tolist()
-        == excursion_mm(hand, extension_net, rest.angles_deg).tolist()
+        == excursion_mm(hand, extension_net, rest).tolist()
     )
     pinch_rest = spastic_rest_pose(hand, 0.6)
     pinch = PoseResponse(hand, pinch_net, pinch_rest)
@@ -261,7 +261,7 @@ def test_c08_pose_response_directions(hand, extension_net, pinch_net):
     pinch_ok = True
 
     def column(digit, kind):
-        return [p.angles_deg[hand.col((digit, kind))] for p in pinch_poses]
+        return [p[hand.col((digit, kind))] for p in pinch_poses]
 
     for digit in FINGERS:
         mcp = column(digit, JointKind.MCP)
@@ -300,7 +300,7 @@ def test_c09_trace_constraint_consistency(hand, extension_net, bank):
     for i in range(len(trace)):
         d = trace.stroke_mm - trace.actuator_mm[i]
         state = network_state(
-            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose.angles_deg
+            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
         )
         if trace.branch_taut[i].tolist() != state.taut.tolist():
             balance_exact = False

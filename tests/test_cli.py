@@ -605,6 +605,36 @@ def test_analyze_rejects_two_traces_with_one_stem(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "an").exists()
 
 
+def test_analyze_rejects_a_trace_name_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    """Its stem cannot be written into its report, so it fails, naming the
+    file's bytes, before anything is written."""
+    write_corpus(tmp_path / "a", n=3)
+    bad = os.fsencode(tmp_path / "a") + b"/S\xe4_t01.csv"
+    try:
+        os.rename(os.fsencode(tmp_path / "a" / "S2_c01.csv"), bad)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    code, out, err, forks = analyze_with_cpus(
+        monkeypatch, capsys, 2, tmp_path / "a", tmp_path / "an", per_process=1
+    )
+    assert (code, out, forks) == (1, "", 0)
+    assert err == f"error: trace file name is not UTF-8: {bad}\n"
+    assert not (tmp_path / "an").exists()
+
+
+def test_analyze_in_an_ascii_locale_rejects_a_non_ascii_trace_name(tmp_path):
+    """With UTF-8 mode off, an ASCII locale reads the name's bytes as
+    surrogate escapes, so the same early error names them."""
+    write_corpus(tmp_path / "a", n=3)
+    (tmp_path / "a" / "S2_c01.csv").rename(tmp_path / "a" / "S\u00e4_t01.csv")
+    args = ["-m", "exosim.cli", "analyze", str(tmp_path / "a"), "--out", str(tmp_path / "an")]
+    proc = run_python(args, ASCII_LOCALE)
+    bad = os.fsencode(tmp_path / "a" / "S\u00e4_t01.csv")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"error: trace file name is not UTF-8: {bad}\n".encode()
+    assert not (tmp_path / "an").exists()
+
+
 def test_analyze_child_that_dies_is_an_error(tmp_path, monkeypatch, capsys):
     write_corpus(tmp_path / "traces", n=16)
     parent = os.getpid()

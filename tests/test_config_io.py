@@ -37,7 +37,7 @@ def test_default_config_builds_everything():
     assert bench.pinch.kind is NetworkKind.PINCH
     bank = bench.bank
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
-    s3_rest = bank.by_id("S3").rest_pose.angles_deg
+    s3_rest = bank.by_id("S3").rest_pose
     assert s3_rest[hand.col((Digit.INDEX, JointKind.MCP))] == pytest.approx(67.5)
     assert bank.by_id("S4").peak_band_n == (35.0, None)
 
@@ -264,6 +264,20 @@ def test_simulate_writes_nothing_for_a_bad_subject_id(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid config: subject id '../evil'")
     assert not (tmp_path / "box").exists()
+
+
+def test_config_file_subjects_replace_the_default_bank(tmp_path):
+    """A file's subjects are complete entries and the whole bank, so simulate
+    runs that one subject; an override still edits one subject."""
+    cfg_file = tmp_path / "one.yaml"
+    cfg_file.write_text(yaml.safe_dump({"subjects": {"P1": SUBJECT}}))
+    cfg = apply_overrides(load_config(cfg_file), {"subjects.P1.stiffness_n_per_mm": "0.5"})
+    assert cfg["subjects"] == {"P1": dict(SUBJECT, stiffness_n_per_mm=0.5)}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "P1_extension_t00.csv", "P1_extension_t00.meta.yaml"
+    ]
 
 
 def test_bench_reads_the_coupling_magnet_and_derives_the_travel():

@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exosim.hand import (
+    DEFAULT_FLEXION_RANGES_DEG,
     DIP_COUPLING_RATIO,
     Digit,
     FINGERS,
     HandModel,
-    HandPose,
-    Joint,
     JointKind,
-    WRIST_EXTENSION_DEG,
     clamp_pose,
     default_hand,
     finger_flexion_deg,
     full_flexion_pose,
+    range_key,
     spastic_rest_pose,
-    zero_pose,
 )
 
 
@@ -26,23 +24,23 @@ def test_default_hand_has_twenty_articulations():
     hand = default_hand()
     assert len(hand.joints) == 20
     # 4 thumb joints + 4 per finger
-    thumb = [j for j in hand.joints if j.digit is Digit.THUMB]
+    thumb = [jid for jid in hand.joints if jid[0] is Digit.THUMB]
     assert len(thumb) == 4
     for digit in FINGERS:
-        assert len([j for j in hand.joints if j.digit is digit]) == 4
+        assert len([jid for jid in hand.joints if jid[0] is digit]) == 4
 
 
 def in_limits(hand, pose):
     """True if validate_pose accepts the pose."""
     try:
-        hand.validate_pose(pose.angles_deg)
+        hand.validate_pose(pose)
     except ValueError:
         return False
     return True
 
 
 def angle(hand, pose, digit, kind):
-    return pose.angles_deg[..., hand.col((digit, kind))]
+    return pose[..., hand.col((digit, kind))]
 
 
 def test_default_ranges():
@@ -54,19 +52,14 @@ def test_default_ranges():
     assert (hand.lo[abd], hand.hi[abd]) == (-15.0, 15.0)
     assert hand.hi[hand.col((Digit.THUMB, JointKind.CMC))] == 50.0
     # the limit arrays follow the joint order
-    assert hand.lo.tolist() == [j.flexion_min_deg for j in hand.joints]
-    assert hand.hi.tolist() == [j.flexion_max_deg for j in hand.joints]
-    assert [hand.col(j.jid) for j in hand.joints] == list(range(20))
-
-
-def test_wrist_fixed_at_30_degrees():
-    hand = default_hand()
-    assert zero_pose(hand).wrist_extension_deg == WRIST_EXTENSION_DEG == 30.0
+    assert hand.lo.tolist() == [DEFAULT_FLEXION_RANGES_DEG[range_key(*j)][0] for j in hand.joints]
+    assert hand.hi.tolist() == [DEFAULT_FLEXION_RANGES_DEG[range_key(*j)][1] for j in hand.joints]
+    assert [hand.col(jid) for jid in hand.joints] == list(range(20))
 
 
 def test_empty_joint_range_rejected():
-    with pytest.raises(ValueError):
-        Joint(Digit.INDEX, JointKind.MCP, 10.0, 10.0)
+    with pytest.raises(ValueError, match=r"^joint index/mcp: empty angle range \[10\.0, 10\.0\]$"):
+        HandModel(((Digit.INDEX, JointKind.MCP),), [10.0], [10.0], 9.0)
 
 
 def test_depth_must_be_positive():
@@ -79,9 +72,9 @@ def test_depth_must_be_positive():
 
 def test_validate_pose_rejects_out_of_range():
     hand = default_hand()
-    bad = zero_pose(hand).angles_deg
+    bad = np.zeros(len(hand.joints))
     bad[hand.col((Digit.INDEX, JointKind.MCP))] = 95.0
-    assert not in_limits(hand, HandPose(bad))
+    assert not in_limits(hand, bad)
     message = r"^angle 95\.000 deg outside \[0\.0, 90\.0\] for index/mcp$"
     with pytest.raises(ValueError, match=message):
         hand.validate_pose(bad)
@@ -110,10 +103,10 @@ def test_validate_pose_names_the_first_bad_joint_and_sample():
 
 def test_clamp_pose_examples():
     hand = default_hand()
-    angles = zero_pose(hand).angles_deg
+    angles = np.zeros(len(hand.joints))
     angles[hand.col((Digit.INDEX, JointKind.MCP))] = 120.0
     angles[hand.col((Digit.INDEX, JointKind.ABDUCTION))] = -40.0
-    clamped = clamp_pose(hand, HandPose(angles))
+    clamped = clamp_pose(hand, angles)
     assert angle(hand, clamped, Digit.INDEX, JointKind.MCP) == 90.0
     assert angle(hand, clamped, Digit.INDEX, JointKind.ABDUCTION) == -15.0
     assert in_limits(hand, clamped)
@@ -121,9 +114,9 @@ def test_clamp_pose_examples():
 
 def test_clamp_pose_keeps_nan_for_validation_to_reject():
     hand = default_hand()
-    angles = zero_pose(hand).angles_deg
+    angles = np.zeros(len(hand.joints))
     angles[hand.col((Digit.INDEX, JointKind.MCP))] = np.nan
-    assert not in_limits(hand, clamp_pose(hand, HandPose(angles)))
+    assert not in_limits(hand, clamp_pose(hand, angles))
 
 
 angle_values = st.floats(
@@ -134,11 +127,10 @@ angle_values = st.floats(
 @given(st.lists(angle_values, min_size=20, max_size=20))
 def test_clamp_pose_idempotent(angles):
     hand = default_hand()
-    pose = HandPose(np.array(angles))
-    once = clamp_pose(hand, pose)
+    once = clamp_pose(hand, np.array(angles))
     twice = clamp_pose(hand, once)
     assert in_limits(hand, once)
-    assert once.angles_deg.tolist() == twice.angles_deg.tolist()
+    assert once.tolist() == twice.tolist()
 
 
 def test_full_flexion_pose_hits_limits():
@@ -180,10 +172,10 @@ def test_total_finger_flexion():
     hand = default_hand()
     pose = spastic_rest_pose(hand, 0.75)
     # 67.5 + 75 + 52.5
-    assert finger_flexion_deg(hand, pose.angles_deg)[0] == pytest.approx(195.0)
+    assert finger_flexion_deg(hand, pose)[0] == pytest.approx(195.0)
 
 
 def test_duplicate_joint_rejected():
-    j = Joint(Digit.INDEX, JointKind.MCP, 0.0, 90.0)
-    with pytest.raises(ValueError):
-        HandModel((j, j), 9.0)
+    j = (Digit.INDEX, JointKind.MCP)
+    with pytest.raises(ValueError, match="^duplicate joint index/mcp$"):
+        HandModel((j, j), [0.0, 0.0], [90.0, 90.0], 9.0)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from exosim.config import default_subject_bank
+from exosim.config import default_config, subject_bank_from_config
 from exosim.hand import Digit, JointKind, default_hand, spastic_rest_pose
 from exosim.spasticity import (
     DEFAULT_TOTAL_TRAVEL_MM,
@@ -88,7 +88,7 @@ def test_negative_stiffness_rejected():
 
 
 def test_bank_composition():
-    bank = default_subject_bank()
+    bank = subject_bank_from_config(default_config(), default_hand())
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
     assert len(bank) == 5
     by_mas = {p.subject_id: p.mas for p in bank}
@@ -101,7 +101,7 @@ def test_bank_composition():
 
 
 def test_bank_stiffness_and_bands():
-    bank = default_subject_bank()
+    bank = subject_bank_from_config(default_config(), default_hand())
     assert bank.by_id("S1").stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
     assert bank.by_id("S2").stiffness_n_per_mm == pytest.approx(27.5 / 48.0)
     assert bank.by_id("S3").stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
@@ -118,20 +118,20 @@ def test_bank_stiffness_and_bands():
 
 def test_bank_rest_poses():
     hand = default_hand()
-    bank = default_subject_bank(hand)
+    bank = subject_bank_from_config(default_config(), hand)
     index_mcp = hand.col((Digit.INDEX, JointKind.MCP))
-    s1 = bank.by_id("S1").rest_pose.angles_deg
+    s1 = bank.by_id("S1").rest_pose
     assert s1[index_mcp] == pytest.approx(0.75 * 90.0)
-    s3 = bank.by_id("S3").rest_pose.angles_deg
+    s3 = bank.by_id("S3").rest_pose
     # S3: index more flexed than the other fingers
     assert s3[index_mcp] == pytest.approx(67.5)
     assert s3[hand.col((Digit.MIDDLE, JointKind.MCP))] == pytest.approx(54.0)
     for p in bank:
-        hand.validate_pose(p.rest_pose.angles_deg)  # raises outside the limits
+        hand.validate_pose(p.rest_pose)  # raises outside the limits
 
 
 def test_duplicate_subject_ids_rejected():
-    p = default_subject_bank().by_id("S1")
+    p = subject_bank_from_config(default_config(), default_hand()).by_id("S1")
     with pytest.raises(ValueError):
         SubjectBank((p, p))
 

@@ -10,7 +10,6 @@ from exosim.hand import (
     JointKind,
     default_hand,
     spastic_rest_pose,
-    zero_pose,
 )
 from exosim.tendons import (
     EXCURSION_SIGN,
@@ -81,7 +80,7 @@ def test_excursion_single_joint_oracle():
         (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),),
         Attachment.MIDDLE_PHALANX_RING,
     )
-    pose = zero_pose(hand).angles_deg
+    pose = np.zeros(len(hand.joints))
     pose[hand.col(IDX_MCP)] = 90.0
     expected = 18.5 * math.pi / 2.0
     assert excursion_mm(hand, network(branch), pose)[0] == pytest.approx(expected, abs=1e-12)
@@ -95,7 +94,7 @@ def test_palmar_routing_flips_sign():
     palmar = TendonBranch(
         Digit.INDEX, (RoutingPoint(IDX_MCP, Side.PALMAR, 0.0),), Attachment.FINGERTIP_WRAP
     )
-    pose = zero_pose(hand).angles_deg
+    pose = np.zeros(len(hand.joints))
     pose[hand.col(IDX_MCP)] = 45.0
     e_d, e_p = excursion_mm(hand, network(dorsal, palmar), pose)
     assert e_d > 0
@@ -105,17 +104,17 @@ def test_palmar_routing_flips_sign():
 def test_excursion_zero_at_zero_pose():
     hand = default_hand()
     net = config1_extension()
-    assert excursion_mm(hand, net, zero_pose(hand).angles_deg).tolist() == [0.0] * 4
+    assert excursion_mm(hand, net, np.zeros(len(hand.joints))).tolist() == [0.0] * 4
 
 
 def test_network_state_rejects_pose_outside_limits():
     hand = default_hand()
-    bad = zero_pose(hand).angles_deg
+    bad = np.zeros(len(hand.joints))
     bad[hand.col(IDX_MCP)] = 91.0
     with pytest.raises(ValueError, match="for index/mcp"):
         network_state(hand, config1_extension(), bad, 1.0)
     with pytest.raises(ValueError, match="for index/mcp"):
-        network_state(hand, config1_extension(), zero_pose(hand).angles_deg, 1.0, rest_deg=bad)
+        network_state(hand, config1_extension(), np.zeros(len(hand.joints)), 1.0, rest_deg=bad)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -124,7 +123,7 @@ def test_excursion_linear_in_pose(scale_a, scale_b):
     hand = default_hand()
     net = config1_extension()
     col = index_branch_col(net)
-    base = spastic_rest_pose(hand, 1.0).angles_deg
+    base = spastic_rest_pose(hand, 1.0)
     e_base = excursion_mm(hand, net, base)[col]
     e_a = excursion_mm(hand, net, scale_a * base)[col]
     e_sum = excursion_mm(hand, net, min(1.0, scale_a + scale_b) * base)[col]
@@ -138,7 +137,7 @@ def test_excursion_linear_in_pose(scale_a, scale_b):
 def test_extension_excursion_ignores_abduction(abduction_deg):
     hand = default_hand()
     net = config1_extension()
-    rest = spastic_rest_pose(hand, 0.7).angles_deg
+    rest = spastic_rest_pose(hand, 0.7)
     moved = rest.copy()
     moved[[hand.col((d, JointKind.ABDUCTION)) for d in FINGERS]] = abduction_deg
     assert excursion_mm(hand, net, moved).tolist() == excursion_mm(hand, net, rest).tolist()
@@ -291,7 +290,7 @@ def test_network_state_slack_split_example():
     # branch 1 taut with 2 mm of demand, branch 2 slack
     hand = default_hand()
     net = two_branch_net(hand)
-    pose = spastic_rest_pose(hand, 0.5).angles_deg
+    pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 4.0)
     assert state.taut.tolist() == [True, False]
     assert state.elongation_mm[0] == pytest.approx(2.0)
@@ -302,7 +301,7 @@ def test_network_state_slack_split_example():
 def test_network_state_zero_displacement():
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.5).angles_deg
+    pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 0.0, total_tension_n=0.0)
     assert not state.taut.any()
     assert state.actuator_tension_n == 0.0
@@ -313,13 +312,13 @@ def test_network_state_rejects_negative_displacement():
     hand = default_hand()
     net = config1_extension()
     with pytest.raises(ValueError):
-        network_state(hand, net, spastic_rest_pose(hand, 0.5).angles_deg, -0.1)
+        network_state(hand, net, spastic_rest_pose(hand, 0.5), -0.1)
 
 
 def test_identical_branches_share_equally():
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.5).angles_deg
+    pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 30.0, total_tension_n=12.0)
     assert state.taut.all()
     assert state.tension_n.tolist() == pytest.approx([3.0, 3.0, 3.0, 3.0])
@@ -329,7 +328,7 @@ def test_identical_branches_share_equally():
 def test_slack_branches_carry_zero_tension():
     hand = default_hand()
     net = two_branch_net(hand, slack_a=2.0, slack_b=40.0)
-    pose = spastic_rest_pose(hand, 0.5).angles_deg
+    pose = spastic_rest_pose(hand, 0.5)
     state = network_state(hand, net, pose, 10.0, total_tension_n=8.0)
     assert state.taut.tolist() == [True, False]
     assert state.tension_n[1] == 0.0
@@ -341,7 +340,7 @@ def test_free_length_offsets_demand():
     # a pose that has paid out tendon reduces the elastic demand
     hand = default_hand()
     net = two_branch_net(hand)
-    rest = spastic_rest_pose(hand, 0.5).angles_deg
+    rest = spastic_rest_pose(hand, 0.5)
     # extend the index MCP by 10 degrees from rest: free length r * dtheta
     moved = rest.copy()
     moved[hand.col(IDX_MCP)] -= 10.0
@@ -364,7 +363,7 @@ def test_taut_monotone_in_displacement(d_small, d_large):
         d_small, d_large = d_large, d_small
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.6).angles_deg
+    pose = spastic_rest_pose(hand, 0.6)
     s_small = network_state(hand, net, pose, d_small)
     s_large = network_state(hand, net, pose, d_large)
     assert np.all(~s_small.taut | s_large.taut)
@@ -378,7 +377,7 @@ def test_taut_monotone_in_displacement(d_small, d_large):
 def test_force_balance_exact(displacement, total_tension):
     hand = default_hand()
     net = config1_extension()
-    pose = spastic_rest_pose(hand, 0.6).angles_deg
+    pose = spastic_rest_pose(hand, 0.6)
     state = network_state(
         hand, net, pose, displacement, total_tension_n=total_tension
     )

@@ -117,14 +117,14 @@ def test_sample_count_is_capped_when_the_config_is_made(hand, extension_net, ban
 def in_limits(hand, pose):
     """True if validate_pose accepts the pose."""
     try:
-        hand.validate_pose(pose.angles_deg)
+        hand.validate_pose(pose)
     except ValueError:
         return False
     return True
 
 
 def angle(hand, pose, digit, kind):
-    return pose.angles_deg[..., hand.col((digit, kind))]
+    return pose[..., hand.col((digit, kind))]
 
 
 def test_extension_response_monotone_open(hand, extension_net):
@@ -134,12 +134,12 @@ def test_extension_response_monotone_open(hand, extension_net):
     for disp in np.linspace(0.0, 50.0, 201):
         pose = response.at(float(disp))
         assert in_limits(hand, pose)
-        for d, total in zip(FINGERS, finger_flexion_deg(hand, pose.angles_deg)):
+        for d, total in zip(FINGERS, finger_flexion_deg(hand, pose)):
             assert total <= last_total[d] + 1e-9
             last_total[d] = total
     # fully retracted: everything driven reaches full extension
     final = response.at(50.0)
-    assert finger_flexion_deg(hand, final.angles_deg).tolist() == pytest.approx(
+    assert finger_flexion_deg(hand, final).tolist() == pytest.approx(
         [0.0] * 4, abs=1e-9
     )
 
@@ -148,10 +148,10 @@ def test_extension_response_deficit_matches_displacement(hand, extension_net):
     """While following, the pose pays out exactly the displacement past slack."""
     rest = spastic_rest_pose(hand, 0.75)
     response = PoseResponse(hand, extension_net, rest)
-    e_rest = excursion_mm(hand, extension_net, rest.angles_deg)
+    e_rest = excursion_mm(hand, extension_net, rest)
     for disp in (3.0, 10.0, 25.0, 40.0):
         pose = response.at(disp)
-        deficit = e_rest - excursion_mm(hand, extension_net, pose.angles_deg)
+        deficit = e_rest - excursion_mm(hand, extension_net, pose)
         for b, branch in enumerate(extension_net.branches):
             expected = min(disp - branch.slack_mm, e_rest[b])
             assert deficit[b] == pytest.approx(expected, abs=1e-9)
@@ -160,16 +160,16 @@ def test_extension_response_deficit_matches_displacement(hand, extension_net):
 def test_extension_response_holds_rest_before_slack(hand, extension_net):
     rest = spastic_rest_pose(hand, 0.75)
     response = PoseResponse(hand, extension_net, rest)
-    assert response.at(0.0).angles_deg.tolist() == rest.angles_deg.tolist()
-    assert response.at(1.99).angles_deg.tolist() == rest.angles_deg.tolist()
+    assert response.at(0.0).tolist() == rest.tolist()
+    assert response.at(1.99).tolist() == rest.tolist()
 
 
 def test_extension_saturates_beyond_rest_excursion(hand, extension_net):
     rest = spastic_rest_pose(hand, 0.3)
     response = PoseResponse(hand, extension_net, rest)
-    e_rest = excursion_mm(hand, extension_net, rest.angles_deg)[0]
+    e_rest = excursion_mm(hand, extension_net, rest)[0]
     pose = response.at(e_rest + 10.0)
-    assert finger_flexion_deg(hand, pose.angles_deg).tolist() == pytest.approx(
+    assert finger_flexion_deg(hand, pose).tolist() == pytest.approx(
         [0.0] * 4, abs=1e-9
     )
 
@@ -227,10 +227,10 @@ def test_response_rejects_negative_displacement(hand, extension_net):
 def test_functional_extension_threshold(hand):
     open_pose = spastic_rest_pose(hand, 0.2)  # totals 52 degrees per finger
     closed = spastic_rest_pose(hand, 0.75)  # totals 195 degrees
-    assert is_functional_extension(hand, open_pose.angles_deg)
-    assert not is_functional_extension(hand, closed.angles_deg)
+    assert is_functional_extension(hand, open_pose)
+    assert not is_functional_extension(hand, closed)
     # one answer per row
-    both = np.stack([open_pose.angles_deg, closed.angles_deg])
+    both = np.stack([open_pose, closed])
     assert is_functional_extension(hand, both).tolist() == [True, False]
 
 
@@ -238,13 +238,13 @@ def test_functional_extension_boundary_inclusive(hand):
     # fraction chosen so each finger totals exactly the 110-degree threshold
     fraction = 110.0 / 260.0
     pose = spastic_rest_pose(hand, fraction)
-    assert finger_flexion_deg(hand, pose.angles_deg)[0] == pytest.approx(110.0)
-    assert is_functional_extension(hand, pose.angles_deg, 110.0)
+    assert finger_flexion_deg(hand, pose)[0] == pytest.approx(110.0)
+    assert is_functional_extension(hand, pose, 110.0)
 
 
 def test_functional_extension_worst_finger_governs(hand):
     pose = spastic_rest_pose(hand, {"default": 0.2, Digit.RING: 0.9})
-    assert not is_functional_extension(hand, pose.angles_deg)
+    assert not is_functional_extension(hand, pose)
 
 
 # --- trial events ----------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_functional_times_against_closed_form(hand, extension_net, bank):
     for sid in ("S1", "S2", "S5"):
         profile = bank.by_id(sid)
         trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
-        rest = profile.rest_pose.angles_deg
+        rest = profile.rest_pose
         worst = max(finger_flexion_deg(hand, rest))
         e_rest = max(excursion_mm(hand, extension_net, rest))
         d_func = 2.0 + e_rest * (1.0 - 110.0 / worst)
@@ -316,7 +316,7 @@ def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, bank
 def test_hand_relaxes_to_rest_after_release(hand, extension_net, bank):
     profile = bank.by_id("S4")
     trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
-    assert trace.angles_deg[-1].tolist() == profile.rest_pose.angles_deg.tolist()
+    assert trace.angles_deg[-1].tolist() == profile.rest_pose.tolist()
 
 
 def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
@@ -327,7 +327,7 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
     for i in range(0, len(trace), 53):
         d = trace.stroke_mm - trace.actuator_mm[i]
         state = network_state(
-            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose.angles_deg
+            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
         )
         assert trace.branch_taut[i].tolist() == state.taut.tolist()
         assert trace.branch_elongation_mm[i].tolist() == pytest.approx(
@@ -357,9 +357,9 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
         held = release_time is None
         d = trace.stroke_mm - trace.actuator_mm[i]
         pose = response.at(d) if held else rest
-        assert trace.poses[i].angles_deg.tolist() == pose.angles_deg.tolist()
+        assert trace.angles_deg[i].tolist() == pose.tolist()
         assert trace.angles_deg[i].tolist() == [
-            pose.angles_deg[hand.col(j)] for j in trace.joints
+            pose[hand.col(j)] for j in trace.joints
         ]
         # The spring sees the junction's pull past slack whatever the pose.
         spring = resistance_force_n(profile, net_elongation_mm(net, d)) if held else 0.0
@@ -368,7 +368,7 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
             release_time = update_coupling(true_force, cfg.coupling, t)
         transmitted = max(0.0, true_force) if release_time is None else 0.0
         kin = network_state(
-            hand, net, pose.angles_deg, d, rest_deg=rest.angles_deg, total_tension_n=transmitted
+            hand, net, pose, d, rest_deg=rest, total_tension_n=transmitted
         )
         assert kin.net_elongation_mm == net_elongation_mm(net, d)
         assert trace.true_force_n[i] == true_force
@@ -377,19 +377,16 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
         assert trace.branch_elongation_mm[i].tolist() == kin.elongation_mm.tolist()
         assert trace.branch_tension_n[i].tolist() == kin.tension_n.tolist()
         assert trace.actuator_tension_n[i] == kin.actuator_tension_n
-        if held and functional_time is None and is_functional_extension(hand, pose.angles_deg):
+        if held and functional_time is None and is_functional_extension(hand, pose):
             functional_time = t
     assert trace.breakaway == (release_time is not None)
     assert trace.breakaway_time_s == release_time
     assert trace.functional_time_s == functional_time
     assert trace.functional_extension == (functional_time is not None)
-    assert trace.angles_deg[-1].tolist() == pose.angles_deg.tolist()
+    assert trace.angles_deg[-1].tolist() == pose.tolist()
 
     window = trace.window(150, 700)
     assert window.joints == trace.joints
-    assert [p.angles_deg.tolist() for p in window.poses] == [
-        p.angles_deg.tolist() for p in trace.poses[150:700]
-    ]
     for name in ("t_s", "force_n", "angles_deg", "branch_taut", "branch_tension_n"):
         assert np.array_equal(getattr(window, name), getattr(trace, name)[150:700])
 
