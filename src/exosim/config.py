@@ -232,6 +232,14 @@ def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
     return None if raw is None else _pair(raw, key, open_hi=True)
 
 
+def _mas(raw: Any, key: str) -> MasLevel:
+    try:
+        return MasLevel(str(raw))
+    except ValueError:
+        grades = ", ".join(repr(m.value) for m in MasLevel)
+        raise ValueError(f"{key} must be one of {grades}, got {raw!r}") from None
+
+
 def _notes(raw: Any, key: str) -> str:
     if not isinstance(raw, str) or not NOTES.fullmatch(raw):
         raise ValueError(f"{key} must be at most 200 printable ASCII characters, got {raw!r}")
@@ -250,12 +258,15 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
     profiles = []
     for sid, s in cfg["subjects"].items():
         at = f"subjects.{sid}."  # the dotted keys of this subject
+        for name in ("rest_flexion_fraction", "mas", "stiffness_n_per_mm"):
+            if name not in s:
+                raise KeyError(at + name)
         given = {name: read(s[name], at + name) for name, read in optional.items() if name in s}
         fraction = _fraction_from_config(s["rest_flexion_fraction"], at + "rest_flexion_fraction")
         profiles.append(
             SubjectProfile(
                 subject_id=sid,
-                mas=MasLevel(str(s["mas"])),
+                mas=_mas(s["mas"], at + "mas"),
                 stiffness_n_per_mm=_finite(s["stiffness_n_per_mm"], at + "stiffness_n_per_mm"),
                 rest_pose=spastic_rest_pose(hand, fraction),
                 **given,
@@ -280,9 +291,12 @@ def _check_keys(section: Any, known: Mapping, name: str) -> None:
     for key, value in section.items():
         path = f"{name}.{key}".lstrip(".")
         if key not in known:
-            raise ValueError(
-                f"unknown key {path!r}; known keys: {', '.join(map(str, known))}"
-            )
+            import difflib  # only for this message
+
+            names = [str(k) for k in known]
+            close = difflib.get_close_matches(str(key), names, n=1)
+            hint = f"did you mean {close[0]!r}? " if close else ""
+            raise ValueError(f"unknown key {path!r}; {hint}known keys: {', '.join(names)}")
         if isinstance(known[key], dict):
             _check_keys(value, known[key], path)
 

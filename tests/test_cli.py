@@ -531,9 +531,39 @@ def analyze_with_cpus(monkeypatch, capsys, cpus, traces, out, *more, per_process
         code = run_cli(["analyze", str(traces), *map(str, more), "--out", str(out)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert gc.get_freeze_count() == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
     captured = capsys.readouterr()
     return code, captured.out, captured.err, len(forks)
+
+
+@pytest.mark.parametrize("enabled, frozen", [(True, False), (False, True)])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "calibrate", "reproduce"])
+def test_main_in_process_leaves_the_collector_as_found(tmp_path, command, enabled, frozen):
+    """Only a CLI process freezes what it loaded: a caller of ``main([...])``
+    keeps its collector on or off, its frozen objects frozen and the others
+    not.  A frozen object that loses its last reference during the run leaves
+    the freeze count, so beside the count this follows one object of each
+    kind: the collector's generations hold exactly the ones not frozen."""
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        assert run_cli(["simulate", "--out", str(tmp_path / "traces")]) == 0
+        args.append(str(tmp_path / "traces"))
+    kept = []
+    try:
+        if frozen:
+            gc.freeze()
+        if not enabled:
+            gc.disable()
+        made = []
+        before = gc.get_freeze_count()
+        assert run_cli(args) == 0
+        assert gc.isenabled() is enabled
+        assert (0 < gc.get_freeze_count() <= before) if frozen else gc.get_freeze_count() == 0
+        tracked = {id(obj) for obj in gc.get_objects()}
+        assert (id(kept) in tracked, id(made) in tracked) == (not frozen, True)
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

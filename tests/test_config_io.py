@@ -182,12 +182,17 @@ def test_open_peak_band_stays_allowed():
         ("calibration.depth_tolerance_mm", "0",
          "calibration.depth_tolerance_mm must be > 0, got 0.0"),
         ("subjects", "{}", "subjects must name at least one subject"),
+        ("subjects.S1.mas", "9", "subjects.S1.mas must be one of '1', '1+', '2', '3', got 9"),
+        ("subjects.S1.mas", "1-", "subjects.S1.mas must be one of '1', '1+', '2', '3', got '1-'"),
+        ("subjects.S1.mas", "null",
+         "subjects.S1.mas must be one of '1', '1+', '2', '3', got None"),
     ],
 )
 def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value, message):
     """A rest fraction outside [0, 1], a band or range that is not two numbers
-    in order, a flexion range without 0, a depth tolerance that is not positive and an empty subject bank
-    fail naming their dotted key, before anything is written."""
+    in order, a flexion range without 0, a depth tolerance that is not
+    positive, an empty subject bank and a MAS grade that is not one fail
+    naming their dotted key, before anything is written."""
     cfg = apply_overrides(default_config(), {key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):
         Bench.from_config(cfg)
@@ -208,6 +213,50 @@ def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key,
 )
 def test_config_values_at_their_bounds_are_allowed(key, value):
     Bench.from_config(apply_overrides(default_config(), {key: value}))
+
+
+@pytest.mark.parametrize(
+    "key, value, missing",
+    [
+        ("subjects.P1.mas", "2", "subjects.P1.rest_flexion_fraction"),
+        ("subjects.P1", "{rest_flexion_fraction: 0.5, mas: '2'}", "subjects.P1.stiffness_n_per_mm"),
+        ("subjects.P1", "{rest_flexion_fraction: 0.5, stiffness_n_per_mm: 0.4}", "subjects.P1.mas"),
+    ],
+)
+def test_subject_missing_a_key_is_rejected_by_its_key(tmp_path, capsys, key, value, missing):
+    """A new subject that gives only some of the keys a subject needs fails
+    naming the first missing one as a dotted key, like every other subject
+    error, before anything is written."""
+    cfg = apply_overrides(default_config(), {key: value})
+    message = f"config is missing key {missing!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Bench.from_config(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, hint, known",
+    [
+        ("trial.noise_sigm", "did you mean 'noise_sigma_n'? ",
+         "sample_rate_hz, noise_sigma_n, functional_flexion_deg"),
+        ("subjects.S1.stifness_n_per_mm", "did you mean 'stiffness_n_per_mm'? ",
+         "mas, stiffness_n_per_mm, rest_flexion_fraction, magnet, peak_band_n, notes, "
+         "engage_slack_mm"),
+        ("network.extention", "did you mean 'extension'? ",
+         "kind, branch_slack_mm, extension, pinch"),
+        ("hand.zzz", "", "joint_center_depth_mm, flexion_ranges_deg"),
+    ],
+)
+def test_unknown_key_error_suggests_the_closest_known_key(key, hint, known):
+    """The error names the unknown key, the closest known key of its section
+    if one is close, and all of that section's known keys."""
+    cfg = apply_overrides(default_config(), {key: "1"})
+    message = f"invalid config: unknown key {key!r}; {hint}known keys: {known}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Bench.from_config(cfg)
 
 
 @pytest.mark.parametrize("notes", ["x\x01y" * 40, "x" * 201, "é", 5, None, ["a"]])

@@ -1,9 +1,9 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
 command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
-campaign, no command loads ``dataclasses``, the default config does not
-depend on import order, and the CLI caps BLAS threads only for a numpy still
-to load.  Each check of what loads runs in a
-fresh interpreter, since this one has loaded everything."""
+campaign, no command loads ``dataclasses``, a CLI process freezes what its
+command loaded, the default config does not depend on import order, and the
+CLI caps BLAS threads only for a numpy still to load.  Each check of what
+loads runs in a fresh interpreter, since this one has loaded everything."""
 
 import json
 import os
@@ -57,14 +57,17 @@ def test_cli_answers_without_a_command_load_no_numpy(argv, code):
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """``analyze`` loads the analysis, but not hashlib (which maps OpenSSL)
-    nor the campaign; ``simulate`` and ``calibrate`` load no campaign."""
+    """``analyze``, run as a CLI process, loads the analysis, but not hashlib
+    nor numpy.random (both map OpenSSL) nor the campaign; ``simulate`` and
+    ``calibrate`` load no campaign."""
     traces = tmp_path / "traces"
     assert cli.main(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
-    watched = ("exosim.analysis", "hashlib", "_hashlib", "exosim.reproduce")
+    watched = ("exosim.analysis", "hashlib", "_hashlib", "numpy.random", "exosim.reproduce")
     run = (
+        "import sys\n"
         "from exosim.cli import main\n"
-        f"assert main(['analyze', {str(traces)!r}, '--out', {str(tmp_path / 'an')!r}]) == 0"
+        f"sys.argv = ['exosim', 'analyze', {str(traces)!r}, '--out', {str(tmp_path / 'an')!r}]\n"
+        "assert main() == 0"
     )
     assert loaded_after(run, *watched) == ["exosim.analysis"]
     run = (
@@ -94,6 +97,29 @@ def test_no_command_loads_dataclasses(tmp_path):
         f"assert cli.main(['reproduce', '--out', {str(tmp_path / 'rep')!r}]) == 0\n"
     )
     assert loaded_after(run, "dataclasses", "exosim.reproduce") == ["exosim.reproduce"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "calibrate", "reproduce"])
+def test_a_cli_process_freezes_what_its_command_runs(tmp_path, command):
+    """``main`` reading sys.argv, as the console script and ``python -m
+    exosim.cli`` do, freezes the collector once, after the command has loaded
+    every exosim module it runs (none loads later), and leaves the collector
+    on.  numpy.random and hashlib may load later, where they are first used."""
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        assert cli.main(["simulate", "--out", str(tmp_path / "traces")]) == 0
+        args.append(str(tmp_path / "traces"))
+    run = (
+        "import gc, json, sys\n"
+        "from exosim.cli import main\n"
+        "freeze, at_freeze = gc.freeze, []\n"
+        "gc.freeze = lambda: at_freeze.append(set(sys.modules)) or freeze()\n"
+        f"sys.argv = ['exosim', *{args!r}]\n"
+        "assert gc.get_freeze_count() == 0 and main() == 0\n"
+        "later = [m for m in set(sys.modules) - at_freeze[0] if m.startswith('exosim')]\n"
+        "print(json.dumps([len(at_freeze), later, gc.get_freeze_count() > 0, gc.isenabled()]))"
+    )
+    assert json.loads(run_python(run).splitlines()[-1]) == [1, [], True, True]
 
 
 def test_default_analysis_section_survives_a_wrapped_analyze():
