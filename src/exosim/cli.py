@@ -270,7 +270,7 @@ def _cmd_calibrate(args) -> int:
     cfg = _effective_config(args)
     bench = Bench.from_config(cfg)
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
-    hand = bench.calibrated_hand()
+    hand = bench.calibrated().hand
     depth = hand.depth_mm
     excursion = index_excursion_mm(hand, bench.extension)
 

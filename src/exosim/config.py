@@ -406,10 +406,13 @@ class Bench:
         """How far the extension junction moves past slack over the full stroke."""
         return float(net_elongation_mm(self.extension, self.actuator.stroke_mm))
 
-    def calibrated_hand(self) -> HandModel:
-        """The hand at the joint depth where the extension network's index
-        branch pays out the excursion target."""
-        return calibrate_depth(self.hand, self.extension, self.excursion_target_mm)
+    def calibrated(self) -> "Bench":
+        """This bench driving the extension network, with the hand at the
+        joint depth where that network's index branch pays out the excursion
+        target."""
+        fields = {name: value for name, value in vars(self).items() if name != "trial_configs"}
+        hand = calibrate_depth(self.hand, self.extension, self.excursion_target_mm)
+        return Bench(**{**fields, "hand": hand, "kind": NetworkKind.EXTENSION})
 
     def trials(
         self, seed: int, per_subject: int, ids: Sequence[str] | None = None

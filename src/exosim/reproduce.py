@@ -18,7 +18,7 @@ from .analysis import analyze, batch_report
 from .config import Bench
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
-from .tendons import NetworkKind, excursion_mm, index_excursion_mm
+from .tendons import excursion_mm, index_excursion_mm
 from .trial import PoseResponse
 from .traceio import write_report, write_text_atomic, write_trace
 
@@ -105,13 +105,8 @@ def run_reproduction(
     out = Path(out_dir)
     checks: list[CheckResult] = []
 
+    bench = bench.calibrated()
     target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
-    bench = Bench(
-        hand=bench.calibrated_hand(), kind=NetworkKind.EXTENSION, extension=bench.extension,
-        pinch=bench.pinch, actuator=bench.actuator, cell=bench.cell, bank=bench.bank,
-        magnet=bench.magnet, trial=bench.trial, analysis=bench.analysis,
-        excursion_target_mm=target, depth_tolerance_mm=tol,
-    )
     excursion = index_excursion_mm(bench.hand, bench.extension)
     checks.append(
         CheckResult(

@@ -100,12 +100,6 @@ class SubjectBank:
     def ids(self) -> tuple[str, ...]:
         return tuple(p.subject_id for p in self.profiles)
 
-    def by_id(self, subject_id: str) -> SubjectProfile:
-        for p in self.profiles:
-            if p.subject_id == subject_id:
-                return p
-        raise KeyError(f"no such subject: {subject_id}")
-
 
 # The five synthetic subjects, in the shape of the config's ``subjects``
 # section.  Peak midpoints for S1-S3 pin the stiffness through

@@ -54,11 +54,6 @@ class Side(Enum):
 EXCURSION_SIGN = {Side.DORSAL: 1.0, Side.PALMAR: -1.0}
 
 
-class Attachment(Enum):
-    MIDDLE_PHALANX_RING = "middle_phalanx_ring"
-    FINGERTIP_WRAP = "fingertip_wrap"
-
-
 class NetworkKind(Enum):
     EXTENSION = "extension"
     PINCH = "pinch"
@@ -78,12 +73,10 @@ class TendonBranch:
         self,
         digit: Digit,
         routing: tuple[RoutingPoint, ...],
-        attachment: Attachment,
         slack_mm: float = DEFAULT_BRANCH_SLACK_MM,
     ) -> None:
         self.digit = digit
         self.routing = routing
-        self.attachment = attachment
         self.slack_mm = slack_mm
         if self.slack_mm < 0.0:
             raise ValueError(f"branch slack must be >= 0, got {self.slack_mm}")
@@ -156,9 +149,7 @@ def config1_extension(
             RoutingPoint((digit, JointKind.MCP), Side.DORSAL, mcp_guide_mm),
             RoutingPoint((digit, JointKind.PIP), Side.DORSAL, pip_guide_mm),
         )
-        branches.append(
-            TendonBranch(digit, routing, Attachment.MIDDLE_PHALANX_RING, slack_mm=slack_mm)
-        )
+        branches.append(TendonBranch(digit, routing, slack_mm=slack_mm))
     return TendonNetwork(NetworkKind.EXTENSION, tuple(branches))
 
 
@@ -184,19 +175,13 @@ def config2_pinch(
             RoutingPoint((digit, JointKind.PIP), Side.DORSAL, pip_guide_mm),
             RoutingPoint((digit, JointKind.DIP), Side.DORSAL, dip_guide_mm),
         )
-        branches.append(
-            TendonBranch(digit, routing, Attachment.FINGERTIP_WRAP, slack_mm=slack_mm)
-        )
+        branches.append(TendonBranch(digit, routing, slack_mm=slack_mm))
     thumb_routing = (
         RoutingPoint((Digit.THUMB, JointKind.ABDUCTION), Side.PALMAR, 0.0),
         RoutingPoint((Digit.THUMB, JointKind.MCP), Side.DORSAL, thumb_mcp_guide_mm),
         RoutingPoint((Digit.THUMB, JointKind.IP), Side.DORSAL, thumb_ip_guide_mm),
     )
-    branches.append(
-        TendonBranch(
-            Digit.THUMB, thumb_routing, Attachment.FINGERTIP_WRAP, slack_mm=slack_mm
-        )
-    )
+    branches.append(TendonBranch(Digit.THUMB, thumb_routing, slack_mm=slack_mm))
     return TendonNetwork(NetworkKind.PINCH, tuple(branches))
 
 
@@ -255,18 +240,15 @@ class NetworkState(NamedTuple):
     """The junction at one displacement, or at every sample of a grid.
 
     Each branch field has one column per branch, in network order, on its
-    last axis.  ``imposed_mm`` is the displacement the rigid junction pushes
-    past a branch's slack; ``elongation_mm`` is the elastic demand left after
-    the pose has paid out its share of tendon (zero while the pose keeps up).
-    The actuator-side tension is the exact sum of the branch tensions.
+    last axis.  ``elongation_mm`` is the elastic demand left after the pose
+    has paid out its share of tendon (zero while the pose keeps up).  The
+    actuator-side tension is the exact sum of the branch tensions.
     """
 
     taut: np.ndarray
-    imposed_mm: np.ndarray
     elongation_mm: np.ndarray
     tension_n: np.ndarray
     actuator_tension_n: float | np.ndarray
-    net_elongation_mm: float | np.ndarray
 
 
 def _branch_sum(x: np.ndarray):
@@ -313,18 +295,10 @@ def network_state(
     past_slack = np.asarray(displacement_mm)[..., None] - [b.slack_mm for b in net.branches]
     margin = past_slack - free
     taut = margin > -TAUT_TOL_MM
-    imposed = np.maximum(0.0, past_slack)
-    weights = np.where(taut, imposed, 0.0)
+    weights = np.where(taut, np.maximum(0.0, past_slack), 0.0)
     total_w = _branch_sum(weights)
     # No taut branch: every weight is zero, so any non-zero divisor gives
     # every branch a zero share.
     divisor = np.where(total_w > 0.0, total_w, 1.0)
     tension = np.asarray(total_tension_n)[..., None] * weights / divisor[..., None]
-    return NetworkState(
-        taut,
-        imposed,
-        np.maximum(0.0, margin),
-        tension,
-        _branch_sum(tension),
-        net_elongation_mm(net, displacement_mm),
-    )
+    return NetworkState(taut, np.maximum(0.0, margin), tension, _branch_sum(tension))

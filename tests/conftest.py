@@ -27,6 +27,12 @@ def bank(hand):
 
 
 @pytest.fixture(scope="session")
+def profiles(bank):
+    """The bank's subjects by id."""
+    return {p.subject_id: p for p in bank}
+
+
+@pytest.fixture(scope="session")
 def noiseless_traces(hand, extension_net, bank):
     """One noiseless trial per bank subject, each with its own magnet."""
     return {

@@ -176,7 +176,7 @@ def test_c05_statistics_oracle():
     )
 
 
-def test_c06_breakaway_coupling_semantics(hand, extension_net, bank):
+def test_c06_breakaway_coupling_semantics(hand, extension_net, profiles):
     from exosim.actuation import CouplingSpec, update_coupling
 
     # latching on adversarial sequences: open from the first crossing on
@@ -195,7 +195,7 @@ def test_c06_breakaway_coupling_semantics(hand, extension_net, bank):
     exact_ok = update_coupling(34.0, CouplingSpec(34.0), 1.0) == 1.0
     # S4: the stronger magnet must hold strictly longer, and the transmitted
     # force must collapse to zero in the release sample
-    profile = bank.by_id("S4")
+    profile = profiles["S4"]
     weak = run_trial(TrialConfig(hand, extension_net, profile, magnet="standard"), seed=0)
     strong = run_trial(TrialConfig(hand, extension_net, profile, magnet="strong"), seed=0)
     order_ok = (
@@ -291,8 +291,8 @@ def test_c08_pose_response_directions(hand, extension_net, pinch_net):
     )
 
 
-def test_c09_trace_constraint_consistency(hand, extension_net, bank):
-    profile = bank.by_id("S2")
+def test_c09_trace_constraint_consistency(hand, extension_net, profiles):
+    profile = profiles["S2"]
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=11)
     worst = 0.0

@@ -272,12 +272,12 @@ def test_analyze_breakaway_subject(noiseless_traces):
     assert report.correlation > 0.99
 
 
-def test_analyze_free_run_is_degenerate(hand, extension_net, bank):
+def test_analyze_free_run_is_degenerate(hand, extension_net, profiles):
     """Stiffness zero: no force ever develops, so the report is degenerate."""
     from exosim.spasticity import SubjectProfile
     from exosim.trial import TrialConfig, run_trial
 
-    s1 = bank.by_id("S1")
+    s1 = profiles["S1"]
     free = SubjectProfile(
         s1.subject_id, s1.mas, 0.0, s1.rest_pose, s1.engage_slack_mm, s1.peak_band_n,
         s1.magnet, s1.notes,

@@ -37,9 +37,9 @@ def test_default_config_builds_everything():
     assert bench.pinch.kind is NetworkKind.PINCH
     bank = bench.bank
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
-    s3_rest = bank.by_id("S3").rest_pose
-    assert s3_rest[hand.col((Digit.INDEX, JointKind.MCP))] == pytest.approx(67.5)
-    assert bank.by_id("S4").peak_band_n == (35.0, None)
+    _, _, s3, s4, _ = bank
+    assert s3.rest_pose[hand.col((Digit.INDEX, JointKind.MCP))] == pytest.approx(67.5)
+    assert s4.peak_band_n == (35.0, None)
 
 
 def test_config_file_merges_over_defaults(tmp_path):
@@ -139,7 +139,8 @@ def test_non_finite_config_number_is_rejected_by_its_key(tmp_path, capsys, key, 
 
 def test_open_peak_band_stays_allowed():
     cfg = apply_overrides(default_config(), {"subjects.S1.peak_band_n": "[15, null]"})
-    assert Bench.from_config(cfg).bank.by_id("S1").peak_band_n == (15.0, None)
+    s1, *_ = Bench.from_config(cfg).bank
+    assert (s1.subject_id, s1.peak_band_n) == ("S1", (15.0, None))
 
 
 @pytest.mark.parametrize(
@@ -279,7 +280,7 @@ def test_new_subject_keeps_profile_defaults():
     """A subject that leaves out the optional keys gets SubjectProfile's defaults."""
     cfg = default_config()
     cfg["subjects"]["S6"] = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
-    s6 = Bench.from_config(cfg).bank.by_id("S6")
+    *_, s6 = Bench.from_config(cfg).bank
     defaults = SubjectProfile("S6", MasLevel.TWO, 0.4, s6.rest_pose)
     assert vars(s6) == vars(defaults)
 

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from exosim.config import default_config, subject_bank_from_config
 from exosim.hand import Digit, JointKind, default_hand, spastic_rest_pose
 from exosim.spasticity import (
     DEFAULT_TOTAL_TRAVEL_MM,
@@ -87,8 +86,7 @@ def test_negative_stiffness_rejected():
 # --- the synthetic subject bank ----------------------------------------------
 
 
-def test_bank_composition():
-    bank = subject_bank_from_config(default_config(), default_hand())
+def test_bank_composition(bank, profiles):
     assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
     assert len(bank) == 5
     by_mas = {p.subject_id: p.mas for p in bank}
@@ -97,32 +95,29 @@ def test_bank_composition():
     assert by_mas["S3"] is MasLevel.ONE
     assert by_mas["S4"] is MasLevel.THREE
     assert by_mas["S5"] is MasLevel.TWO
-    assert "index" in bank.by_id("S3").notes
+    assert "index" in profiles["S3"].notes
 
 
-def test_bank_stiffness_and_bands():
-    bank = subject_bank_from_config(default_config(), default_hand())
-    assert bank.by_id("S1").stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
-    assert bank.by_id("S2").stiffness_n_per_mm == pytest.approx(27.5 / 48.0)
-    assert bank.by_id("S3").stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
-    assert bank.by_id("S4").stiffness_n_per_mm == pytest.approx(1.5)
-    assert bank.by_id("S5").stiffness_n_per_mm == pytest.approx(1.0)
-    assert bank.by_id("S1").peak_band_n == (15.0, 20.0)
-    assert bank.by_id("S2").peak_band_n == (25.0, 30.0)
-    assert bank.by_id("S4").peak_band_n == (35.0, None)
+def test_bank_stiffness_and_bands(profiles):
+    assert profiles["S1"].stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
+    assert profiles["S2"].stiffness_n_per_mm == pytest.approx(27.5 / 48.0)
+    assert profiles["S3"].stiffness_n_per_mm == pytest.approx(17.5 / 48.0)
+    assert profiles["S4"].stiffness_n_per_mm == pytest.approx(1.5)
+    assert profiles["S5"].stiffness_n_per_mm == pytest.approx(1.0)
+    assert profiles["S1"].peak_band_n == (15.0, 20.0)
+    assert profiles["S2"].peak_band_n == (25.0, 30.0)
+    assert profiles["S4"].peak_band_n == (35.0, None)
     # the stiff subjects ride the stronger magnet
-    assert bank.by_id("S4").magnet == "strong"
-    assert bank.by_id("S5").magnet == "strong"
-    assert bank.by_id("S1").magnet == "standard"
+    assert profiles["S4"].magnet == "strong"
+    assert profiles["S5"].magnet == "strong"
+    assert profiles["S1"].magnet == "standard"
 
 
-def test_bank_rest_poses():
-    hand = default_hand()
-    bank = subject_bank_from_config(default_config(), hand)
+def test_bank_rest_poses(hand, bank, profiles):
     index_mcp = hand.col((Digit.INDEX, JointKind.MCP))
-    s1 = bank.by_id("S1").rest_pose
+    s1 = profiles["S1"].rest_pose
     assert s1[index_mcp] == pytest.approx(0.75 * 90.0)
-    s3 = bank.by_id("S3").rest_pose
+    s3 = profiles["S3"].rest_pose
     # S3: index more flexed than the other fingers
     assert s3[index_mcp] == pytest.approx(67.5)
     assert s3[hand.col((Digit.MIDDLE, JointKind.MCP))] == pytest.approx(54.0)
@@ -130,8 +125,8 @@ def test_bank_rest_poses():
         hand.validate_pose(p.rest_pose)  # raises outside the limits
 
 
-def test_duplicate_subject_ids_rejected():
-    p = subject_bank_from_config(default_config(), default_hand()).by_id("S1")
+def test_duplicate_subject_ids_rejected(profiles):
+    p = profiles["S1"]
     with pytest.raises(ValueError):
         SubjectBank((p, p))
 

