@@ -54,6 +54,8 @@ class LoadCellSpec:
             raise ValueError("resolution_n must be > 0")
         if not self.range_max_n > 0.0:
             raise ValueError("range_max_n must be > 0")
+        if not math.isfinite(self.range_max_n / self.resolution_n):
+            raise ValueError("range_max_n / resolution_n must be finite")
 
 
 def actuator_position_mm(t_s, spec: ActuatorSpec):
@@ -81,7 +83,8 @@ def measure(force_n, cell: LoadCellSpec = LoadCellSpec()):
         raise ValueError(f"load cell force must be >= 0, got {lowest}")
     res = cell.resolution_n
     full = cell.range_max_n
-    q = res * np.floor(force_n / res + 0.5)
+    # A force above full scale reads full scale, so it need not be divided.
+    q = res * np.floor(np.minimum(force_n, full) / res + 0.5)
     top = res * math.floor(full / res)  # largest regular code below full scale
     at_full = (
         (force_n >= full)

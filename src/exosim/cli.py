@@ -416,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except (CliError, OSError, ValueError) as err:  # ConfigError is a ValueError
-        print(f"error: {err}", file=sys.stderr)
+        # One line, though a message may quote several (a YAML error does).
+        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import yaml
+import numpy as np  # after yaml, the order the two load in (see cli._COMMANDS)
 
 from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
 from .analysis import ANALYZE_DEFAULTS
@@ -23,9 +24,10 @@ from .hand import (
     Digit,
     HandModel,
     default_hand,
+    full_flexion_pose,
     spastic_rest_pose,
 )
-from .spasticity import BANK_PARAMS, MasLevel, SubjectBank, SubjectProfile
+from .spasticity import BANK_PARAMS, MasLevel, SubjectBank, SubjectProfile, resistance_force_n
 from .tendons import (
     DEFAULT_BRANCH_SLACK_MM,
     DEFAULT_DEPTH_TOLERANCE_MM,
@@ -35,6 +37,7 @@ from .tendons import (
     calibrate_depth,
     config1_extension,
     config2_pinch,
+    excursion_mm,
     net_elongation_mm,
 )
 from .trial import (
@@ -219,7 +222,8 @@ def _fraction_from_config(raw: Any, key: str):
     """A scalar or per-digit rest flexion fraction, each in [0, 1]."""
     if isinstance(raw, Mapping):
         return {
-            Digit(k) if k != "default" else "default": _fraction_from_config(v, f"{key}.{k}")
+            "default" if k == "default" else _enum(Digit, k, f"the digit of {key}.{k}"):
+            _fraction_from_config(v, f"{key}.{k}")
             for k, v in raw.items()
         }
     value = _finite(raw, key)
@@ -232,12 +236,14 @@ def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
     return None if raw is None else _pair(raw, key, open_hi=True)
 
 
-def _mas(raw: Any, key: str) -> MasLevel:
+def _enum(kind, raw: Any, key: str):
+    """The member of the Enum ``kind`` whose value is ``raw`` as text;
+    ValueError naming its dotted key and the choices otherwise."""
     try:
-        return MasLevel(str(raw))
+        return kind(str(raw))
     except ValueError:
-        grades = ", ".join(repr(m.value) for m in MasLevel)
-        raise ValueError(f"{key} must be one of {grades}, got {raw!r}") from None
+        choices = ", ".join(repr(m.value) for m in kind)
+        raise ValueError(f"{key} must be one of {choices}, got {raw!r}") from None
 
 
 def _notes(raw: Any, key: str) -> str:
@@ -266,7 +272,7 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
         profiles.append(
             SubjectProfile(
                 subject_id=sid,
-                mas=_mas(s["mas"], at + "mas"),
+                mas=_enum(MasLevel, s["mas"], at + "mas"),
                 stiffness_n_per_mm=_finite(s["stiffness_n_per_mm"], at + "stiffness_n_per_mm"),
                 rest_pose=spastic_rest_pose(hand, fraction),
                 **given,
@@ -281,6 +287,15 @@ def _floats(section: Mapping, name: str) -> dict[str, float]:
     except (AttributeError, TypeError, ValueError):
         raise ValueError(f"section {name} must map keys to numbers, got {section!r}") from None
     return {key: _finite(value, f"{name}.{key}") for key, value in values.items()}
+
+
+def _spec(cls, section: Mapping, name: str):
+    """``cls`` from a config section of numbers; its ValueError names the section."""
+    values = _floats(section, name)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{name}.{err}") from None
 
 
 def _check_keys(section: Any, known: Mapping, name: str) -> None:
@@ -343,6 +358,19 @@ class Bench:
             raise ValueError(
                 f"calibration.depth_tolerance_mm must be > 0, got {self.depth_tolerance_mm}"
             )
+        # Every tendon excursion and spring force a trial reaches must be a
+        # float; an overflow is what these look for, so it is not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = full_flexion_pose(self.hand)
+            for net in (self.extension, self.pinch):
+                if not np.isfinite(excursion_mm(self.hand, net, full)).all():
+                    raise ValueError(f"hand.joint_center_depth_mm and network.{net.kind.value} "
+                                     "give a tendon excursion beyond float range")
+            travel = net_elongation_mm(self.network, self.actuator.stroke_mm)
+            for p in self.bank:
+                if not np.isfinite(resistance_force_n(p, travel)):
+                    raise ValueError(f"subjects.{p.subject_id}.stiffness_n_per_mm gives a "
+                                     "spring force beyond float range")
         # Each subject's trial on the selected network, by subject id.
         self.trial_configs = {
             p.subject_id: TrialConfig(
@@ -378,13 +406,13 @@ class Bench:
                 coupling_for_magnet(magnet)  # an unknown magnet fails here
             return cls(
                 hand=hand,
-                kind=NetworkKind(net["kind"]),
+                kind=_enum(NetworkKind, net["kind"], "network.kind"),
                 extension=config1_extension(
                     slack_mm=slack, **_floats(net["extension"], "network.extension")
                 ),
                 pinch=config2_pinch(slack_mm=slack, **_floats(net["pinch"], "network.pinch")),
-                actuator=ActuatorSpec(**_floats(cfg["actuator"], "actuator")),
-                cell=LoadCellSpec(**_floats(cfg["load_cell"], "load_cell")),
+                actuator=_spec(ActuatorSpec, cfg["actuator"], "actuator"),
+                cell=_spec(LoadCellSpec, cfg["load_cell"], "load_cell"),
                 bank=subject_bank_from_config(cfg, hand),
                 magnet=magnet,
                 trial=_floats(cfg["trial"], "trial"),

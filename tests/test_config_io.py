@@ -187,13 +187,29 @@ def test_open_peak_band_stays_allowed():
         ("subjects.S1.mas", "1-", "subjects.S1.mas must be one of '1', '1+', '2', '3', got '1-'"),
         ("subjects.S1.mas", "null",
          "subjects.S1.mas must be one of '1', '1+', '2', '3', got None"),
+        ("network.kind", "foo", "network.kind must be one of 'extension', 'pinch', got 'foo'"),
+        ("subjects.S1.rest_flexion_fraction.foo", "0.5",
+         "the digit of subjects.S1.rest_flexion_fraction.foo must be one of 'thumb', 'index', "
+         "'middle', 'ring', 'little', got 'foo'"),
+        ("actuator.stroke_mm", "-1", "actuator.stroke_mm must be > 0"),
+        ("load_cell.range_max_n", "1e308", "load_cell.range_max_n / resolution_n must be finite"),
+        ("load_cell.resolution_n", "1e-310",
+         "load_cell.range_max_n / resolution_n must be finite"),
+        ("hand.joint_center_depth_mm", "1e308",
+         "hand.joint_center_depth_mm and network.extension give a tendon excursion beyond "
+         "float range"),
+        ("network.pinch.thumb_ip_guide_mm", "1.7e308",
+         "hand.joint_center_depth_mm and network.pinch give a tendon excursion beyond float range"),
+        ("subjects.S1.stiffness_n_per_mm", "1e308",
+         "subjects.S1.stiffness_n_per_mm gives a spring force beyond float range"),
     ],
 )
 def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value, message):
     """A rest fraction outside [0, 1], a band or range that is not two numbers
     in order, a flexion range without 0, a depth tolerance that is not
-    positive, an empty subject bank and a MAS grade that is not one fail
-    naming their dotted key, before anything is written."""
+    positive, an empty subject bank, a MAS grade, network kind or digit that
+    is not one, and a number that overflows in a trial fail naming their
+    dotted key, before anything is written."""
     cfg = apply_overrides(default_config(), {key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):
         Bench.from_config(cfg)
