@@ -9,6 +9,8 @@ than MAX_SAMPLES samples, which ``trial_sample_count`` refuses before
 anything is allocated.
 """
 
+import contextlib
+import io
 import tempfile
 import warnings
 from pathlib import Path
@@ -52,9 +54,6 @@ VALUES = st.one_of(
 def _run(argv):
     """``main(argv)`` with every warning an error; returns the exit code and
     the stderr lines."""
-    import contextlib
-    import io
-
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -82,6 +81,9 @@ def _check_outcome(code, lines):
 @example(command="simulate", overrides=[("load_cell.resolution_n", "1e-310")])
 @example(command="simulate", overrides=[("hand.joint_center_depth_mm", "1e308")])
 @example(command="simulate", overrides=[("subjects.S1.stiffness_n_per_mm", "1e308")])
+# A force above a 1 N full scale, divided by a resolution of 1e-308.
+@example(command="simulate",
+         overrides=[("load_cell.range_max_n", "1"), ("load_cell.resolution_n", "1e-308")])
 def test_any_set_value_exits_cleanly(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
