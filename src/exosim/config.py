@@ -13,8 +13,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-import yaml
-import numpy as np  # after yaml, the order the two load in (see cli._COMMANDS)
+import numpy as np
 
 from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
 from .analysis import ANALYZE_DEFAULTS
@@ -61,22 +60,148 @@ NOTES = re.compile(r"[ -~]{0,200}")
 # stays noiseless unless asked.
 DEFAULT_NOISE_SIGMA_N = 0.4
 
-# libyaml's emitter and parser when PyYAML was built with them; the pure-Python
-# ones otherwise.  The two emitters give the same bytes on the golden outputs and
-# on documents whose strings are short printable ASCII.  They differ on some
-# other strings (an empty key, a control character, a string folded across
-# lines); a bench's subject ids and notes are checked to be of the first kind.
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# PyYAML loads only where it is needed: to read a YAML document, and to write
+# one that ``_emit`` declines.  The documents exosim writes are of the few
+# forms ``_emit`` knows, so a command that reads no YAML never imports PyYAML
+# (15-23 ms after numpy in ``-X importtime``, 2 vCPU Xeon).  Its dumper and
+# loader are libyaml's emitter and parser when PyYAML was built with them, the
+# pure-Python ones otherwise; both are set on first use, unless already set.
+# The two emitters give the same bytes on the golden outputs and on documents
+# whose strings are short printable ASCII.  They differ on some other strings
+# (an empty key, a control character, a string folded across lines); a
+# bench's subject ids and notes are checked to be of the first kind.
+YAML_DUMPER: Any = None
+YAML_LOADER: Any = None
+
+
+def _pyyaml():
+    """The ``yaml`` module, with ``YAML_DUMPER`` and ``YAML_LOADER`` set."""
+    global YAML_DUMPER, YAML_LOADER
+    import yaml
+
+    if YAML_DUMPER is None:
+        YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    if YAML_LOADER is None:
+        YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return yaml
+
+
+# The strings ``_emit`` writes: words of these characters one space apart, or
+# the empty string.
+_WORDS = re.compile(r"(?:[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*)?")
+# Those of them that PyYAML's implicit resolvers read as null, a bool, an int,
+# a float or a date (its patterns, less the forms that need a character
+# outside ``_WORDS``), and those that start with a block indicator.  PyYAML
+# writes such a string single-quoted, and every other one plain.
+_TYPED = re.compile(
+    r"""|null|Null|NULL
+    |yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
+    |[-+]?(?:0b[0-1_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)
+    |[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+    |[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)
+    |[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+    |-|-\ .*|---.*|\.\.\..*""",
+    re.X,
+)
+# PyYAML folds a plain or quoted string at a space past this column.
+_WIDTH = 80
+
+
+def plain_word(text: str) -> bool:
+    """Whether PyYAML writes ``text`` plain and reads it back as that string."""
+    return bool(_WORDS.fullmatch(text)) and not _TYPED.fullmatch(text)
+
+
+class _Declined(Exception):
+    """A document that ``_emit`` does not write."""
+
+
+def _scalar(value: Any, column: int) -> str:
+    """``value`` as PyYAML writes it starting at ``column``, if it is None, a
+    bool, an int, a float or a ``_WORDS`` string that fits in the line;
+    ``_Declined`` for anything else."""
+    kind = type(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if kind is float:
+        if value != value:
+            return ".nan"
+        if math.isinf(value):
+            return ".inf" if value > 0 else "-.inf"
+        text = repr(value).lower()
+        # A repr such as 1e+17 is not a YAML float without its ".0".
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    if kind is str and _WORDS.fullmatch(value):
+        text = value if plain_word(value) else f"'{value}'"
+        if column + len(text) <= _WIDTH:
+            return text
+    raise _Declined
+
+
+def _emit(data: Any) -> str | None:
+    """``data`` as ``yaml.dump`` writes it in block style with sorted keys,
+    when it is a dict whose keys are non-empty strings and whose values are
+    ``_scalar`` values, dicts of the same kind and lists of ``_scalar``
+    values, none of them twice (PyYAML gives a repeated list or dict an
+    anchor); None for any other document."""
+    if type(data) is not dict:
+        return None
+    lines: list[str] = []
+    seen = {id(data)}
+
+    def mapping(node: dict, indent: int) -> None:
+        if not all(type(key) is str and key for key in node):  # libyaml writes '' apart
+            raise _Declined
+        pad = " " * indent
+        for key in sorted(node):
+            head = pad + _scalar(key, indent) + ":"
+            value = node[key]
+            if type(value) not in (dict, list):
+                lines.append(f"{head} {_scalar(value, len(head) + 1)}\n")
+                continue
+            if id(value) in seen:
+                raise _Declined
+            seen.add(id(value))
+            if not value:
+                lines.append(f"{head} {'{}' if type(value) is dict else '[]'}\n")
+                continue
+            lines.append(head + "\n")
+            if type(value) is dict:
+                mapping(value, indent + 2)
+            else:  # a list's items go at its key's indent
+                lines.extend(f"{pad}- {_scalar(item, indent + 2)}\n" for item in value)
+
+    if not data:
+        return "{}\n"
+    try:
+        mapping(data, 0)
+    except _Declined:
+        return None
+    return "".join(lines)
 
 
 def dump_yaml(data: Any) -> str:
-    """Block-style YAML with sorted keys: the form of every file exosim writes."""
-    return yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
+    """Block-style YAML with sorted keys: the form of every file exosim writes.
+    ``_emit`` writes the document if it can, PyYAML otherwise."""
+    text = _emit(data)
+    if text is None:
+        yaml = _pyyaml()
+        text = yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
+    return text
 
 
 def load_yaml(text: str) -> Any:
-    return yaml.load(text, Loader=YAML_LOADER)
+    """The document ``text`` holds; ValueError with PyYAML's message if it is
+    not YAML."""
+    yaml = _pyyaml()
+    try:
+        return yaml.load(text, Loader=YAML_LOADER)
+    except yaml.YAMLError as err:
+        raise ValueError(str(err)) from None
 
 
 def _keyword_defaults(defaults: Mapping[str, Any], *skip: str) -> dict:
@@ -145,7 +270,7 @@ def load_config(path: str | Path | None = None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         loaded = load_yaml(path.read_text(encoding="utf-8")) or {}
-    except (UnicodeDecodeError, yaml.YAMLError) as err:
+    except ValueError as err:  # not UTF-8, or not YAML
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     if not isinstance(loaded, Mapping):
         raise ConfigError(f"config {path} must be a mapping at top level")
@@ -155,7 +280,8 @@ def load_config(path: str | Path | None = None) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
-    """Apply dotted-key overrides; values are parsed as YAML scalars."""
+    """Apply dotted-key overrides; values are parsed as YAML, a
+    ``plain_word`` without PyYAML as the string it is."""
     merged = copy.deepcopy(cfg)
     for dotted, raw in overrides.items():
         keys = dotted.split(".")
@@ -166,9 +292,12 @@ def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
                 nxt = {}
                 node[key] = nxt
             node = nxt
+        if not isinstance(raw, str) or plain_word(raw):
+            node[keys[-1]] = raw
+            continue
         try:
-            node[keys[-1]] = load_yaml(raw) if isinstance(raw, str) else raw
-        except yaml.YAMLError as err:
+            node[keys[-1]] = load_yaml(raw)
+        except ValueError as err:
             raise ConfigError(f"cannot parse override {dotted}={raw}: {err}") from None
     return merged
 

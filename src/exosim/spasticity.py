@@ -81,7 +81,12 @@ def calibrate_stiffness(
             f"total elongation {total_elongation_mm} mm does not exceed "
             f"engage slack {engage_slack_mm} mm"
         )
-    return peak_force_n / travel
+    stiffness = peak_force_n / travel
+    if not math.isfinite(stiffness):
+        raise ValueError(
+            f"a {peak_force_n} N peak over {travel} mm gives a stiffness beyond float range"
+        )
+    return stiffness
 
 
 class SubjectBank:

@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import TOOL_VERSION
 from .config import SUBJECT_ID, dump_yaml, load_yaml
@@ -248,8 +247,10 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     if side.exists():
         try:
             fields = _sidecar_fields(load_yaml(side.read_text(encoding="utf-8")) or {})
-        except (yaml.YAMLError, OSError, ValueError) as err:
-            warnings.append(f"{side.name}: unreadable sidecar ({err})")
+        except (OSError, ValueError) as err:
+            # One line, though a YAML error's message has several.
+            reason = " ".join(str(err).splitlines())
+            warnings.append(f"{side.name}: unreadable sidecar ({reason})")
     if fields["stroke_mm"] is None:
         fields["stroke_mm"] = float(np.max(position)) if len(position) else 0.0
     trace = TrialTrace(t_s=t, actuator_mm=position, force_n=force, **fields)

@@ -313,6 +313,38 @@ def test_calibrate_unreachable_target_errors(tmp_path, capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slack", [None, "47.99999999"])
+def test_calibrate_near_float_range_writes_a_config_that_reads_back(tmp_path, capsys, slack):
+    """A peak band whose ends sum past float range, as its stiffness would be
+    over a travel just past the engage slack: calibrate writes a config that
+    simulate reads back, or exits 1 with one error line."""
+    sets = ["--set", "subjects.S1.peak_band_n=[1e308, 1.7e308]"]
+    if slack:
+        sets += ["--set", f"subjects.S1.engage_slack_mm={slack}"]
+    code = run_cli(["calibrate", "--out", str(tmp_path / "cal"), *sets])
+    err = capsys.readouterr().err.splitlines()
+    if slack:
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("error: a 1.35e+308 N peak over ") and "float range" in err[0]
+        return
+    assert (code, err) == (0, [])
+    config = tmp_path / "cal" / "calibrated_config.yaml"
+    assert "stiffness for a 1.35e+308 N peak" in config.read_text()
+    assert run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+
+
+def test_unreadable_sidecar_is_a_one_line_warning(tmp_path, capsys):
+    """A YAML error quotes several lines; its warning is one."""
+    traces = tmp_path / "traces"
+    assert run_cli(["simulate", "--out", str(traces), "--subjects", "S1"]) == 0
+    (traces / "S1_extension_t00.meta.yaml").write_text("a: [\n")
+    capsys.readouterr()
+    assert run_cli(["analyze", str(traces), "--out", str(tmp_path / "an")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: S1_extension_t00.meta.yaml: unreadable sidecar (while ")
+
+
 def test_env_var_supplies_config(tmp_path, monkeypatch):
     cfg_file = tmp_path / "env.yaml"
     cfg_file.write_text("trial:\n  noise_sigma_n: 0.0\n")

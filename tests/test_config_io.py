@@ -1,10 +1,11 @@
+import math
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exosim import config
 from exosim.cli import main
@@ -98,13 +99,91 @@ _VALUES = st.one_of(
 )
 def test_config_hash_is_the_same_with_and_without_libyaml(subjects, notes):
     """Also for every ``notes`` that a bench accepts: up to 200 printable
-    ASCII characters, long enough for both emitters to fold the line."""
+    ASCII characters, long enough for both emitters to fold the line.  PyYAML
+    writes every document here, as it does each one that exosim's own
+    emitter declines."""
     cfg = default_config()
     cfg["subjects"]["S1"]["notes"] = notes
     cfg["subjects"].update(subjects)
-    with_libyaml = config.canonical_yaml(cfg)
-    with mock.patch.object(config, "YAML_DUMPER", yaml.SafeDumper):
-        assert config.canonical_yaml(cfg) == with_libyaml
+    with mock.patch.object(config, "_emit", lambda data: None):
+        with_libyaml = config.canonical_yaml(cfg)
+        with mock.patch.object(config, "YAML_DUMPER", yaml.SafeDumper):
+            assert config.canonical_yaml(cfg) == with_libyaml
+
+
+# Strings for each rule of the emitter: typed and indicator strings it quotes,
+# words and sentences it writes plain (the longer ones past column 80, where
+# PyYAML folds them), and printable ASCII, most of which it leaves to PyYAML.
+_RULES = ["", "2", "012", "0x1f", "1_000", "1.5", ".5", "-.inf", ".NaN", "2024-01-02", "yes",
+          "No", "NULL", "on", "OFF", "0.1.0", "1e5", "nan", "-", "- a", "---", "...x", "._1", "a b"]
+_WORD = st.text(st.sampled_from("abcxyzAZ0129_.-"), min_size=1, max_size=12)
+_SENTENCES = st.text(st.sampled_from("abyz09_.-  "), min_size=50, max_size=90).map(
+    lambda text: " ".join(text.split())
+)
+_PLAIN = st.one_of(st.sampled_from(_RULES), _WORD, _SENTENCES)
+_STRINGS = st.one_of(_PLAIN, st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=90))
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e17, 1e-7, 5e-324])
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _STRINGS)
+# Documents of the forms the emitter writes, and any others.
+_DOCS = st.one_of(
+    st.recursive(
+        st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+        lambda nodes: st.dictionaries(_PLAIN, nodes, max_size=4),
+        max_leaves=12,
+    ),
+    st.recursive(
+        _SCALARS,
+        lambda nodes: st.lists(nodes, max_size=3) | st.dictionaries(_STRINGS, nodes, max_size=4),
+        max_leaves=12,
+    ),
+).map(lambda node: node if isinstance(node, dict) else {"a": node})
+_DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if hasattr(yaml, "CSafeDumper") else [])
+
+
+def _pyyaml_dump(data, dumper):
+    return yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+@example(doc={"a": " ".join(["word"] * 15), "b": {"note": "x" * 69, "nested": {"c": "y" * 67}}})
+@example(doc={"shared": (shared := [1.0]), "again": shared})
+@example(doc={"a": {}, "b": [], "c": [[]], "d": [{"e": 1}], "f": (1, 2), "": 0})
+def test_dump_yaml_writes_what_pyyaml_writes(doc):
+    """exosim's emitter writes a document as each of PyYAML's emitters does,
+    or declines it, and ``dump_yaml`` then leaves it to PyYAML."""
+    text = config._emit(doc)
+    expected = [_pyyaml_dump(doc, dumper) for dumper in _DUMPERS]
+    if text is not None:
+        assert [text] * len(_DUMPERS) == expected
+    assert config.dump_yaml(doc) == expected[-1]  # libyaml's, where PyYAML has it
+
+
+def test_the_emitter_writes_the_documents_exosim_writes(tmp_path):
+    """The default config, a sidecar and a report take the emitter, not PyYAML."""
+    cfg = default_config()
+    assert config._emit(cfg) == _pyyaml_dump(cfg, yaml.SafeDumper)
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--subjects", "S1"]) == 0
+    assert main(["analyze", str(tmp_path / "sim"), "--out", str(tmp_path / "an")]) == 0
+    for path in [*tmp_path.glob("sim/*.meta.yaml"), *tmp_path.glob("an/*.report.yaml")]:
+        assert config._emit(yaml.safe_load(path.read_text())) == path.read_text()
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_STRINGS)
+@example(text="pinch")
+@example(text="index finger graded 2")
+def test_a_plain_word_override_is_what_pyyaml_reads(text):
+    """An override value that is a plain word is read without PyYAML, as
+    the string that PyYAML reads; any other goes to PyYAML."""
+    with mock.patch.object(config, "load_yaml", lambda raw: ("PyYAML", raw)):
+        got = apply_overrides({}, {"key": text})["key"]
+    if config.plain_word(text):
+        assert got == text == yaml.safe_load(text)
+    else:
+        assert got == ("PyYAML", text)
 
 
 @pytest.mark.parametrize(

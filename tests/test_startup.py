@@ -1,6 +1,7 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
 command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
-campaign, no command loads ``dataclasses``, a CLI process freezes what its
+campaign, only a command that reads YAML loads PyYAML (``analyze`` before it
+forks), no command loads ``dataclasses``, a CLI process freezes what its
 command loaded, the default config does not depend on import order, and the
 CLI caps BLAS threads only for a numpy still to load.  Each check of what
 loads runs in a fresh interpreter, since this one has loaded everything."""
@@ -56,26 +57,53 @@ def test_cli_answers_without_a_command_load_no_numpy(argv, code):
     assert loaded_after(run, "numpy", "yaml", "exosim.config", "pickle") == []
 
 
+def cli_process(argv: list[str], *modules: str, before: str = "", after: str = "") -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``main`` has run
+    ``argv`` as a CLI process does, reading sys.argv; ``before`` runs first
+    and ``after`` last."""
+    run = (
+        f"import sys\nfrom exosim import cli\n{before}\n"
+        f"sys.argv = ['exosim', *{argv!r}]\n"
+        f"assert cli.main() == 0\n{after}"
+    )
+    return loaded_after(run, *modules)
+
+
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """``analyze``, run as a CLI process, loads the analysis, but not hashlib
-    nor numpy.random (both map OpenSSL) nor the campaign; ``simulate`` and
-    ``calibrate`` load no campaign."""
+    """``analyze``, run as a CLI process, loads the analysis and PyYAML (once,
+    before it forks), but not hashlib nor numpy.random (both map OpenSSL) nor
+    the campaign; ``simulate`` and ``calibrate`` load no campaign, and they
+    and ``reproduce`` load PyYAML only to read a config file or an override
+    that is not a plain word."""
     traces = tmp_path / "traces"
     assert cli.main(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
-    watched = ("exosim.analysis", "hashlib", "_hashlib", "numpy.random", "exosim.reproduce")
-    run = (
-        "import sys\n"
-        "from exosim.cli import main\n"
-        f"sys.argv = ['exosim', 'analyze', {str(traces)!r}, '--out', {str(tmp_path / 'an')!r}]\n"
-        "assert main() == 0"
+    watched = ("exosim.analysis", "hashlib", "_hashlib", "numpy.random", "exosim.reproduce",
+               "yaml")
+    split = (  # two shares, so analyze forks once; whether PyYAML is loaded at the fork
+        "import os\n"
+        "forks = []\n"
+        "fork = cli._fork\n"
+        "cli._fork = lambda *args: forks.append('yaml' in sys.modules) or fork(*args)\n"
+        "cli.TRACES_PER_PROCESS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}"
     )
-    assert loaded_after(run, *watched) == ["exosim.analysis"]
+    analyze = ["analyze", str(traces), "--out", str(tmp_path / "an")]
+    assert cli_process(analyze, *watched, before=split, after="assert forks == [True]") == [
+        "exosim.analysis", "yaml"
+    ]
     run = (
         "from exosim.cli import main\n"
         f"assert main(['simulate', '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
         f"assert main(['calibrate', '--out', {str(tmp_path / 'cal')!r}]) == 0"
     )
     assert "exosim.reproduce" not in loaded_after(run, *watched)
+    for argv in (["simulate", "--tendon-config", "pinch"], ["calibrate"], ["reproduce"]):
+        assert "yaml" not in cli_process([*argv, "--out", str(tmp_path / argv[0])], "yaml")
+    config = tmp_path / "calibrate" / "calibrated_config.yaml"  # written without PyYAML
+    for args in (["--config", str(config)], ["--set", "trial.noise_sigma_n=0.3"]):
+        out = tmp_path / args[0].strip("-")
+        assert cli_process(["simulate", *args, "--out", str(out)], "yaml") == ["yaml"]
+    assert "noise_sigma_n: 0.3\n" in (out / "S1_extension_t00.meta.yaml").read_text()
 
 
 def test_no_command_loads_dataclasses(tmp_path):
