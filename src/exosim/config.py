@@ -136,7 +136,7 @@ def _scalar(value: Any, column: int) -> str:
         # A repr such as 1e+17 is not a YAML float without its ".0".
         return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
     if kind is str and _WORDS.fullmatch(value):
-        text = value if plain_word(value) else f"'{value}'"
+        text = f"'{value}'" if _TYPED.fullmatch(value) else value
         if column + len(text) <= _WIDTH:
             return text
     raise _Declined
