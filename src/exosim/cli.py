@@ -98,7 +98,7 @@ def _effective_config(args) -> dict:
     from . import config as cfgmod
 
     cfg = cfgmod.load_config(_resolve_config_path(args.config))
-    overrides: dict[str, str] = {}
+    overrides: dict[str, object] = {}
     for item in args.set or []:
         if "=" not in item:
             raise CliError(f"override must look like section.key=value, got {item!r}")
@@ -106,9 +106,9 @@ def _effective_config(args) -> dict:
         overrides[key.strip()] = value.strip()
     flags = {"noise_sigma": "trial.noise_sigma_n", "magnet": "coupling.magnet",
              "tendon_config": "network.kind"}
-    for flag, key in flags.items():
+    for flag, key in flags.items():  # each as parsed, so a flag and a --set agree
         if getattr(args, flag, None) is not None:
-            overrides[key] = str(getattr(args, flag))
+            overrides[key] = getattr(args, flag)
     return cfgmod.apply_overrides(cfg, overrides)
 
 
@@ -117,8 +117,8 @@ def _cmd_simulate(args) -> int:
     from .traceio import write_trace
 
     cfg = _effective_config(args)
-    chash = config_hash(cfg)
     bench = Bench.from_config(cfg)
+    chash = config_hash(cfg)  # of a config that the bench has checked
     subjects = _parse_subjects(args.subjects, bench.bank.ids())
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
@@ -309,8 +309,8 @@ def _cmd_reproduce(args) -> int:
     from .reproduce import run_reproduction
 
     cfg = _effective_config(args)
-    chash = config_hash(cfg)
     bench = Bench.from_config(cfg)
+    chash = config_hash(cfg)  # of a config that the bench has checked
     seeds = _parse_seed_spec(str(args.seed))
     if args.trials < 1:
         raise CliError("--trials must be >= 1")

@@ -49,50 +49,32 @@ from .trial import (
 )
 
 # A subject id names output files (``S1_extension_t00.csv``), so it must be a
-# plain file-name stem: no path separator, no dot-only or empty name, and
-# nothing that YAML's emitters quote or escape differently.
+# plain file-name stem: no path separator, no dot-only or empty name.  It is
+# also a word, so ``dump_yaml`` takes it as a key.
 SUBJECT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]{0,31}")
-# A subject's free-text notes: short printable ASCII, which libyaml's emitter
-# and PyYAML's own write alike, so the config hash is the same on both.
+# A subject's free-text notes: one short line of printable ASCII, so a config
+# file shows a note on one line, as it was typed but for an escaped '"' or
+# backslash.
 NOTES = re.compile(r"[ -~]{0,200}")
 
 # Bench-wide default for synthetic sensor noise; library-level TrialConfig
 # stays noiseless unless asked.
 DEFAULT_NOISE_SIGMA_N = 0.4
 
-# PyYAML loads only where it is needed: to read a YAML document, and to write
-# one that ``_emit`` declines.  The documents exosim writes are of the few
-# forms ``_emit`` knows, so a command that reads no YAML never imports PyYAML
-# (15-23 ms after numpy in ``-X importtime``, 2 vCPU Xeon).  Its dumper and
-# loader are libyaml's emitter and parser when PyYAML was built with them, the
-# pure-Python ones otherwise; both are set on first use, unless already set.
-# The two emitters give the same bytes on the golden outputs and on documents
-# whose strings are short printable ASCII.  They differ on some other strings
-# (an empty key, a control character, a string folded across lines); a
-# bench's subject ids and notes are checked to be of the first kind.
-YAML_DUMPER: Any = None
+# exosim writes its YAML itself (``dump_yaml``), and PyYAML only reads it, so a
+# command that reads no YAML never imports PyYAML (15-23 ms after numpy in
+# ``-X importtime``, 2 vCPU Xeon).  Its loader is libyaml's parser when PyYAML
+# was built with it, the pure-Python one otherwise; it is set on first use,
+# unless already set.
 YAML_LOADER: Any = None
 
-
-def _pyyaml():
-    """The ``yaml`` module, with ``YAML_DUMPER`` and ``YAML_LOADER`` set."""
-    global YAML_DUMPER, YAML_LOADER
-    import yaml
-
-    if YAML_DUMPER is None:
-        YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-    if YAML_LOADER is None:
-        YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    return yaml
-
-
-# The strings ``_emit`` writes: words of these characters one space apart, or
-# the empty string.
-_WORDS = re.compile(r"(?:[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*)?")
+# The strings written plain: words of these characters one space apart, each
+# of which may end in a comma, or the empty string.
+_WORDS = re.compile(r"(?:[A-Za-z0-9_.-]+,?(?: [A-Za-z0-9_.-]+,?)*)?")
 # Those of them that PyYAML's implicit resolvers read as null, a bool, an int,
 # a float or a date (its patterns, less the forms that need a character
-# outside ``_WORDS``), and those that start with a block indicator.  PyYAML
-# writes such a string single-quoted, and every other one plain.
+# outside ``_WORDS``), and those that start with a block indicator.  Such a
+# string is written single-quoted.
 _TYPED = re.compile(
     r"""|null|Null|NULL
     |yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
@@ -103,23 +85,26 @@ _TYPED = re.compile(
     |-|-\ .*|---.*|\.\.\..*""",
     re.X,
 )
-# PyYAML folds a plain or quoted string at a space past this column.
-_WIDTH = 80
+# The characters a double-quoted string escapes: all but printable ASCII, and
+# its '"' and backslash.
+_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
 
 
 def plain_word(text: str) -> bool:
-    """Whether PyYAML writes ``text`` plain and reads it back as that string."""
+    """Whether ``text`` is written plain, which PyYAML reads back as that string."""
     return bool(_WORDS.fullmatch(text)) and not _TYPED.fullmatch(text)
 
 
-class _Declined(Exception):
-    """A document that ``_emit`` does not write."""
+def _escape(match: re.Match) -> str:
+    code = ord(match.group())
+    if code < 0x100:
+        return f"\\x{code:02X}"
+    return f"\\u{code:04X}" if code < 0x10000 else f"\\U{code:08X}"
 
 
-def _scalar(value: Any, column: int) -> str:
-    """``value`` as PyYAML writes it starting at ``column``, if it is None, a
-    bool, an int, a float or a ``_WORDS`` string that fits in the line;
-    ``_Declined`` for anything else."""
+def _scalar(value: Any, key: str) -> str:
+    """``value`` as YAML if it is None, a bool, an int, a float or a string;
+    ValueError naming its dotted ``key`` for anything else."""
     kind = type(value)
     if value is None:
         return "null"
@@ -135,69 +120,51 @@ def _scalar(value: Any, column: int) -> str:
         text = repr(value).lower()
         # A repr such as 1e+17 is not a YAML float without its ".0".
         return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
-    if kind is str and _WORDS.fullmatch(value):
-        text = f"'{value}'" if _TYPED.fullmatch(value) else value
-        if column + len(text) <= _WIDTH:
-            return text
-    raise _Declined
+    if kind is str:
+        if _WORDS.fullmatch(value):
+            return f"'{value}'" if _TYPED.fullmatch(value) else value
+        return '"' + _ESCAPED.sub(_escape, value) + '"'
+    raise ValueError(f"cannot write {key} as YAML: a {kind.__name__} value")
 
 
-def _emit(data: Any) -> str | None:
-    """``data`` as ``yaml.dump`` writes it in block style with sorted keys,
-    when it is a dict whose keys are non-empty strings and whose values are
-    ``_scalar`` values, dicts of the same kind and lists of ``_scalar``
-    values, none of them twice (PyYAML gives a repeated list or dict an
-    anchor); None for any other document."""
-    if type(data) is not dict:
-        return None
+def dump_yaml(data: dict) -> str:
+    """``data`` as block-style YAML with sorted keys: the form of every file
+    exosim writes, and the bytes behind the config hash.  Each key is a word
+    (``_WORDS``, not empty); each value is a dict of the same kind, a list of
+    scalars or a scalar (``_scalar``).  ValueError naming the dotted key of
+    anything else."""
     lines: list[str] = []
-    seen = {id(data)}
 
-    def mapping(node: dict, indent: int) -> None:
-        if not all(type(key) is str and key for key in node):  # libyaml writes '' apart
-            raise _Declined
+    def mapping(node: dict, indent: int, at: str) -> None:
+        for key in node:
+            if type(key) is not str or not key or not _WORDS.fullmatch(key):
+                raise ValueError(f"cannot write key {at + str(key)!r} as YAML: not a word "
+                                 "of letters, digits, '_', '.' or '-'")
         pad = " " * indent
         for key in sorted(node):
-            head = pad + _scalar(key, indent) + ":"
-            value = node[key]
-            if type(value) not in (dict, list):
-                lines.append(f"{head} {_scalar(value, len(head) + 1)}\n")
-                continue
-            if id(value) in seen:
-                raise _Declined
-            seen.add(id(value))
-            if not value:
-                lines.append(f"{head} {'{}' if type(value) is dict else '[]'}\n")
-                continue
-            lines.append(head + "\n")
-            if type(value) is dict:
-                mapping(value, indent + 2)
-            else:  # a list's items go at its key's indent
-                lines.extend(f"{pad}- {_scalar(item, indent + 2)}\n" for item in value)
+            head, value, path = f"{pad}{_scalar(key, at + key)}:", node[key], at + key
+            if type(value) is dict and value:
+                lines.append(head + "\n")
+                mapping(value, indent + 2, path + ".")
+            elif type(value) is list and value:  # a list's items go at its key's indent
+                lines.append(head + "\n")
+                lines.extend(f"{pad}- {_scalar(item, path)}\n" for item in value)
+            else:
+                empty = {dict: "{}", list: "[]"}.get(type(value))
+                lines.append(f"{head} {empty or _scalar(value, path)}\n")
 
-    if not data:
-        return "{}\n"
-    try:
-        mapping(data, 0)
-    except _Declined:
-        return None
-    return "".join(lines)
-
-
-def dump_yaml(data: Any) -> str:
-    """Block-style YAML with sorted keys: the form of every file exosim writes.
-    ``_emit`` writes the document if it can, PyYAML otherwise."""
-    text = _emit(data)
-    if text is None:
-        yaml = _pyyaml()
-        text = yaml.dump(data, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
-    return text
+    mapping(data, 0, "")
+    return "".join(lines) or "{}\n"
 
 
 def load_yaml(text: str) -> Any:
     """The document ``text`` holds; ValueError with PyYAML's message if it is
     not YAML."""
-    yaml = _pyyaml()
+    global YAML_LOADER
+    import yaml
+
+    if YAML_LOADER is None:
+        YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as err:
@@ -279,9 +246,9 @@ def load_config(path: str | Path | None = None) -> dict:
     return _deep_merge(cfg, loaded)
 
 
-def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
-    """Apply dotted-key overrides; values are parsed as YAML, a
-    ``plain_word`` without PyYAML as the string it is."""
+def apply_overrides(cfg: dict, overrides: Mapping[str, Any]) -> dict:
+    """Apply dotted-key overrides; text is parsed as YAML, a ``plain_word``
+    without PyYAML as the string it is, and any other value is taken as it is."""
     merged = copy.deepcopy(cfg)
     for dotted, raw in overrides.items():
         keys = dotted.split(".")
@@ -302,14 +269,10 @@ def apply_overrides(cfg: dict, overrides: Mapping[str, str]) -> dict:
     return merged
 
 
-def canonical_yaml(cfg: Mapping) -> str:
-    return dump_yaml(dict(cfg))
-
-
 def config_hash(cfg: Mapping) -> str:
     import hashlib  # here, not at import: it loads OpenSSL, which analyze never needs
 
-    return hashlib.sha256(canonical_yaml(cfg).encode()).hexdigest()[:12]
+    return hashlib.sha256(dump_yaml(cfg).encode()).hexdigest()[:12]
 
 
 def _finite(raw: Any, key: str) -> float:
@@ -317,7 +280,7 @@ def _finite(raw: Any, key: str) -> float:
     finite number."""
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # OverflowError: an int past float range
         raise ValueError(f"{key} must be a finite number, got {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value}")
@@ -347,18 +310,23 @@ def _flexion_range(raw: Any, key: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _fraction_from_config(raw: Any, key: str):
-    """A scalar or per-digit rest flexion fraction, each in [0, 1]."""
-    if isinstance(raw, Mapping):
-        return {
-            "default" if k == "default" else _enum(Digit, k, f"the digit of {key}.{k}"):
-            _fraction_from_config(v, f"{key}.{k}")
-            for k, v in raw.items()
-        }
+def _fraction(raw: Any, key: str) -> float:
     value = _finite(raw, key)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{key} must be in [0, 1], got {value}")
     return value
+
+
+def _fraction_from_config(raw: Any, key: str):
+    """A rest flexion fraction in [0, 1], or a mapping of digits (and
+    ``default``) to such fractions."""
+    if not isinstance(raw, Mapping):
+        return _fraction(raw, key)
+    return {
+        "default" if k == "default" else _enum(Digit, k, f"the digit of {key}.{k}"):
+        _fraction(v, f"{key}.{k}")
+        for k, v in raw.items()
+    }
 
 
 def _band(raw: Any, key: str) -> tuple[float, float | None] | None:
@@ -411,11 +379,8 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
 
 
 def _floats(section: Mapping, name: str) -> dict[str, float]:
-    try:
-        values = {key: float(value) for key, value in section.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise ValueError(f"section {name} must map keys to numbers, got {section!r}") from None
-    return {key: _finite(value, f"{name}.{key}") for key, value in values.items()}
+    """A config section of numbers (``_check_keys`` has found it a mapping)."""
+    return {key: _finite(value, f"{name}.{key}") for key, value in section.items()}
 
 
 def _spec(cls, section: Mapping, name: str):
@@ -591,4 +556,4 @@ def write_config(cfg: Mapping, path: str | Path, provenance: list[str] | None = 
     from .traceio import write_text_atomic
 
     header = "".join(f"# {line}\n" for line in provenance or [])
-    write_text_atomic(Path(path), header + canonical_yaml(cfg))
+    write_text_atomic(Path(path), header + dump_yaml(cfg))

@@ -355,6 +355,17 @@ def test_env_var_supplies_config(tmp_path, monkeypatch):
     assert meta["noise_sigma_n"] == 0.0
 
 
+def test_a_noise_flag_and_its_set_override_stamp_one_hash(tmp_path):
+    """``--noise-sigma`` puts its parsed number into the config, as the same
+    ``--set`` does, so both give one config and one trace."""
+    flag, override = tmp_path / "flag", tmp_path / "set"
+    base = ["simulate", "--subjects", "S1"]
+    assert run_cli([*base, "--out", str(flag), "--noise-sigma", "1e-5"]) == 0
+    assert run_cli([*base, "--out", str(override), "--set", "trial.noise_sigma_n=0.00001"]) == 0
+    assert tree(flag) == tree(override)
+    assert "# config: " in (flag / "S1_extension_t00.csv").read_text()
+
+
 def test_bad_usage_maps_to_exit_one():
     assert run_cli(["simulate", "--magnet", "titanic"]) == 1
     assert run_cli(["no-such-command"]) == 1
@@ -447,6 +458,12 @@ MALFORMED = [
     "trial.sample_rate_hz=.inf",
     "trial.noise_sigma_n=.nan",
     "trial.noise_sigma_n=.inf",
+    # an integer past float range
+    "trial.sample_rate_hz=1" + "0" * 400,
+    "subjects.S1.stiffness_n_per_mm=1" + "0" * 400,
+    # a rest fraction nested past the one level of digits, or holding itself
+    "subjects.S1.rest_flexion_fraction={index: {index: 0.5}}",
+    "subjects.S1.rest_flexion_fraction=&a {index: *a}",
     # paths the operating system refuses, "{tmp}" being the test's directory
     pytest.param(["--out", "{tmp}/t.csv/x"], id="out-below-a-file"),
     pytest.param(["--out", "{tmp}/t.csv"], id="out-is-a-file"),

@@ -43,7 +43,8 @@ EXTREME = ["1e308", "-1e308", "1.7976931348623157e+308", "1e300", "1e154", "1e-3
 NON_FINITE = [".inf", "-.inf", ".nan", "inf", "nan", "1e999"]
 WRONG = ["", "null", "~", "true", "foo", "[]", "{}", "[1, 2]", "[0, 1e308]", "[-1e308, 1e308]",
          "[1e-310, 1e308]", "{index: 0.5}", "{foo: 1}", "[1", "{a: [", "2019-01-01", "0x10",
-         "1:30", "!!binary aGk=", "!!python/object:os.system", "'1'", "\"nan\"", "1 2"]
+         "1:30", "!!binary aGk=", "!!python/object:os.system", "'1'", "\"nan\"", "1 2",
+         "1" + "0" * 400, "{index: {index: 0.5}}", "&a {index: *a}", "!!binary MQ=="]
 VALUES = st.one_of(
     st.sampled_from(ORDINARY + EXTREME + NON_FINITE + WRONG),
     st.integers(min_value=-100, max_value=100).map(str),

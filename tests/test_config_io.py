@@ -1,13 +1,14 @@
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from exosim import config
+from exosim import analysis, config
 from exosim.cli import main
 from exosim.config import (
     Bench,
@@ -82,93 +83,116 @@ def test_config_hash_tracks_content():
     assert len(config_hash(a)) == 12
 
 
-# Short printable ASCII, keys not empty: text that neither emitter escapes or
-# folds across lines, on which libyaml's emitter and PyYAML's own agree.
-_ASCII = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=40)
-_KEYS = _ASCII.filter(bool)
-_VALUES = st.one_of(
-    _ASCII, st.floats(), st.integers(), st.none(), st.booleans(), st.lists(_ASCII, max_size=3)
-)
-
-
-@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
-@settings(max_examples=200, deadline=None)
-@given(
-    subjects=st.dictionaries(_KEYS, st.dictionaries(_KEYS, _VALUES), max_size=3),
-    notes=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200),
-)
-def test_config_hash_is_the_same_with_and_without_libyaml(subjects, notes):
-    """Also for every ``notes`` that a bench accepts: up to 200 printable
-    ASCII characters, long enough for both emitters to fold the line.  PyYAML
-    writes every document here, as it does each one that exosim's own
-    emitter declines."""
-    cfg = default_config()
-    cfg["subjects"]["S1"]["notes"] = notes
-    cfg["subjects"].update(subjects)
-    with mock.patch.object(config, "_emit", lambda data: None):
-        with_libyaml = config.canonical_yaml(cfg)
-        with mock.patch.object(config, "YAML_DUMPER", yaml.SafeDumper):
-            assert config.canonical_yaml(cfg) == with_libyaml
-
-
-# Strings for each rule of the emitter: typed and indicator strings it quotes,
+# Strings for each rule of the writer: typed and indicator strings it quotes,
 # words and sentences it writes plain (the longer ones past column 80, where
-# PyYAML folds them), and printable ASCII, most of which it leaves to PyYAML.
+# PyYAML folds them), and printable ASCII, most of which it double-quotes.
 _RULES = ["", "2", "012", "0x1f", "1_000", "1.5", ".5", "-.inf", ".NaN", "2024-01-02", "yes",
-          "No", "NULL", "on", "OFF", "0.1.0", "1e5", "nan", "-", "- a", "---", "...x", "._1", "a b"]
-_WORD = st.text(st.sampled_from("abcxyzAZ0129_.-"), min_size=1, max_size=12)
-_SENTENCES = st.text(st.sampled_from("abyz09_.-  "), min_size=50, max_size=90).map(
-    lambda text: " ".join(text.split())
-)
+          "No", "NULL", "on", "OFF", "0.1.0", "1e5", "nan", "-", "- a", "---", "...x", "._1", "a b",
+          "a,", "1,", "-,", "---,", "a, b,"]
+_WORD = st.tuples(
+    st.text(st.sampled_from("abcxyzAZ0129_.-"), min_size=1, max_size=11), st.sampled_from(["", ","])
+).map("".join)
+_SENTENCES = st.lists(_WORD, min_size=3, max_size=12).map(" ".join)
 _PLAIN = st.one_of(st.sampled_from(_RULES), _WORD, _SENTENCES)
 _STRINGS = st.one_of(_PLAIN, st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=90))
 _FLOATS = st.one_of(
     st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e17, 1e-7, 5e-324])
 )
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _STRINGS)
-# Documents of the forms the emitter writes, and any others.
-_DOCS = st.one_of(
-    st.recursive(
-        st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
-        lambda nodes: st.dictionaries(_PLAIN, nodes, max_size=4),
+
+
+def _documents(strings, floats=_FLOATS):
+    """Writable documents: word keys, and values that are scalars with these
+    strings, lists of them, and dicts of the same kind."""
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, strings)
+    return st.recursive(
+        st.one_of(scalars, st.lists(scalars, max_size=3)),
+        lambda nodes: st.dictionaries(_PLAIN.filter(bool), nodes, max_size=4),
         max_leaves=12,
-    ),
-    st.recursive(
-        _SCALARS,
-        lambda nodes: st.lists(nodes, max_size=3) | st.dictionaries(_STRINGS, nodes, max_size=4),
-        max_leaves=12,
-    ),
-).map(lambda node: node if isinstance(node, dict) else {"a": node})
+    ).map(lambda node: node if isinstance(node, dict) else {"a": node})
+
+
 _DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if hasattr(yaml, "CSafeDumper") else [])
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
 def _pyyaml_dump(data, dumper):
     return yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=False)
 
 
+def _analysis_errors() -> list[str]:
+    """Each ``AnalysisError`` message in analysis.py, which a degenerate
+    report states as its reason."""
+    source = Path(analysis.__file__).read_text()
+    messages = re.findall(r'AnalysisError\(f?"([^"]*)"\)', source)
+    return [m.format(name=name) for m in messages for name in ("retraction", "force")]
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=_DOCS)
-@example(doc={"a": " ".join(["word"] * 15), "b": {"note": "x" * 69, "nested": {"c": "y" * 67}}})
-@example(doc={"shared": (shared := [1.0]), "again": shared})
-@example(doc={"a": {}, "b": [], "c": [[]], "d": [{"e": 1}], "f": (1, 2), "": 0})
-def test_dump_yaml_writes_what_pyyaml_writes(doc):
-    """exosim's emitter writes a document as each of PyYAML's emitters does,
-    or declines it, and ``dump_yaml`` then leaves it to PyYAML."""
-    text = config._emit(doc)
-    expected = [_pyyaml_dump(doc, dumper) for dumper in _DUMPERS]
-    if text is not None:
-        assert [text] * len(_DUMPERS) == expected
-    assert config.dump_yaml(doc) == expected[-1]  # libyaml's, where PyYAML has it
+@given(doc=_documents(_PLAIN))
+@example(doc={"a": " ".join(["word"] * 14), "b": {"note": "x" * 69, "nested": {"c": "y" * 67}}})
+@example(doc={"a": {}, "b": [], "c": {"d": {}}, "e": "x"})
+def test_dump_yaml_writes_plain_documents_as_pyyaml_does(doc):
+    """A document whose strings are written plain or single-quoted, in lines
+    within 80 columns (PyYAML folds past them), is written as each of
+    PyYAML's emitters writes it."""
+    text = config.dump_yaml(doc)
+    assume(all(len(line) <= 80 for line in text.splitlines()))
+    assert [text] * len(_DUMPERS) == [_pyyaml_dump(doc, dumper) for dumper in _DUMPERS]
+
+
+for _reason in _analysis_errors():
+    test_dump_yaml_writes_plain_documents_as_pyyaml_does = example(
+        doc={"degenerate": True, "degenerate_reason": _reason, "label": "S1_extension_t00"}
+    )(test_dump_yaml_writes_plain_documents_as_pyyaml_does)
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents(
+    st.one_of(_STRINGS, st.text(st.characters(blacklist_categories=("Cs",)))),
+    st.floats(allow_nan=False),
+))
+@example(doc={"a": "\\ \" \x00 \x7f \x85 \xa0 \u2028 \ufeff \U0001f600 \u00e9", "b": " x ", "c": "a:b"})
+@example(doc={"label": "S1 copy", "why": "grip: \"weak\", # not a comment", "x": "\n\t"})
+def test_dump_yaml_reads_back_as_written(loader, doc):
+    """Any writable document reads back as itself, under either of PyYAML's
+    loaders: a string that is not written plain is double-quoted, with every
+    character outside printable ASCII escaped."""
+    text = config.dump_yaml(doc)
+    assert text.isascii()
+    with mock.patch.object(config, "YAML_LOADER", loader):
+        assert config.load_yaml(text) == doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"a": b"1"}, "cannot write a as YAML: a bytes value"),
+        ({"a": {"b": (1, 2)}}, "cannot write a.b as YAML: a tuple value"),
+        ({"a": [1, {1}]}, "cannot write a as YAML: a set value"),
+        ({"a": [[1]]}, "cannot write a as YAML: a list value"),
+        ({"a": [{}]}, "cannot write a as YAML: a dict value"),
+        ({"a": {"": 1}}, "cannot write key 'a.' as YAML: not a word"),
+        ({"a": {"b c:": 1}}, "cannot write key 'a.b c:' as YAML: not a word"),
+        ({"a": {"é": 1}}, "cannot write key 'a.é' as YAML: not a word"),
+        ({2: 1}, "cannot write key '2' as YAML: not a word"),
+    ],
+)
+def test_dump_yaml_refuses_what_it_does_not_write(doc, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        config.dump_yaml(doc)
 
 
 def test_the_emitter_writes_the_documents_exosim_writes(tmp_path):
-    """The default config, a sidecar and a report take the emitter, not PyYAML."""
+    """The default config, a sidecar and a report are written as PyYAML
+    writes them."""
     cfg = default_config()
-    assert config._emit(cfg) == _pyyaml_dump(cfg, yaml.SafeDumper)
+    assert config.dump_yaml(cfg) == _pyyaml_dump(cfg, yaml.SafeDumper)
     assert main(["simulate", "--out", str(tmp_path / "sim"), "--subjects", "S1"]) == 0
     assert main(["analyze", str(tmp_path / "sim"), "--out", str(tmp_path / "an")]) == 0
     for path in [*tmp_path.glob("sim/*.meta.yaml"), *tmp_path.glob("an/*.report.yaml")]:
-        assert config._emit(yaml.safe_load(path.read_text())) == path.read_text()
+        doc = yaml.safe_load(path.read_text())
+        assert config.dump_yaml(doc) == path.read_text() == _pyyaml_dump(doc, yaml.SafeDumper)
 
 
 @settings(max_examples=500, deadline=None)

@@ -159,19 +159,9 @@ def test_golden_outputs(tmp_path):
     check_golden_outputs(tmp_path)
 
 
-def test_golden_outputs_with_pyyaml_writing_every_document(tmp_path, monkeypatch):
-    """The same bytes when PyYAML writes each document that exosim's own
-    emitter writes otherwise."""
-    monkeypatch.setattr(config, "_emit", lambda data: None)
-    check_golden_outputs(tmp_path)
-
-
 def test_golden_outputs_with_pure_python_yaml(tmp_path, monkeypatch):
-    """The same bytes when PyYAML's own emitter and parser stand in for
-    libyaml's, which exosim uses whenever PyYAML was built with it, and write
-    and read every document."""
-    monkeypatch.setattr(config, "_emit", lambda data: None)
-    monkeypatch.setattr(config, "YAML_DUMPER", yaml.SafeDumper)
+    """The same bytes when PyYAML's own parser stands in for libyaml's, which
+    exosim reads YAML with whenever PyYAML was built with it."""
     monkeypatch.setattr(config, "YAML_LOADER", yaml.SafeLoader)
     check_golden_outputs(tmp_path)
 

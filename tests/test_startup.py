@@ -1,10 +1,11 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
 command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
 campaign, only a command that reads YAML loads PyYAML (``analyze`` before it
-forks), no command loads ``dataclasses``, a CLI process freezes what its
-command loaded, the default config does not depend on import order, and the
-CLI caps BLAS threads only for a numpy still to load.  Each check of what
-loads runs in a fresh interpreter, since this one has loaded everything."""
+forks) and writing YAML never does, no command loads ``dataclasses``, a CLI
+process freezes what its command loaded, the default config does not depend
+on import order, and the CLI caps BLAS threads only for a numpy still to
+load.  Each check of what loads runs in a fresh interpreter, since this one
+has loaded everything."""
 
 import json
 import os
@@ -73,8 +74,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     """``analyze``, run as a CLI process, loads the analysis and PyYAML (once,
     before it forks), but not hashlib nor numpy.random (both map OpenSSL) nor
     the campaign; ``simulate`` and ``calibrate`` load no campaign, and they
-    and ``reproduce`` load PyYAML only to read a config file or an override
-    that is not a plain word."""
+    and ``reproduce`` load PyYAML only to read a config file or a ``--set``
+    value that is not a plain word (a flag's parsed value is not read)."""
     traces = tmp_path / "traces"
     assert cli.main(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
     watched = ("exosim.analysis", "hashlib", "_hashlib", "numpy.random", "exosim.reproduce",
@@ -91,7 +92,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert cli_process(analyze, *watched, before=split, after="assert forks == [True]") == [
         "exosim.analysis", "yaml"
     ]
-    for argv in (["simulate", "--tendon-config", "pinch"], ["calibrate"], ["reproduce"]):
+    for argv in (["simulate", "--tendon-config", "pinch"], ["simulate", "--noise-sigma", "0.3"],
+                 ["calibrate"], ["reproduce"]):
         loaded = cli_process([*argv, "--out", str(tmp_path / argv[0])], "yaml", "exosim.reproduce")
         assert loaded == (["exosim.reproduce"] if argv == ["reproduce"] else [])
     config = tmp_path / "calibrate" / "calibrated_config.yaml"  # written without PyYAML
@@ -99,6 +101,20 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         out = tmp_path / args[0].strip("-")
         assert cli_process(["simulate", *args, "--out", str(out)], "yaml") == ["yaml"]
     assert "noise_sigma_n: 0.3\n" in (out / "S1_extension_t00.meta.yaml").read_text()
+
+
+def test_a_double_quoted_document_is_written_without_pyyaml(tmp_path):
+    """exosim writes every document itself, a string that is not a plain
+    word double-quoted and escaped; PyYAML stays unloaded."""
+    path = tmp_path / "notes.yaml"
+    run = (
+        "from exosim.config import default_config, write_config\n"
+        "cfg = default_config()\n"
+        "cfg['subjects']['S1']['notes'] = 'grip: \"weak\", caf\u00e9'\n"
+        f"write_config(cfg, {str(path)!r})\n"
+    )
+    assert loaded_after(run, "yaml") == []
+    assert '  notes: "grip: \\x22weak\\x22, caf\\xE9"\n' in path.read_text()
 
 
 def test_no_command_loads_dataclasses(tmp_path):
