@@ -140,46 +140,29 @@ def linear_fit_and_correlation(
     return LinearFit(slope, intercept, correlation)
 
 
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Per-trace result: fit, peak statistics, and event flags.
 
     Degenerate traces (never loaded, constant force, too few samples) carry
-    a reason instead of fit numbers so a batch can account for every input.
+    a reason instead of fit numbers so a batch can account for every input;
+    what the stages before the failing one found stays.
     """
 
-    def __init__(
-        self,
-        label: str,
-        subject_id: str = "",
-        trimmed_samples: int = 0,
-        used_samples: int = 0,
-        slope: float | None = None,
-        intercept: float | None = None,
-        correlation: float | None = None,
-        peak_force_n: float | None = None,
-        peak_retraction_mm: float | None = None,
-        breakaway_detected: bool = False,
-        functional_extension: bool | None = None,
-        degenerate: bool = False,
-        degenerate_reason: str | None = None,
-        position_frac: np.ndarray | None = None,
-        force_frac: np.ndarray | None = None,
-    ) -> None:
-        self.label = label
-        self.subject_id = subject_id
-        self.trimmed_samples = trimmed_samples
-        self.used_samples = used_samples
-        self.slope = slope
-        self.intercept = intercept
-        self.correlation = correlation
-        self.peak_force_n = peak_force_n
-        self.peak_retraction_mm = peak_retraction_mm
-        self.breakaway_detected = breakaway_detected
-        self.functional_extension = functional_extension
-        self.degenerate = degenerate
-        self.degenerate_reason = degenerate_reason
-        self.position_frac = position_frac
-        self.force_frac = force_frac
+    label: str
+    subject_id: str = ""
+    trimmed_samples: int = 0
+    used_samples: int = 0
+    slope: float | None = None
+    intercept: float | None = None
+    correlation: float | None = None
+    peak_force_n: float | None = None
+    peak_retraction_mm: float | None = None
+    breakaway_detected: bool = False
+    functional_extension: bool | None = None
+    degenerate: bool = False
+    degenerate_reason: str | None = None
+    position_frac: np.ndarray | None = None
+    force_frac: np.ndarray | None = None
 
     def fitted_frac(self) -> np.ndarray | None:
         if self.position_frac is None or self.slope is None:
@@ -201,27 +184,28 @@ def analyze(
     stage that cannot proceed yields a degenerate report rather than an
     exception, so batch runs keep going.
     """
-    report = AnalysisReport(label=label or trace.subject_id, subject_id=trace.subject_id)
-    report.functional_extension = trace.functional_extension
+    trimmed = trim_slack(trace, trim_threshold_n)
+    kept = truncate_breakaway(trimmed, drop_threshold_n, drop_floor_n)
+    found: dict = {}  # series and fit fields, named as the report names them, until one fails
+    reason = None
     try:
-        trimmed = trim_slack(trace, trim_threshold_n)
-        report.trimmed_samples = len(trace) - len(trimmed)
-        kept = truncate_breakaway(trimmed, drop_threshold_n, drop_floor_n)
-        report.breakaway_detected = bool(trace.breakaway) or len(kept) < len(trimmed)
-        report.used_samples = len(kept)
         series = normalize(kept)
-        report.peak_force_n = series.peak_force_n
-        report.peak_retraction_mm = series.peak_retraction_mm
-        report.position_frac = series.position_frac
-        report.force_frac = series.force_frac
+        found.update(series._asdict())
         fit = linear_fit_and_correlation(series.position_frac, series.force_frac)
-        report.slope = fit.slope
-        report.intercept = fit.intercept
-        report.correlation = fit.correlation
+        found.update(fit._asdict())
     except AnalysisError as err:
-        report.degenerate = True
-        report.degenerate_reason = str(err)
-    return report
+        reason = str(err)
+    return AnalysisReport(
+        label=label or trace.subject_id,
+        subject_id=trace.subject_id,
+        trimmed_samples=len(trace) - len(trimmed),
+        used_samples=len(kept),
+        breakaway_detected=bool(trace.breakaway) or len(kept) < len(trimmed),
+        functional_extension=trace.functional_extension,
+        degenerate=reason is not None,
+        degenerate_reason=reason,
+        **found,
+    )
 
 
 # Read at import: a wrapper put in analyze()'s place later (a tracer's) would
@@ -244,11 +228,7 @@ class SubjectSummary(NamedTuple):
 
 class BatchSummary(NamedTuple):
     subjects: tuple[SubjectSummary, ...]
-    total_reports: int
-    degenerate_reports: int
-    breakaway_count: int
-    functional_count: int
-    functional_known: int
+    totals: SubjectSummary  # over every report, its subject_id "all"
 
     def render(self) -> str:
         """Fixed-width text table; deterministic for identical inputs."""
@@ -268,13 +248,32 @@ class BatchSummary(NamedTuple):
                 f"{s.subject_id:<8} {s.trials:>6} {r_min:>8} {r_max:>8} "
                 f"{p_min:>10} {p_max:>10} {s.breakaway_count:>9} {functional:>10}"
             )
+        t = self.totals
         lines.append(
-            f"totals: {self.total_reports} traces, "
-            f"{self.degenerate_reports} degenerate, "
-            f"functional extension {self.functional_count}/{self.functional_known}, "
-            f"breakaway {self.breakaway_count}/{self.total_reports}"
+            f"totals: {t.trials} traces, {t.degenerate} degenerate, "
+            f"functional extension {t.functional_count}/{t.functional_known}, "
+            f"breakaway {t.breakaway_count}/{t.trials}"
         )
         return "\n".join(lines) + "\n"
+
+
+def _summarize(subject_id: str, group: list[AnalysisReport]) -> SubjectSummary:
+    """One summary row over ``group``'s reports, named ``subject_id``."""
+    rs = [r.correlation for r in group if not r.degenerate and r.correlation is not None]
+    peaks = [r.peak_force_n for r in group if r.peak_force_n is not None]
+    known = [r.functional_extension for r in group if r.functional_extension is not None]
+    return SubjectSummary(
+        subject_id=subject_id,
+        trials=len(group),
+        degenerate=sum(r.degenerate for r in group),
+        r_min=min(rs) if rs else None,
+        r_max=max(rs) if rs else None,
+        peak_min_n=min(peaks) if peaks else None,
+        peak_max_n=max(peaks) if peaks else None,
+        breakaway_count=sum(r.breakaway_detected for r in group),
+        functional_count=sum(known),
+        functional_known=len(known),
+    )
 
 
 def batch_report(reports: Iterable[AnalysisReport]) -> BatchSummary:
@@ -283,34 +282,7 @@ def batch_report(reports: Iterable[AnalysisReport]) -> BatchSummary:
     by_subject: dict[str, list[AnalysisReport]] = {}
     for r in ordered:
         by_subject.setdefault(r.subject_id or r.label, []).append(r)
-    summaries = []
-    for sid in sorted(by_subject):
-        group = by_subject[sid]
-        fitted = [r for r in group if not r.degenerate and r.correlation is not None]
-        rs = [r.correlation for r in fitted]
-        peaks = [r.peak_force_n for r in group if r.peak_force_n is not None]
-        known = [r for r in group if r.functional_extension is not None]
-        summaries.append(
-            SubjectSummary(
-                subject_id=sid,
-                trials=len(group),
-                degenerate=sum(1 for r in group if r.degenerate),
-                r_min=min(rs) if rs else None,
-                r_max=max(rs) if rs else None,
-                peak_min_n=min(peaks) if peaks else None,
-                peak_max_n=max(peaks) if peaks else None,
-                breakaway_count=sum(1 for r in group if r.breakaway_detected),
-                functional_count=sum(1 for r in known if r.functional_extension),
-                functional_known=len(known),
-            )
-        )
-    all_reports = ordered
-    known_all = [r for r in all_reports if r.functional_extension is not None]
     return BatchSummary(
-        subjects=tuple(summaries),
-        total_reports=len(all_reports),
-        degenerate_reports=sum(1 for r in all_reports if r.degenerate),
-        breakaway_count=sum(1 for r in all_reports if r.breakaway_detected),
-        functional_count=sum(1 for r in known_all if r.functional_extension),
-        functional_known=len(known_all),
+        subjects=tuple(_summarize(sid, by_subject[sid]) for sid in sorted(by_subject)),
+        totals=_summarize("all", ordered),
     )

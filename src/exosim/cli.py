@@ -143,8 +143,7 @@ def _analyze_trace(path: Path, out: Path, analysis) -> tuple[list[str], Analysis
     trace, warnings = read_trace(path)
     report = analyze(trace, label=path.stem, **analysis)
     write_report(report, out)
-    report.position_frac = report.force_frac = None
-    return warnings, report
+    return warnings, report._replace(position_frac=None, force_frac=None)
 
 
 def _analyze_share(paths: list[Path], out: Path, analysis) -> list:

@@ -277,8 +277,10 @@ def config_hash(cfg: Mapping) -> str:
 
 def _finite(raw: Any, key: str) -> float:
     """A config number; ValueError naming its dotted key if it is not a
-    finite number."""
+    finite number, as a bool or bytes is not, though ``float`` reads either."""
     try:
+        if isinstance(raw, (bool, bytes, bytearray)):
+            raise TypeError
         value = float(raw)
     except (OverflowError, TypeError, ValueError):  # OverflowError: an int past float range
         raise ValueError(f"{key} must be a finite number, got {raw!r}") from None

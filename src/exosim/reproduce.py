@@ -120,21 +120,20 @@ def run_reproduction(
     traces_dir = out / "traces"
     reports_dir = out / "reports"
     reports = []
-    traces = {}
+    first = {}  # each subject's first (trace, report), which the checks below read
     for profile, t_idx, trace in bench.trials(base_seed, trials_per_subject):
         label = f"{profile.subject_id}_t{t_idx:02d}"
         write_trace(trace, traces_dir / f"{label}.csv", config_hash=config_hash)
         report = analyze(trace, label=label, **bench.analysis)
         write_report(report, reports_dir)
         reports.append(report)
-        if t_idx == 0:
-            traces[profile.subject_id] = trace
+        first.setdefault(profile.subject_id, (trace, report))
 
     summary = batch_report(reports)
     write_text_atomic(out / "summary.txt", summary.render())
 
     for profile in bench.bank:
-        report = next(r for r in reports if r.subject_id == profile.subject_id)
+        report = first[profile.subject_id][1]
         peak = report.peak_force_n if report.peak_force_n is not None else float("nan")
         band = profile.peak_band_n
         hi_text = "inf" if band is None or band[1] is None else f"{band[1]:g}"
@@ -148,10 +147,8 @@ def run_reproduction(
             )
         )
 
-    first_trials = [r for r in reports if r.label.endswith("_t00")]
-    functional_ids = sorted(
-        r.subject_id for r in first_trials if r.functional_extension
-    )
+    first_trials = [report for _, report in first.values()]
+    functional_ids = sorted(r.subject_id for r in first_trials if r.functional_extension)
     breakaway_ids = sorted(r.subject_id for r in first_trials if r.breakaway_detected)
     checks.append(
         CheckResult(
@@ -169,7 +166,7 @@ def run_reproduction(
             f"{', '.join(breakaway_ids) or 'none'}",
         )
     )
-    s5 = traces.get("S5")
+    s5 = first["S5"][0] if "S5" in first else None
     s5_ok = (
         s5 is not None
         and s5.functional_extension is True

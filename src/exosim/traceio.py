@@ -106,9 +106,13 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
 
 
 def _number(value, name: str) -> float:
+    """``value`` as a float; ValueError prefixed with ``name`` if it is not a
+    number, as a bool or bytes is not, though ``float`` reads either."""
     try:
+        if isinstance(value, (bool, bytes, bytearray)):
+            raise TypeError(f"expected a number, got {type(value).__name__}")
         return float(value)
-    except (TypeError, ValueError) as err:
+    except (OverflowError, TypeError, ValueError) as err:  # OverflowError: an int past float range
         raise ValueError(f"{name}: {err}") from None
 
 
@@ -258,23 +262,9 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
 
 
 def render_report_yaml(report) -> str:
-    data = {
-        "label": report.label,
-        "subject_id": report.subject_id,
-        "trimmed_samples": int(report.trimmed_samples),
-        "used_samples": int(report.used_samples),
-        "slope": None if report.slope is None else float(report.slope),
-        "intercept": None if report.intercept is None else float(report.intercept),
-        "correlation": None if report.correlation is None else float(report.correlation),
-        "peak_force_n": None if report.peak_force_n is None else float(report.peak_force_n),
-        "peak_retraction_mm": (
-            None if report.peak_retraction_mm is None else float(report.peak_retraction_mm)
-        ),
-        "breakaway_detected": bool(report.breakaway_detected),
-        "functional_extension": report.functional_extension,
-        "degenerate": bool(report.degenerate),
-        "degenerate_reason": report.degenerate_reason,
-    }
+    """A report's fields as YAML, but the two series, which the fit CSV holds."""
+    data = report._asdict()
+    del data["position_frac"], data["force_frac"]
     return dump_yaml(data)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from exosim.analysis import (
@@ -15,6 +16,8 @@ from exosim.analysis import (
     trim_slack,
     truncate_breakaway,
 )
+from exosim.config import Bench, default_config
+from exosim.traceio import render_report_yaml
 from exosim.trial import TrialTrace
 
 
@@ -300,6 +303,68 @@ def test_analyze_detector_only_trace():
     assert report.peak_force_n == pytest.approx(36.0)
 
 
+# Traces on which a stage fails, each with its report file, which keeps what
+# the stages before the failing one found.
+DEGENERATE = {
+    # normalize succeeds and the fit fails: the peaks and the series stay
+    "constant-force": (
+        synthetic_trace([5.0] * 50, rate=10.0),
+        "breakaway_detected: false\ncorrelation: null\ndegenerate: true\n"
+        "degenerate_reason: force variance is zero, correlation undefined\n"
+        "functional_extension: null\nintercept: null\nlabel: x\n"
+        "peak_force_n: 5.0\npeak_retraction_mm: 24.5\nslope: null\n"
+        "subject_id: ''\ntrimmed_samples: 0\nused_samples: 50\n",
+    ),
+    # the window is empty: no peaks, but the trimmed samples are counted
+    "never-loaded": (
+        synthetic_trace([0.0, 1.0, 2.0]),
+        "breakaway_detected: false\ncorrelation: null\ndegenerate: true\n"
+        "degenerate_reason: empty trace window, nothing to normalize\n"
+        "functional_extension: null\nintercept: null\nlabel: x\n"
+        "peak_force_n: null\npeak_retraction_mm: null\nslope: null\n"
+        "subject_id: ''\ntrimmed_samples: 3\nused_samples: 0\n",
+    ),
+    # the release leaves one sample after the trim: peaks, but no fit
+    "short-release": (
+        synthetic_trace(
+            [0.0, 5.0, 40.0, 0.0], rate=10.0, subject_id="S4", breakaway=True,
+            breakaway_time_s=0.2, functional_extension=False,
+        ),
+        "breakaway_detected: true\ncorrelation: null\ndegenerate: true\n"
+        "degenerate_reason: need at least two distinct positions to fit\n"
+        "functional_extension: false\nintercept: null\nlabel: x\n"
+        "peak_force_n: 5.0\npeak_retraction_mm: 0.5\nslope: null\n"
+        "subject_id: S4\ntrimmed_samples: 1\nused_samples: 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_report_keeps_what_earlier_stages_found(case):
+    trace, text = DEGENERATE[case]
+    report = analyze(trace, label="x")
+    assert render_report_yaml(report) == text
+    if report.peak_force_n is None:
+        assert report.position_frac is None and report.force_frac is None
+    else:
+        assert len(report.position_frac) == len(report.force_frac) == report.used_samples
+
+
+def test_report_yaml_round_trips():
+    """The report file reads back as the record without its two series, for
+    a default reproduction's reports and for degenerate ones."""
+    bench = Bench.from_config(default_config()).calibrated()
+    reports = [
+        analyze(trace, label=f"{profile.subject_id}_t{t_idx:02d}", **bench.analysis)
+        for profile, t_idx, trace in bench.trials(0, 1)
+    ]
+    reports += [analyze(trace, label="x") for trace, _ in DEGENERATE.values()]
+    for report in reports:
+        expected = report._asdict()
+        del expected["position_frac"], expected["force_frac"]
+        assert yaml.safe_load(render_report_yaml(report)) == expected
+
+
 # --- batch aggregation ---------------------------------------------------------------
 
 
@@ -308,11 +373,11 @@ def test_batch_report_counts(noiseless_traces):
         analyze(trace, label=f"{sid}_t00") for sid, trace in noiseless_traces.items()
     ]
     summary = batch_report(reports)
-    assert summary.total_reports == 5
-    assert summary.functional_count == 4
-    assert summary.functional_known == 5
-    assert summary.breakaway_count == 2
-    assert summary.degenerate_reports == 0
+    assert summary.totals.trials == 5
+    assert summary.totals.functional_count == 4
+    assert summary.totals.functional_known == 5
+    assert summary.totals.breakaway_count == 2
+    assert summary.totals.degenerate == 0
     assert [s.subject_id for s in summary.subjects] == ["S1", "S2", "S3", "S4", "S5"]
     text = summary.render()
     assert "functional extension 4/5" in text
@@ -328,5 +393,5 @@ def test_batch_report_deterministic_order(noiseless_traces):
 
 def test_batch_report_empty():
     summary = batch_report([])
-    assert summary.total_reports == 0
+    assert summary.totals.trials == 0
     assert "no reports" in summary.render()

@@ -392,6 +392,24 @@ def test_reproduce_sweep_seed_matches_its_single_run(tmp_path):
     assert tree(sweep / "seed_1") == tree(single)
 
 
+def test_reproduce_checks_each_subjects_first_trial(tmp_path):
+    """With three trials a subject, the peak-band and count checks read each
+    subject's first trial, and the correlation band reads every trace."""
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out), "--trials", "3"]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    for sid in ("S1", "S2", "S3", "S4", "S5"):
+        report = yaml.safe_load((out / "reports" / f"{sid}_t00.report.yaml").read_text())
+        (line,) = [x for x in lines if x.startswith(f"PASS peak_band_{sid}: ")]
+        assert f"recorded peak {report['peak_force_n']:.2f} N" in line
+    assert "PASS functional_extension_count: 4/5 subjects opened functionally: S1, S2, S3, S5" \
+        in lines
+    assert "PASS breakaway_count: 2/5 couplings released: S4, S5" in lines
+    (band,) = [x for x in lines if x.startswith("PASS correlation_band: ")]
+    assert " across 15 traces " in band
+    assert len(list((out / "traces").glob("*.csv"))) == 15
+
+
 def test_reproduce_rejects_no_trials(tmp_path, capsys):
     out = tmp_path / "rep"
     assert run_cli(["reproduce", "--out", str(out), "--trials", "0"]) == 1
@@ -458,6 +476,10 @@ MALFORMED = [
     "trial.sample_rate_hz=.inf",
     "trial.noise_sigma_n=.nan",
     "trial.noise_sigma_n=.inf",
+    # a bool or bytes, which float() reads as 1.0
+    "trial.sample_rate_hz=true",
+    "actuator.stroke_mm=yes",
+    "trial.noise_sigma_n=!!binary MQ==",
     # an integer past float range
     "trial.sample_rate_hz=1" + "0" * 400,
     "subjects.S1.stiffness_n_per_mm=1" + "0" * 400,

@@ -331,6 +331,9 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("sample_rate_hz: abc\n", "sample_rate_hz: could not convert"),
         ("sample_rate_hz: null\n", "sample_rate_hz: float() argument"),
         ("noise_sigma_n: [1]\n", "noise_sigma_n: float() argument"),
+        ("sample_rate_hz: true\n", "sample_rate_hz: expected a number, got bool"),
+        ("noise_sigma_n: !!binary MQ==\n", "noise_sigma_n: expected a number, got bytes"),
+        ("stroke_mm: 1" + "0" * 400 + "\n", "stroke_mm: int too large to convert to float"),
         ("breakaway:\n  time_s: abc\n", "breakaway.time_s: could not convert"),
         ("functional_time_s: {a: 1}\n", "functional_time_s: float() argument"),
         ("breakaway: [1, 2]\n", "breakaway: expected a mapping, got list"),
@@ -350,6 +353,7 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("seed: [1, x]\n", "seed: expected null, an int or a list of ints, got [1, 'x']"),
     ],
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
+         "rate-bool", "noise-bytes", "stroke-past-float-range",
          "release-time-text", "functional-time-map", "breakaway-list", "breakaway-bool",
          "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
          "subject-path", "functional-text",
