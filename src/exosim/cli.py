@@ -77,14 +77,17 @@ def _parse_subjects(spec: str | None, available: tuple[str, ...]) -> list[str]:
     return chosen
 
 
-def _parse_seed_spec(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise CliError(f"empty seed range {spec!r}")
-        return list(range(start, stop + 1))
-    return [int(spec)]
+def _parse_seeds(spec: str, ranged: bool) -> range:
+    """The seeds of ``--seed``: a non-negative integer or, where ``ranged``,
+    a range ``a..b`` of them that is not empty."""
+    ends = spec.split("..", 1) if ranged else [spec]
+    try:
+        if all(end.isascii() and end.isdigit() for end in ends) and int(ends[0]) <= int(ends[-1]):
+            return range(int(ends[0]), int(ends[-1]) + 1)
+    except ValueError:  # more digits than int() reads
+        pass
+    rule = "a non-negative integer" + (" or a range a..b of them, a <= b" if ranged else "")
+    raise CliError(f"--seed must be {rule}, got {spec!r}")
 
 
 def _resolve_config_path(arg: str | None) -> Path | None:
@@ -116,16 +119,16 @@ def _cmd_simulate(args) -> int:
     from .config import Bench, config_hash
     from .traceio import write_trace
 
-    cfg = _effective_config(args)
-    bench = Bench.from_config(cfg)
-    chash = config_hash(cfg)  # of a config that the bench has checked
+    bench = Bench(_effective_config(args))
+    chash = config_hash(bench.config)  # of a config that the bench has checked
     subjects = _parse_subjects(args.subjects, bench.bank.ids())
+    (seed,) = _parse_seeds(args.seed, ranged=False)
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
 
     out = Path(args.out)
     written = []
-    for profile, t_idx, trace in bench.trials(args.seed, args.trials, subjects):
+    for profile, t_idx, trace in bench.trials(seed, args.trials, subjects):
         name = f"{profile.subject_id}_{trace.network}_t{t_idx:02d}.csv"
         written.append(write_trace(trace, out / name, config_hash=chash))
     for path in written:
@@ -220,7 +223,7 @@ def _cmd_analyze(args) -> int:
             raise CliError(f"trace file name is not UTF-8: {os.fsencode(p)}") from None
         if first.setdefault(p.stem, p) is not p:
             raise CliError(f"two traces named {p.stem}: {first[p.stem]} and {p}")
-    bench = Bench.from_config(_effective_config(args))
+    bench = Bench(_effective_config(args))
     out = Path(args.out)
 
     # Contiguous shares, one per usable CPU; the first stays in this process
@@ -266,23 +269,22 @@ def _cmd_calibrate(args) -> int:
     from .spasticity import calibrate_stiffness
     from .tendons import index_excursion_mm
 
-    cfg = _effective_config(args)
-    bench = Bench.from_config(cfg)
+    bench = Bench(_effective_config(args))
     target, travel = bench.excursion_target_mm, bench.effective_travel_mm
-    hand = bench.calibrated().hand
-    depth = hand.depth_mm
-    excursion = index_excursion_mm(hand, bench.extension)
+    calibrated = bench.calibrated()
+    depth = calibrated.hand.depth_mm
+    excursion = index_excursion_mm(calibrated.hand, bench.extension)
 
-    derived = {**cfg, "hand": {**cfg["hand"], "joint_center_depth_mm": depth}, "subjects": {}}
+    derived = {**calibrated.config, "subjects": {}}
     provenance = [
         f"exosim calibrate {TOOL_VERSION}",
-        f"config: {config_hash(cfg)}",
+        f"config: {config_hash(bench.config)}",
         f"joint_center_depth_mm = {depth:.6f} "
         f"(index extension excursion {excursion:.4f} mm, target {target} mm)",
     ]
     for profile in bench.bank:
         sid = profile.subject_id
-        entry = dict(cfg["subjects"][sid])
+        entry = dict(bench.config["subjects"][sid])
         band = profile.peak_band_n
         if band and band[1] is not None:
             midpoint = 0.5 * band[0] + 0.5 * band[1]  # their sum may overflow
@@ -307,10 +309,9 @@ def _cmd_reproduce(args) -> int:
     from .config import Bench, config_hash
     from .reproduce import run_reproduction
 
-    cfg = _effective_config(args)
-    bench = Bench.from_config(cfg)
-    chash = config_hash(cfg)  # of a config that the bench has checked
-    seeds = _parse_seed_spec(str(args.seed))
+    bench = Bench(_effective_config(args))
+    chash = config_hash(bench.config)  # of a config that the bench has checked
+    seeds = _parse_seeds(args.seed, ranged=True)
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
     out = Path(args.out)
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run trials and write trace CSVs")
     common(p_sim, "exosim_out/traces")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", default="0", help="a non-negative integer")
     p_sim.add_argument("--subjects", default="all",
                        help="comma list and/or ranges, e.g. S1,S3 or S1..S5")
     p_sim.add_argument("--trials", type=int, default=1, help="trials per subject")

@@ -15,7 +15,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .actuation import ActuatorSpec, LoadCellSpec, coupling_for_magnet
+from .actuation import ActuatorSpec, LoadCellSpec
 from .analysis import ANALYZE_DEFAULTS
 from .hand import (
     DEFAULT_FLEXION_RANGES_DEG,
@@ -275,9 +275,10 @@ def config_hash(cfg: Mapping) -> str:
     return hashlib.sha256(dump_yaml(cfg).encode()).hexdigest()[:12]
 
 
-def _finite(raw: Any, key: str) -> float:
-    """A config number; ValueError naming its dotted key if it is not a
-    finite number, as a bool or bytes is not, though ``float`` reads either."""
+def finite_number(raw: Any, key: str) -> float:
+    """A number of a config or a trace sidecar as a float; ValueError naming
+    its dotted key if it is not a finite number, as a bool or bytes is not,
+    though ``float`` reads either."""
     try:
         if isinstance(raw, (bool, bytes, bytearray)):
             raise TypeError
@@ -295,8 +296,8 @@ def _pair(raw: Any, key: str, *, open_hi=False, strict=False) -> tuple[float, fl
     its dotted key otherwise."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ValueError(f"{key} must be two numbers [lo, hi], got {raw!r}")
-    lo = _finite(raw[0], key)
-    hi = None if open_hi and raw[1] is None else _finite(raw[1], key)
+    lo = finite_number(raw[0], key)
+    hi = None if open_hi and raw[1] is None else finite_number(raw[1], key)
     if hi is not None and not (lo < hi if strict else lo <= hi):
         raise ValueError(f"{key} must have lo {'<' if strict else '<='} hi, got [{lo}, {hi}]")
     return lo, hi
@@ -313,7 +314,7 @@ def _flexion_range(raw: Any, key: str) -> tuple[float, float]:
 
 
 def _fraction(raw: Any, key: str) -> float:
-    value = _finite(raw, key)
+    value = finite_number(raw, key)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{key} must be in [0, 1], got {value}")
     return value
@@ -355,7 +356,7 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
     # Readers of the keys a subject may leave out; those keep their
     # SubjectProfile defaults.
     optional = {
-        "engage_slack_mm": _finite,
+        "engage_slack_mm": finite_number,
         "peak_band_n": _band,
         "magnet": lambda raw, key: str(raw),
         "notes": _notes,
@@ -372,7 +373,9 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
             SubjectProfile(
                 subject_id=sid,
                 mas=_enum(MasLevel, s["mas"], at + "mas"),
-                stiffness_n_per_mm=_finite(s["stiffness_n_per_mm"], at + "stiffness_n_per_mm"),
+                stiffness_n_per_mm=finite_number(
+                    s["stiffness_n_per_mm"], at + "stiffness_n_per_mm"
+                ),
                 rest_pose=spastic_rest_pose(hand, fraction),
                 **given,
             )
@@ -382,7 +385,7 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
 
 def _floats(section: Mapping, name: str) -> dict[str, float]:
     """A config section of numbers (``_check_keys`` has found it a mapping)."""
-    return {key: _finite(value, f"{name}.{key}") for key, value in section.items()}
+    return {key: finite_number(value, f"{name}.{key}") for key, value in section.items()}
 
 
 def _spec(cls, section: Mapping, name: str):
@@ -415,69 +418,14 @@ def _check_keys(section: Any, known: Mapping, name: str) -> None:
 class Bench:
     """Everything a command drives, read once from an effective config.
 
-    ``from_config`` is the only reader of the config's sections, so every
-    malformed config fails in one place, with a ConfigError.  A bench holds
-    at least one subject and builds every subject's trial as it is made, so
-    it holds no trial that fails.
+    The constructor is the only reader of the config's sections, so every
+    malformed config fails in one place, with a ConfigError.  A bench keeps
+    the config it read as ``config``, holds at least one subject and builds
+    every subject's trial as it is made, so it holds no trial that fails.
     """
 
-    def __init__(
-        self,
-        hand: HandModel,
-        kind: NetworkKind,
-        extension: TendonNetwork,
-        pinch: TendonNetwork,
-        actuator: ActuatorSpec,
-        cell: LoadCellSpec,
-        bank: SubjectBank,
-        magnet: str | None,  # one coupling for every subject; None keeps each one's own
-        trial: Mapping[str, float],  # further TrialConfig fields
-        analysis: Mapping[str, float],  # analyze() thresholds
-        excursion_target_mm: float,
-        depth_tolerance_mm: float,
-    ) -> None:
-        self.hand = hand
-        self.kind = kind
-        self.extension = extension
-        self.pinch = pinch
-        self.actuator = actuator
-        self.cell = cell
-        self.bank = bank
-        self.magnet = magnet
-        self.trial = trial
-        self.analysis = analysis
-        self.excursion_target_mm = excursion_target_mm
-        self.depth_tolerance_mm = depth_tolerance_mm
-        if not self.bank.profiles:
-            raise ValueError("subjects must name at least one subject")
-        if not self.depth_tolerance_mm > 0.0:
-            raise ValueError(
-                f"calibration.depth_tolerance_mm must be > 0, got {self.depth_tolerance_mm}"
-            )
-        # Every tendon excursion and spring force a trial reaches must be a
-        # float; an overflow is what these look for, so it is not warned of.
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = full_flexion_pose(self.hand)
-            for net in (self.extension, self.pinch):
-                if not np.isfinite(excursion_mm(self.hand, net, full)).all():
-                    raise ValueError(f"hand.joint_center_depth_mm and network.{net.kind.value} "
-                                     "give a tendon excursion beyond float range")
-            travel = net_elongation_mm(self.network, self.actuator.stroke_mm)
-            for p in self.bank:
-                if not np.isfinite(resistance_force_n(p, travel)):
-                    raise ValueError(f"subjects.{p.subject_id}.stiffness_n_per_mm gives a "
-                                     "spring force beyond float range")
-        # Each subject's trial on the selected network, by subject id.
-        self.trial_configs = {
-            p.subject_id: TrialConfig(
-                self.hand, self.network, p, actuator=self.actuator, magnet=self.magnet,
-                cell=self.cell, **self.trial,
-            )
-            for p in self.bank
-        }
-
-    @classmethod
-    def from_config(cls, cfg: Mapping) -> "Bench":
+    def __init__(self, cfg: Mapping) -> None:
+        self.config = cfg
         try:
             defaults = default_config()
             # Subject ids are free; each subject takes the default subjects' keys.
@@ -491,30 +439,54 @@ class Bench:
                         "starting with a letter or digit"
                     )
             ranges = cfg["hand"]["flexion_ranges_deg"]
-            hand = default_hand(
-                _finite(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
+            self.hand = default_hand(
+                finite_number(cfg["hand"]["joint_center_depth_mm"], "hand.joint_center_depth_mm"),
                 {k: _flexion_range(v, f"hand.flexion_ranges_deg.{k}") for k, v in ranges.items()},
             )
             net = cfg["network"]
-            slack = _finite(net["branch_slack_mm"], "network.branch_slack_mm")
-            magnet = cfg["coupling"]["magnet"]
-            if magnet is not None:
-                coupling_for_magnet(magnet)  # an unknown magnet fails here
-            return cls(
-                hand=hand,
-                kind=_enum(NetworkKind, net["kind"], "network.kind"),
-                extension=config1_extension(
-                    slack_mm=slack, **_floats(net["extension"], "network.extension")
-                ),
-                pinch=config2_pinch(slack_mm=slack, **_floats(net["pinch"], "network.pinch")),
-                actuator=_spec(ActuatorSpec, cfg["actuator"], "actuator"),
-                cell=_spec(LoadCellSpec, cfg["load_cell"], "load_cell"),
-                bank=subject_bank_from_config(cfg, hand),
-                magnet=magnet,
-                trial=_floats(cfg["trial"], "trial"),
-                analysis=_floats(cfg["analysis"], "analysis"),
-                **_floats(cfg["calibration"], "calibration"),
+            slack = finite_number(net["branch_slack_mm"], "network.branch_slack_mm")
+            self.kind = _enum(NetworkKind, net["kind"], "network.kind")
+            self.extension = config1_extension(
+                slack_mm=slack, **_floats(net["extension"], "network.extension")
             )
+            self.pinch = config2_pinch(slack_mm=slack, **_floats(net["pinch"], "network.pinch"))
+            self.actuator = _spec(ActuatorSpec, cfg["actuator"], "actuator")
+            self.cell = _spec(LoadCellSpec, cfg["load_cell"], "load_cell")
+            self.bank = subject_bank_from_config(cfg, self.hand)
+            trial = _floats(cfg["trial"], "trial")  # further TrialConfig fields
+            self.analysis = _floats(cfg["analysis"], "analysis")  # analyze() thresholds
+            calibration = _floats(cfg["calibration"], "calibration")
+            self.excursion_target_mm = calibration["excursion_target_mm"]
+            self.depth_tolerance_mm = calibration["depth_tolerance_mm"]
+            if not self.bank.profiles:
+                raise ValueError("subjects must name at least one subject")
+            if not self.depth_tolerance_mm > 0.0:
+                raise ValueError(
+                    f"calibration.depth_tolerance_mm must be > 0, got {self.depth_tolerance_mm}"
+                )
+            # Every tendon excursion and spring force a trial reaches must be a
+            # float; an overflow is what these look for, so it is not warned of.
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = full_flexion_pose(self.hand)
+                for net in (self.extension, self.pinch):
+                    if not np.isfinite(excursion_mm(self.hand, net, full)).all():
+                        raise ValueError(f"hand.joint_center_depth_mm and network.{net.kind.value}"
+                                         " give a tendon excursion beyond float range")
+                travel = net_elongation_mm(self.network, self.actuator.stroke_mm)
+                for p in self.bank:
+                    if not np.isfinite(resistance_force_n(p, travel)):
+                        raise ValueError(f"subjects.{p.subject_id}.stiffness_n_per_mm gives a "
+                                         "spring force beyond float range")
+            # Each subject's trial on the selected network, by subject id; an
+            # unknown magnet fails in the first.
+            self.trial_configs = {
+                p.subject_id: TrialConfig(
+                    self.hand, self.network, p, actuator=self.actuator,
+                    magnet=cfg["coupling"]["magnet"],  # None: each subject's own
+                    cell=self.cell, **trial,
+                )
+                for p in self.bank
+            }
         except KeyError as err:
             raise ConfigError(f"config is missing key {err}") from None
         except (AttributeError, IndexError, TypeError, ValueError) as err:
@@ -531,12 +503,11 @@ class Bench:
         return float(net_elongation_mm(self.extension, self.actuator.stroke_mm))
 
     def calibrated(self) -> "Bench":
-        """This bench driving the extension network, with the hand at the
-        joint depth where that network's index branch pays out the excursion
-        target."""
-        fields = {name: value for name, value in vars(self).items() if name != "trial_configs"}
-        hand = calibrate_depth(self.hand, self.extension, self.excursion_target_mm)
-        return Bench(**{**fields, "hand": hand, "kind": NetworkKind.EXTENSION})
+        """The bench of this config with the hand at the joint depth where
+        the extension network's index branch pays out the excursion target."""
+        depth = calibrate_depth(self.hand, self.extension, self.excursion_target_mm).depth_mm
+        hand = {**self.config["hand"], "joint_center_depth_mm": depth}
+        return Bench({**self.config, "hand": hand})
 
     def trials(
         self, seed: int, per_subject: int, ids: Sequence[str] | None = None

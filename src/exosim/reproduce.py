@@ -18,7 +18,7 @@ from .analysis import analyze, batch_report
 from .config import Bench
 from .hand import Digit, JointKind, FINGERS, spastic_rest_pose
 from .spasticity import in_peak_band
-from .tendons import excursion_mm, index_excursion_mm
+from .tendons import NetworkKind, excursion_mm, index_excursion_mm
 from .trial import PoseResponse
 from .traceio import write_report, write_text_atomic, write_trace
 
@@ -99,9 +99,13 @@ def run_reproduction(
     manifest; the traces carry ``config_hash``, the hash of its config.
 
     Returns the check list and the manifest path.  The campaign calibrates
-    the joint depth, and its trials drive the extension network whatever
-    ``bench.kind`` says.
+    the joint depth and drives the extension network; ValueError, before
+    anything is written, if ``bench`` drives the pinch network.
     """
+    if bench.kind is not NetworkKind.EXTENSION:
+        raise ValueError(
+            f"reproduce drives the extension network; network.kind is {bench.kind.value!r}"
+        )
     out = Path(out_dir)
     checks: list[CheckResult] = []
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import TOOL_VERSION
-from .config import SUBJECT_ID, dump_yaml, load_yaml
+from .config import SUBJECT_ID, dump_yaml, finite_number, load_yaml
 from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
@@ -105,33 +105,18 @@ def write_trace(trace: TrialTrace, csv_path: str | Path, *, config_hash: str = "
     return csv_path
 
 
-def _number(value, name: str) -> float:
-    """``value`` as a float; ValueError prefixed with ``name`` if it is not a
-    number, as a bool or bytes is not, though ``float`` reads either."""
-    try:
-        if isinstance(value, (bool, bytes, bytearray)):
-            raise TypeError(f"expected a number, got {type(value).__name__}")
-        return float(value)
-    except (OverflowError, TypeError, ValueError) as err:  # OverflowError: an int past float range
-        raise ValueError(f"{name}: {err}") from None
-
-
-def _optional_number(value, name: str) -> float | None:
-    return None if value is None else _number(value, name)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _optional(value, name: str) -> float | None:
+    return None if value is None else finite_number(value, name)
 
 
 def _sidecar_fields(meta) -> dict:
     """The metadata fields of TrialTrace from a loaded sidecar document;
     ValueError if the document or its ``breakaway`` is not a mapping, if a
-    number field does not convert, or if ``subject_id`` is neither empty nor
-    a bench's subject id (``config.SUBJECT_ID``), ``seed`` not null, an int or
-    a list of ints, or ``functional_extension``
-    or ``breakaway.occurred`` neither a bool nor null.  A missing
-    ``stroke_mm`` stays None."""
+    number field is not a config's finite number (``config.finite_number``),
+    or if ``subject_id`` is neither empty nor a bench's subject id
+    (``config.SUBJECT_ID``), ``seed`` not null, an int or a list of ints, or
+    ``functional_extension`` or ``breakaway.occurred`` neither a bool nor
+    null.  A missing ``stroke_mm`` stays None."""
     if not isinstance(meta, dict):
         raise ValueError(f"expected a mapping, got {type(meta).__name__}")
     breakaway = meta.get("breakaway") or {}
@@ -142,7 +127,8 @@ def _sidecar_fields(meta) -> dict:
         raise ValueError(f"subject_id: expected a string, got {type(subject_id).__name__}")
     if subject_id and not SUBJECT_ID.fullmatch(subject_id):
         raise ValueError(f"subject_id: {subject_id!r} is not a bench's subject id")
-    if not (seed is None or _is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
+    if not (seed is None or type(seed) is int or type(seed) is list
+            and all(type(s) is int for s in seed)):
         raise ValueError(f"seed: expected null, an int or a list of ints, got {seed!r}")
     for name, flag in (
         ("functional_extension", meta.get("functional_extension")),
@@ -153,16 +139,16 @@ def _sidecar_fields(meta) -> dict:
     return {
         "subject_id": subject_id,
         "network": str(meta.get("network", "")),
-        "stroke_mm": _optional_number(meta.get("stroke_mm"), "stroke_mm"),
-        "sample_rate_hz": _number(
+        "stroke_mm": _optional(meta.get("stroke_mm"), "stroke_mm"),
+        "sample_rate_hz": finite_number(
             meta.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ), "sample_rate_hz"
         ),
-        "noise_sigma_n": _number(meta.get("noise_sigma_n", 0.0), "noise_sigma_n"),
+        "noise_sigma_n": finite_number(meta.get("noise_sigma_n", 0.0), "noise_sigma_n"),
         "seed": seed,
         "breakaway": bool(breakaway.get("occurred")),
-        "breakaway_time_s": _optional_number(breakaway.get("time_s"), "breakaway.time_s"),
+        "breakaway_time_s": _optional(breakaway.get("time_s"), "breakaway.time_s"),
         "functional_extension": meta.get("functional_extension"),
-        "functional_time_s": _optional_number(meta.get("functional_time_s"), "functional_time_s"),
+        "functional_time_s": _optional(meta.get("functional_time_s"), "functional_time_s"),
     }
 
 

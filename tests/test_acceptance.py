@@ -335,11 +335,11 @@ def test_c10_reproduction_determinism(tmp_path):
 
     t0 = time.perf_counter()
     checks_a, manifest_a = run_reproduction(
-        Bench.from_config(default_config()), tmp_path / "a", base_seed=0
+        Bench(default_config()), tmp_path / "a", base_seed=0
     )
     elapsed = time.perf_counter() - t0
     checks_b, manifest_b = run_reproduction(
-        Bench.from_config(default_config()), tmp_path / "b", base_seed=0
+        Bench(default_config()), tmp_path / "b", base_seed=0
     )
 
     all_pass = all(c.passed for c in checks_a) and all(c.passed for c in checks_b)

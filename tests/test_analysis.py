@@ -353,7 +353,7 @@ def test_degenerate_report_keeps_what_earlier_stages_found(case):
 def test_report_yaml_round_trips():
     """The report file reads back as the record without its two series, for
     a default reproduction's reports and for degenerate ones."""
-    bench = Bench.from_config(default_config()).calibrated()
+    bench = Bench(default_config()).calibrated()
     reports = [
         analyze(trace, label=f"{profile.subject_id}_t{t_idx:02d}", **bench.analysis)
         for profile, t_idx, trace in bench.trials(0, 1)

@@ -12,6 +12,7 @@ import yaml
 
 from exosim import cli
 from exosim.cli import main
+from exosim.config import Bench, apply_overrides, default_config, load_config
 from exosim.hand import default_hand
 from exosim.spasticity import calibrate_stiffness
 from exosim.tendons import config1_extension, index_excursion_mm
@@ -293,6 +294,18 @@ def test_calibrate_writes_derived_config(tmp_path):
     assert cfg["subjects"]["S2"]["stiffness_n_per_mm"] == pytest.approx(27.5 / 48.0)
 
 
+@pytest.mark.parametrize("kind", ["extension", "pinch"])
+def test_calibrated_config_reads_back_as_the_calibrated_bench(tmp_path, kind):
+    """calibrate writes the config of ``Bench(cfg).calibrated()``: read back,
+    it has that bench's joint depth and the input's network kind."""
+    out = tmp_path / "cal"
+    assert run_cli(["calibrate", "--out", str(out), "--set", f"network.kind={kind}"]) == 0
+    expected = Bench(apply_overrides(default_config(), {"network.kind": kind})).calibrated()
+    bench = Bench(load_config(out / "calibrated_config.yaml"))
+    assert bench.hand.depth_mm == expected.hand.depth_mm
+    assert bench.config["network"]["kind"] == kind
+
+
 def test_calibration_travel_follows_the_stroke(tmp_path):
     """The effective travel is the stroke past the branch slack, not a key."""
     out = tmp_path / "cal"
@@ -415,6 +428,43 @@ def test_reproduce_rejects_no_trials(tmp_path, capsys):
     assert run_cli(["reproduce", "--out", str(out), "--trials", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _one_error_line(capsys, out):
+    """The one stderr line of a command that wrote nothing."""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    return line
+
+
+@pytest.mark.parametrize("by", ["set", "config"])
+def test_reproduce_refuses_the_pinch_network(tmp_path, capsys, by):
+    """The campaign drives the extension network, so a config that selects
+    the pinch network is an error, not a run of another network."""
+    out = tmp_path / "rep"
+    if by == "set":
+        args = ["--set", "network.kind=pinch"]
+    else:
+        (tmp_path / "pinch.yaml").write_text("network:\n  kind: pinch\n")
+        args = ["--config", str(tmp_path / "pinch.yaml")]
+    assert run_cli(["reproduce", "--out", str(out), *args]) == 1
+    assert _one_error_line(capsys, out) == (
+        "error: reproduce drives the extension network; network.kind is 'pinch'"
+    )
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("reproduce", "-1"), ("simulate", "-5"), ("reproduce", "1..x"), ("reproduce", "..2"),
+    ("reproduce", "3..1"), ("simulate", "1..2"),
+    pytest.param("simulate", "1" * 5000, id="simulate-more-digits-than-int-reads"),
+])
+def test_a_bad_seed_is_named_by_its_flag(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out), "--seed", seed]) == 1
+    rule = "a non-negative integer"
+    if command == "reproduce":
+        rule += " or a range a..b of them, a <= b"
+    assert _one_error_line(capsys, out) == f"error: --seed must be {rule}, got {seed!r}"
 
 
 def test_reproduce_fails_correlation_band_without_fitted_traces(tmp_path):

@@ -31,7 +31,7 @@ from exosim.traceio import (
 
 
 def test_default_config_builds_everything():
-    bench = Bench.from_config(default_config())
+    bench = Bench(default_config())
     hand = bench.hand
     assert len(hand.joints) == 20
     assert hand.depth_mm == pytest.approx(9.215)
@@ -233,7 +233,7 @@ def test_non_finite_config_number_is_rejected_by_its_key(tmp_path, capsys, key, 
     cfg = apply_overrides(default_config(), {key: value})
     message = f"invalid config: {key} must be a finite number"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-        Bench.from_config(cfg)
+        Bench(cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -242,7 +242,7 @@ def test_non_finite_config_number_is_rejected_by_its_key(tmp_path, capsys, key, 
 
 def test_open_peak_band_stays_allowed():
     cfg = apply_overrides(default_config(), {"subjects.S1.peak_band_n": "[15, null]"})
-    s1, *_ = Bench.from_config(cfg).bank
+    s1, *_ = Bench(cfg).bank
     assert (s1.subject_id, s1.peak_band_n) == ("S1", (15.0, None))
 
 
@@ -315,7 +315,7 @@ def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key,
     dotted key, before anything is written."""
     cfg = apply_overrides(default_config(), {key: value})
     with pytest.raises(ConfigError, match=f"^{re.escape('invalid config: ' + message)}$"):
-        Bench.from_config(cfg)
+        Bench(cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"
@@ -332,7 +332,7 @@ def test_out_of_range_config_value_is_rejected_by_its_key(tmp_path, capsys, key,
     ],
 )
 def test_config_values_at_their_bounds_are_allowed(key, value):
-    Bench.from_config(apply_overrides(default_config(), {key: value}))
+    Bench(apply_overrides(default_config(), {key: value}))
 
 
 @pytest.mark.parametrize(
@@ -350,7 +350,7 @@ def test_subject_missing_a_key_is_rejected_by_its_key(tmp_path, capsys, key, val
     cfg = apply_overrides(default_config(), {key: value})
     message = f"config is missing key {missing!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        Bench.from_config(cfg)
+        Bench(cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), "--set", f"{key}={value}"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -376,7 +376,7 @@ def test_unknown_key_error_suggests_the_closest_known_key(key, hint, known):
     cfg = apply_overrides(default_config(), {key: "1"})
     message = f"invalid config: unknown key {key!r}; {hint}known keys: {known}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        Bench.from_config(cfg)
+        Bench(cfg)
 
 
 @pytest.mark.parametrize("notes", ["x\x01y" * 40, "x" * 201, "é", 5, None, ["a"]])
@@ -386,20 +386,20 @@ def test_notes_that_could_hash_differently_are_rejected(notes):
     cfg = default_config()
     cfg["subjects"]["S1"]["notes"] = notes
     with pytest.raises(ConfigError, match="subjects.S1.notes must be at most 200 printable"):
-        Bench.from_config(cfg)
+        Bench(cfg)
 
 
 def test_unknown_network_kind_rejected():
     cfg = apply_overrides(default_config(), {"network.kind": "lasso"})
     with pytest.raises(ConfigError):
-        Bench.from_config(cfg)
+        Bench(cfg)
 
 
 def test_new_subject_keeps_profile_defaults():
     """A subject that leaves out the optional keys gets SubjectProfile's defaults."""
     cfg = default_config()
     cfg["subjects"]["S6"] = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
-    *_, s6 = Bench.from_config(cfg).bank
+    *_, s6 = Bench(cfg).bank
     defaults = SubjectProfile("S6", MasLevel.TWO, 0.4, s6.rest_pose)
     assert vars(s6) == vars(defaults)
 
@@ -411,7 +411,7 @@ SUBJECT = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
 def test_subject_id_that_is_a_file_name_stem_is_accepted(sid):
     cfg = default_config()
     cfg["subjects"][sid] = SUBJECT
-    assert sid in Bench.from_config(cfg).bank.ids()
+    assert sid in Bench(cfg).bank.ids()
 
 
 @pytest.mark.parametrize(
@@ -422,7 +422,7 @@ def test_subject_id_that_is_not_a_file_name_stem_is_rejected(sid):
     cfg = default_config()
     cfg["subjects"][sid] = SUBJECT
     with pytest.raises(ConfigError, match="subject id"):
-        Bench.from_config(cfg)
+        Bench(cfg)
 
 
 def test_simulate_writes_nothing_for_a_bad_subject_id(tmp_path, capsys):
@@ -450,15 +450,15 @@ def test_config_file_subjects_replace_the_default_bank(tmp_path):
 
 
 def test_bench_reads_the_coupling_magnet_and_derives_the_travel():
-    bench = Bench.from_config(default_config())
-    assert bench.magnet is None
+    bench = Bench(default_config())
+    assert bench.config["coupling"]["magnet"] is None
     assert bench.effective_travel_mm == 48.0
     cfg = apply_overrides(
         default_config(),
         {"coupling.magnet": "strong", "actuator.stroke_mm": "40", "network.branch_slack_mm": "3"},
     )
-    bench = Bench.from_config(cfg)
-    assert bench.magnet == "strong"
+    bench = Bench(cfg)
+    assert bench.config["coupling"]["magnet"] == "strong"
     assert bench.effective_travel_mm == 37.0
     assert bench.trial_configs["S1"].coupling.breakaway_force_n == 41.0
 

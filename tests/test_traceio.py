@@ -327,15 +327,18 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
     [
         ("- 1\n- 2\n", "expected a mapping, got list"),
         ("just text\n", "expected a mapping, got str"),
-        ("stroke_mm: abc\n", "stroke_mm: could not convert string to float: 'abc'"),
-        ("sample_rate_hz: abc\n", "sample_rate_hz: could not convert"),
-        ("sample_rate_hz: null\n", "sample_rate_hz: float() argument"),
-        ("noise_sigma_n: [1]\n", "noise_sigma_n: float() argument"),
-        ("sample_rate_hz: true\n", "sample_rate_hz: expected a number, got bool"),
-        ("noise_sigma_n: !!binary MQ==\n", "noise_sigma_n: expected a number, got bytes"),
-        ("stroke_mm: 1" + "0" * 400 + "\n", "stroke_mm: int too large to convert to float"),
-        ("breakaway:\n  time_s: abc\n", "breakaway.time_s: could not convert"),
-        ("functional_time_s: {a: 1}\n", "functional_time_s: float() argument"),
+        ("stroke_mm: abc\n", "stroke_mm must be a finite number, got 'abc')"),
+        ("sample_rate_hz: abc\n", "sample_rate_hz must be a finite number, got 'abc')"),
+        ("sample_rate_hz: null\n", "sample_rate_hz must be a finite number, got None)"),
+        ("noise_sigma_n: [1]\n", "noise_sigma_n must be a finite number, got [1])"),
+        ("sample_rate_hz: true\n", "sample_rate_hz must be a finite number, got True)"),
+        ("noise_sigma_n: !!binary MQ==\n", "noise_sigma_n must be a finite number, got b'1')"),
+        ("stroke_mm: 1" + "0" * 400 + "\n", "stroke_mm must be a finite number, got 1000"),
+        ("stroke_mm: .inf\n", "stroke_mm must be a finite number, got inf)"),
+        ("breakaway:\n  time_s: abc\n", "breakaway.time_s must be a finite number, got 'abc')"),
+        ("breakaway:\n  time_s: .nan\n", "breakaway.time_s must be a finite number, got nan)"),
+        ("functional_time_s: {a: 1}\n",
+         "functional_time_s must be a finite number, got {'a': 1})"),
         ("breakaway: [1, 2]\n", "breakaway: expected a mapping, got list"),
         ("breakaway: yes\n", "breakaway: expected a mapping, got bool"),
         ("stroke_mm: [1\n", "while parsing"),  # not YAML
@@ -353,16 +356,17 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("seed: [1, x]\n", "seed: expected null, an int or a list of ints, got [1, 'x']"),
     ],
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
-         "rate-bool", "noise-bytes", "stroke-past-float-range",
-         "release-time-text", "functional-time-map", "breakaway-list", "breakaway-bool",
+         "rate-bool", "noise-bytes", "stroke-past-float-range", "stroke-inf",
+         "release-time-text", "release-time-nan", "functional-time-map", "breakaway-list", "breakaway-bool",
          "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
          "subject-path", "functional-text",
          "functional-int", "occurred-text", "seed-text", "seed-float", "seed-bool",
          "seed-list-text"],
 )
 def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
-    """A sidecar that is not YAML, not a mapping, or holds a field that does
-    not convert is named in a warning, and the trace reads as if it had none."""
+    """A sidecar that is not YAML, not a mapping, or holds a field that is
+    not what it must be (a number field: a config's finite number) is named
+    in a warning, and the trace reads as if it had none."""
     (tmp_path / "bare.csv").write_text(TRACE_TEXT)
     bare, bare_warnings = read_trace(tmp_path / "bare.csv")
     path = tmp_path / "t.csv"
