@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,18 @@ _PLAIN_BYTES = b"0123456789.,+-eE\n"
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file of this process's own, made as ``open``
+    makes a file (mode 0o666 less the umask), then renamed over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        tmp.unlink(missing_ok=True)  # left by a killed run of this pid
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -3,11 +3,11 @@
 The actuator retracts at constant speed and one rigid junction passes its
 displacement to every tendon branch, so a trial is a sweep of one scalar and
 every stage is evaluated once over the whole sample grid: the hand pose
-responds to the displacement reaching the tendon junction, the aggregate
-spastic muscle resists as a spring, the true tension passes through the
-breakaway coupling, and the load cell quantizes what reaches it.  Inertia and
-friction are neglected: at 5 mm/s the system moves through a sequence of
-force-balanced states.
+responds to the displacement, the aggregate spastic muscle resists as a
+spring, the true tension passes through the breakaway coupling, and the load
+cell quantizes what reaches it.  The trace records these; ``junction_state``
+gives the junction statics behind them on demand.  Inertia and friction are
+neglected: at 5 mm/s the system moves through force-balanced states.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .actuation import (
     ActuatorSpec,
-    CouplingSpec,
     LoadCellSpec,
     actuator_position_mm,
     coupling_for_magnet,
@@ -27,9 +26,10 @@ from .actuation import (
     retraction_duration_s,
     update_coupling,
 )
-from .hand import Digit, HandModel, JointId, JointKind, finger_flexion_deg
+from .hand import Digit, HandModel, JointKind, finger_flexion_deg
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
+    NetworkState,
     Side,
     TendonNetwork,
     excursion_mm,
@@ -44,6 +44,8 @@ MAX_SAMPLES = 1_000_000
 
 
 class TrialConfig:
+    """One subject's trial: built once per subject, then only read."""
+
     def __init__(
         self,
         hand: HandModel,
@@ -60,7 +62,6 @@ class TrialConfig:
         self.network = network
         self.subject = subject
         self.actuator = actuator
-        self.magnet = magnet
         self.cell = cell
         self.sample_rate_hz = sample_rate_hz
         self.noise_sigma_n = noise_sigma_n
@@ -70,17 +71,13 @@ class TrialConfig:
         if not 0.0 <= self.noise_sigma_n < math.inf:
             raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n}")
         trial_sample_count(self)  # a trial too long to hold fails here
+        self.coupling = coupling_for_magnet(subject.magnet if magnet is None else magnet)
         if not self.coupling.breakaway_force_n < self.actuator.peak_force_n:
             raise ValueError(
                 "coupling breakaway force must lie below the actuator peak force, "
                 f"got {self.coupling.breakaway_force_n} vs {self.actuator.peak_force_n}"
             )
-        self.hand.validate_pose(self.subject.rest_pose)
-
-    @property
-    def coupling(self) -> CouplingSpec:
-        """The coupling of ``magnet``, or of the subject's own magnet."""
-        return coupling_for_magnet(self.subject.magnet if self.magnet is None else self.magnet)
+        self.response = PoseResponse(hand, network, subject.rest_pose)  # checks the rest pose
 
 
 def is_functional_extension(
@@ -113,7 +110,7 @@ class PoseResponse:
     def __init__(self, hand: HandModel, network: TendonNetwork, rest: np.ndarray):
         hand.validate_pose(rest)
         self.rest = rest
-        self._end = rest.copy()  # each driven joint at its range's end
+        end = rest.tolist()  # each driven joint at its range's end
         roles = []
         for branch in network.branches:
             straighten = [hand.col(pt.joint) for pt in branch.routing]
@@ -123,9 +120,10 @@ class PoseResponse:
                 dip = hand.col((branch.digit, JointKind.DIP))
                 if dip not in straighten + advance:
                     straighten.append(dip)
-            self._end[straighten] = 0.0
-            self._end[advance] = hand.hi[advance]
+            for c in straighten + advance:
+                end[c] = hand.hi[c] if c in advance else 0.0
             roles.append((straighten, advance))
+        self._end = np.array(end)
         scales = excursion_mm(hand, network, rest - self._end).tolist()
         self._drives = [
             (branch.slack_mm, scale, straighten, advance)
@@ -149,12 +147,11 @@ class PoseResponse:
 
 
 class TrialTrace:
-    """Sampled record of one trial plus per-sample internals.
+    """Sampled record of one trial.
 
     ``force_n`` is the quantized load-cell channel that an analysis sees;
-    the unquantized tension, junction states, and joint angles (one column
-    per joint in ``joints``) are kept alongside so recorded samples can be
-    re-checked against the constitutive relations.
+    ``true_force_n`` is the tension before it and ``angles_deg`` the pose, one
+    column per joint of ``cfg.hand.joints``.  ``junction_state`` reads them.
     """
 
     poses = None  # read by perfbench/tracer.py's trial-size counter
@@ -174,13 +171,8 @@ class TrialTrace:
         breakaway_time_s: float | None = None,
         functional_extension: bool | None = None,
         functional_time_s: float | None = None,
-        joints: tuple[JointId, ...] = (),
         angles_deg: np.ndarray | None = None,
         true_force_n: np.ndarray | None = None,
-        actuator_tension_n: np.ndarray | None = None,
-        branch_taut: np.ndarray | None = None,
-        branch_elongation_mm: np.ndarray | None = None,
-        branch_tension_n: np.ndarray | None = None,
     ) -> None:
         self.t_s = t_s
         self.actuator_mm = actuator_mm
@@ -195,13 +187,8 @@ class TrialTrace:
         self.breakaway_time_s = breakaway_time_s
         self.functional_extension = functional_extension
         self.functional_time_s = functional_time_s
-        self.joints = joints
         self.angles_deg = angles_deg
         self.true_force_n = true_force_n
-        self.actuator_tension_n = actuator_tension_n
-        self.branch_taut = branch_taut
-        self.branch_elongation_mm = branch_elongation_mm
-        self.branch_tension_n = branch_tension_n
 
     def __len__(self) -> int:
         return len(self.t_s)
@@ -250,8 +237,6 @@ def run_trial(
         else np.zeros(n)
     )
 
-    rest = cfg.subject.rest_pose
-    response = PoseResponse(cfg.hand, cfg.network, rest)
     t = np.arange(n) / cfg.sample_rate_hz
     position = actuator_position_mm(t, cfg.actuator)
     disp = cfg.actuator.stroke_mm - position
@@ -268,13 +253,9 @@ def run_trial(
     # Once the coupling is open the tendon side is free: no displacement
     # reaches the hand, which relaxes back to rest, and the muscle no longer
     # loads the actuator.
-    angles = response.at(np.where(held, disp, 0.0))
+    angles = cfg.response.at(np.where(held, disp, 0.0))
     true_force = np.where(held, spring, 0.0) + noise
     transmitted = np.where(transmits, np.maximum(0.0, true_force), 0.0)
-    kin = network_state(
-        cfg.hand, cfg.network, angles, disp, rest_deg=rest,
-        total_tension_n=transmitted,
-    )
     functional = np.flatnonzero(
         held & is_functional_extension(cfg.hand, angles, cfg.functional_flexion_deg)
     )
@@ -293,11 +274,18 @@ def run_trial(
         breakaway_time_s=release_s,
         functional_extension=bool(functional.size),
         functional_time_s=float(t[functional[0]]) if functional.size else None,
-        joints=cfg.hand.joints,
         angles_deg=angles,
         true_force_n=true_force,
-        actuator_tension_n=kin.actuator_tension_n,
-        branch_taut=kin.taut,
-        branch_elongation_mm=kin.elongation_mm,
-        branch_tension_n=kin.tension_n,
+    )
+
+
+def junction_state(cfg: TrialConfig, trace: TrialTrace) -> NetworkState:
+    """The junction statics at each sample of a trace of ``cfg`` (or of a
+    window of one), about the subject's rest pose and carrying the tension
+    that the coupling passed: bit for bit what the trial's grid gives."""
+    release_s = math.inf if trace.breakaway_time_s is None else trace.breakaway_time_s
+    transmitted = np.where(trace.t_s < release_s, np.maximum(0.0, trace.true_force_n), 0.0)
+    return network_state(
+        cfg.hand, cfg.network, trace.angles_deg, trace.retraction_mm,
+        rest_deg=cfg.subject.rest_pose, total_tension_n=transmitted,
     )

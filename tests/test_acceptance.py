@@ -32,7 +32,7 @@ from exosim.tendons import (
     network_state,
 )
 from exosim.config import Bench, default_config
-from exosim.trial import PoseResponse, TrialConfig, derive_seed, run_trial
+from exosim.trial import PoseResponse, TrialConfig, derive_seed, junction_state, run_trial
 from exosim.reproduce import run_reproduction
 
 
@@ -295,6 +295,7 @@ def test_c09_trace_constraint_consistency(hand, extension_net, profiles):
     profile = profiles["S2"]
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=11)
+    kin = junction_state(cfg, trace)
     worst = 0.0
     balance_exact = True
     for i in range(len(trace)):
@@ -302,12 +303,12 @@ def test_c09_trace_constraint_consistency(hand, extension_net, profiles):
         state = network_state(
             hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
         )
-        if trace.branch_taut[i].tolist() != state.taut.tolist():
+        if kin.taut[i].tolist() != state.taut.tolist():
             balance_exact = False
-        gap = np.abs(trace.branch_elongation_mm[i] - state.elongation_mm)
+        gap = np.abs(kin.elongation_mm[i] - state.elongation_mm)
         worst = max(worst, float(np.max(gap)))
         balance_exact = balance_exact and (
-            trace.actuator_tension_n[i] == sum(bt for bt in trace.branch_tension_n[i])
+            kin.actuator_tension_n[i] == sum(bt for bt in kin.tension_n[i])
         )
     # the noiseless channel must satisfy the spring law exactly
     quiet = run_trial(TrialConfig(hand, extension_net, profile), seed=0)

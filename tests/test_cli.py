@@ -729,7 +729,7 @@ def test_analyze_split_fails_like_the_serial_run(tmp_path, monkeypatch, capsys, 
     split = analyze_with_cpus(monkeypatch, capsys, 3, tmp_path / "traces", tmp_path / "out")
     assert (serial[3], split[3]) == (0, 2)
     assert split[:2] == serial[:2] == (1, "")
-    # a failed rename names its temporary file, whose name is random
+    # a failed rename names its temporary file, whose name holds the writer's pid
     temporary = re.compile(r"\.S3_c17\.report\.yaml\.\w+\.tmp")
     assert temporary.sub("", split[2]) == temporary.sub("", serial[2])
     *warnings, error = serial[2].splitlines()

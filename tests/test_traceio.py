@@ -6,6 +6,8 @@ an empty body cannot leak numpy's "input contained no data"."""
 from __future__ import annotations
 
 import math
+import os
+import stat
 from pathlib import Path
 from unittest import mock
 
@@ -401,3 +403,43 @@ def test_well_typed_sidecar_fields_are_read():
         {"seed": 4, "functional_extension": True, "breakaway": {"occurred": True}}
     )
     assert (fields["seed"], fields["functional_extension"], fields["breakaway"]) == (4, True, True)
+
+
+# --- atomic writes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_file_has_the_mode_the_umask_gives(tmp_path, umask, mode):
+    """The mode ``open`` would give a new file, so a results directory that
+    the umask shares stays readable by others."""
+    old = os.umask(umask)
+    try:
+        traceio.write_text_atomic(tmp_path / "a.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("target, text", [("a.txt", "bad \udc80\n"), ("dir", "x\n")])
+def test_failed_write_leaves_no_temporary_file(tmp_path, target, text):
+    """An unencodable text, or a rename onto a directory, fails and leaves
+    the directory as it was."""
+    (tmp_path / "a.txt").write_text("old\n")
+    (tmp_path / "dir").mkdir()
+    with pytest.raises((UnicodeEncodeError, IsADirectoryError)):
+        traceio.write_text_atomic(tmp_path / target, text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
+    assert (tmp_path / "a.txt").read_text() == "old\n"
+
+
+def test_stale_temporary_file_does_not_stop_a_write(tmp_path):
+    """A killed run can leave its temporary file behind; a later process
+    with the same id writes over it, with the umask's mode, not the stale
+    file's."""
+    stale = tmp_path / f".a.txt.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    stale.chmod(0o400)
+    traceio.write_text_atomic(tmp_path / "a.txt", "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "new\n"
+    assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) != 0o400

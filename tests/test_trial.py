@@ -18,6 +18,7 @@ from exosim.trial import (
     TrialConfig,
     derive_seed,
     is_functional_extension,
+    junction_state,
     run_trial,
     trial_sample_count,
 )
@@ -324,17 +325,18 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, profiles)
     profile = profiles["S5"]
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=3)
+    kin = junction_state(cfg, trace)
     for i in range(0, len(trace), 53):
         d = trace.stroke_mm - trace.actuator_mm[i]
         state = network_state(
             hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
         )
-        assert trace.branch_taut[i].tolist() == state.taut.tolist()
-        assert trace.branch_elongation_mm[i].tolist() == pytest.approx(
+        assert kin.taut[i].tolist() == state.taut.tolist()
+        assert kin.elongation_mm[i].tolist() == pytest.approx(
             state.elongation_mm.tolist(), abs=1e-9
         )
-        assert trace.actuator_tension_n[i] == pytest.approx(
-            float(np.sum(trace.branch_tension_n[i])), abs=1e-12
+        assert kin.actuator_tension_n[i] == pytest.approx(
+            float(np.sum(kin.tension_n[i])), abs=1e-12
         )
 
 
@@ -349,6 +351,7 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
     rest = profile.rest_pose
     cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=5)
+    state = junction_state(cfg, trace)
     noise = np.random.default_rng(5).normal(0.0, 0.4, len(trace))
     response = PoseResponse(hand, net, rest)
     release_time = None  # the coupling opens at the first crossing, for good
@@ -358,9 +361,6 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
         d = trace.stroke_mm - trace.actuator_mm[i]
         pose = response.at(d) if held else rest
         assert trace.angles_deg[i].tolist() == pose.tolist()
-        assert trace.angles_deg[i].tolist() == [
-            pose[hand.col(j)] for j in trace.joints
-        ]
         # The spring sees the junction's pull past slack whatever the pose.
         spring = resistance_force_n(profile, net_elongation_mm(net, d)) if held else 0.0
         true_force = spring + noise[i]
@@ -372,10 +372,10 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
         )
         assert trace.true_force_n[i] == true_force
         assert trace.force_n[i] == measure(transmitted, cfg.cell)
-        assert trace.branch_taut[i].tolist() == kin.taut.tolist()
-        assert trace.branch_elongation_mm[i].tolist() == kin.elongation_mm.tolist()
-        assert trace.branch_tension_n[i].tolist() == kin.tension_n.tolist()
-        assert trace.actuator_tension_n[i] == kin.actuator_tension_n
+        assert state.taut[i].tolist() == kin.taut.tolist()
+        assert state.elongation_mm[i].tolist() == kin.elongation_mm.tolist()
+        assert state.tension_n[i].tolist() == kin.tension_n.tolist()
+        assert state.actuator_tension_n[i] == kin.actuator_tension_n
         if held and functional_time is None and is_functional_extension(hand, pose):
             functional_time = t
     assert trace.breakaway == (release_time is not None)
@@ -385,9 +385,27 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
     assert trace.angles_deg[-1].tolist() == pose.tolist()
 
     window = trace.window(150, 700)
-    assert window.joints == trace.joints
-    for name in ("t_s", "force_n", "angles_deg", "branch_taut", "branch_tension_n"):
+    for name in ("t_s", "force_n", "angles_deg", "true_force_n"):
         assert np.array_equal(getattr(window, name), getattr(trace, name)[150:700])
+    # The junction of a window is the window of the junction, exactly.
+    for part, whole in zip(junction_state(cfg, window), state):
+        assert np.array_equal(part, whole[150:700])
+
+
+def test_trial_reads_the_pose_response_its_config_built(monkeypatch, hand, pinch_net, profiles):
+    """A subject's pose response is built with its config, once; a trial
+    builds none."""
+    cfg = TrialConfig(hand, pinch_net, profiles["S5"], noise_sigma_n=0.4)
+    before = run_trial(cfg, seed=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial built a PoseResponse")
+
+    monkeypatch.setattr(PoseResponse, "__init__", refuse)
+    after = run_trial(cfg, seed=2)
+    assert vars(after).keys() == vars(before).keys()
+    for name, value in vars(before).items():
+        assert np.array_equal(getattr(after, name), value), name
 
 
 @settings(deadline=None, max_examples=25)
