@@ -123,8 +123,6 @@ def _cmd_simulate(args) -> int:
     chash = config_hash(bench.config)  # of a config that the bench has checked
     subjects = _parse_subjects(args.subjects, bench.bank.ids())
     (seed,) = _parse_seeds(args.seed, ranged=False)
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
 
     out = Path(args.out)
     written = []
@@ -312,22 +310,15 @@ def _cmd_reproduce(args) -> int:
     bench = Bench(_effective_config(args))
     chash = config_hash(bench.config)  # of a config that the bench has checked
     seeds = _parse_seeds(args.seed, ranged=True)
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
-    out = Path(args.out)
-    all_passed = True
-    for seed in seeds:
-        run_dir = out if len(seeds) == 1 else out / f"seed_{seed}"
-        checks, manifest = run_reproduction(
-            bench, run_dir, base_seed=seed, trials_per_subject=args.trials, config_hash=chash
-        )
-        prefix = f"[seed {seed}] " if len(seeds) > 1 else ""
+    sweep = run_reproduction(
+        bench, args.out, seeds, trials_per_subject=args.trials, config_hash=chash
+    )
+    for seed, checks, manifest in sweep:
+        prefix = f"[seed {seed}] " if len(sweep) > 1 else ""
         for c in checks:
             print(prefix + c.line())
-        if not all(c.passed for c in checks):
-            all_passed = False
         print(prefix + f"manifest: {manifest}")
-    return 0 if all_passed else 2
+    return 0 if all(c.passed for _, checks, _ in sweep for c in checks) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

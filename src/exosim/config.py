@@ -514,7 +514,10 @@ class Bench:
     ) -> Iterator[tuple[SubjectProfile, int, TrialTrace]]:
         """Run ``per_subject`` trials of each subject in ``ids`` (default: the
         bank), in that order; trial ``t_idx`` of the subject at bank index
-        ``s_idx`` draws its noise from ``derive_seed(seed, s_idx, t_idx)``."""
+        ``s_idx`` draws its noise from ``derive_seed(seed, s_idx, t_idx)``;
+        ValueError, before the first trial, if ``per_subject`` is below 1."""
+        if per_subject < 1:
+            raise ValueError(f"trials per subject must be >= 1, got {per_subject}")
         bank_ids = self.bank.ids()
         for sid in bank_ids if ids is None else ids:
             cfg = self.trial_configs[sid]

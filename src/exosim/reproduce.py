@@ -1,16 +1,17 @@
 """End-to-end reproduction of the bench campaign with self-checks.
 
-Calibrates the hand, runs one trial per bank subject, analyzes every trace,
-and verifies the campaign-level findings: the excursion calibration, the
-recorded peak-force bands, which subjects reach a functional opening, which
-couplings release, the force-position correlation band, and the direction of
-motion of the pinch-shaping network.  Results land in a pass/fail manifest.
+Calibrates the hand once, then for each noise seed runs each bank subject's
+trials, analyzes every trace, and verifies the campaign-level findings: the
+excursion calibration, the recorded peak-force bands, which subjects reach a
+functional opening, which couplings release, the force-position correlation
+band, and the direction of motion of the pinch-shaping network.  Results
+land in one pass/fail manifest per seed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,45 +88,15 @@ def _check_abduction_neutrality(bench: Bench) -> CheckResult:
     )
 
 
-def run_reproduction(
-    bench: Bench,
-    out_dir: str | Path,
-    *,
-    base_seed: int = 0,
-    trials_per_subject: int = 1,
-    config_hash: str = "",
-) -> tuple[list[CheckResult], Path]:
-    """Run the campaign on ``bench`` and write traces, reports, summary, and
-    manifest; the traces carry ``config_hash``, the hash of its config.
-
-    Returns the check list and the manifest path.  The campaign calibrates
-    the joint depth and drives the extension network; ValueError, before
-    anything is written, if ``bench`` drives the pinch network.
-    """
-    if bench.kind is not NetworkKind.EXTENSION:
-        raise ValueError(
-            f"reproduce drives the extension network; network.kind is {bench.kind.value!r}"
-        )
-    out = Path(out_dir)
-    checks: list[CheckResult] = []
-
-    bench = bench.calibrated()
-    target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
-    excursion = index_excursion_mm(bench.hand, bench.extension)
-    checks.append(
-        CheckResult(
-            "excursion_calibration",
-            abs(excursion - target) <= tol,
-            f"index extension excursion {excursion:.4f} mm vs target {target} mm "
-            f"(depth {bench.hand.depth_mm:.4f} mm)",
-        )
-    )
-
+def _seed_checks(
+    bench: Bench, out: Path, seed: int, trials_per_subject: int, config_hash: str
+) -> list[CheckResult]:
+    """Run one seed's trials, write and analyze them under ``out``, and check them."""
     traces_dir = out / "traces"
     reports_dir = out / "reports"
     reports = []
     first = {}  # each subject's first (trace, report), which the checks below read
-    for profile, t_idx, trace in bench.trials(base_seed, trials_per_subject):
+    for profile, t_idx, trace in bench.trials(seed, trials_per_subject):
         label = f"{profile.subject_id}_t{t_idx:02d}"
         write_trace(trace, traces_dir / f"{label}.csv", config_hash=config_hash)
         report = analyze(trace, label=label, **bench.analysis)
@@ -136,6 +107,7 @@ def run_reproduction(
     summary = batch_report(reports)
     write_text_atomic(out / "summary.txt", summary.render())
 
+    checks = []
     for profile in bench.bank:
         report = first[profile.subject_id][1]
         peak = report.peak_force_n if report.peak_force_n is not None else float("nan")
@@ -173,10 +145,8 @@ def run_reproduction(
     s5 = first["S5"][0] if "S5" in first else None
     s5_ok = (
         s5 is not None
-        and s5.functional_extension is True
+        and s5.functional_extension
         and s5.breakaway
-        and s5.functional_time_s is not None
-        and s5.breakaway_time_s is not None
         and s5.functional_time_s < s5.breakaway_time_s
     )
     checks.append(
@@ -208,14 +178,51 @@ def run_reproduction(
             else "no fitted traces",
         )
     )
+    return checks
 
-    checks.append(_check_pinch_directions(bench))
-    checks.append(_check_abduction_neutrality(bench))
 
-    manifest_path = out / "manifest.txt"
-    overall = all(c.passed for c in checks)
-    lines = [c.line() for c in checks]
-    # no wall-clock content in the manifest: reruns must be byte-identical
-    lines.append(f"RESULT: {'PASS' if overall else 'FAIL'}")
-    write_text_atomic(manifest_path, "\n".join(lines) + "\n")
-    return checks, manifest_path
+def run_reproduction(
+    bench: Bench,
+    out_dir: str | Path,
+    seeds: Sequence[int],
+    *,
+    trials_per_subject: int = 1,
+    config_hash: str = "",
+) -> list[tuple[int, list[CheckResult], Path]]:
+    """Run the campaign on ``bench`` for each of ``seeds``, in order, and
+    write each seed's traces (stamped with ``config_hash``, the hash of its
+    config), reports, summary and manifest: into ``out_dir`` for one seed,
+    into ``out_dir/seed_<n>`` for several.  Returns ``(seed, checks,
+    manifest path)`` for each seed.
+
+    The depth calibration, and the checks that it alone decides, run once
+    and every manifest repeats them.  The campaign drives the extension
+    network; ValueError, before anything is written, if ``bench`` drives
+    the pinch network.
+    """
+    if bench.kind is not NetworkKind.EXTENSION:
+        raise ValueError(
+            f"reproduce drives the extension network; network.kind is {bench.kind.value!r}"
+        )
+    bench = bench.calibrated()
+    target, tol = bench.excursion_target_mm, bench.depth_tolerance_mm
+    excursion = index_excursion_mm(bench.hand, bench.extension)
+    calibration = CheckResult(
+        "excursion_calibration",
+        abs(excursion - target) <= tol,
+        f"index extension excursion {excursion:.4f} mm vs target {target} mm "
+        f"(depth {bench.hand.depth_mm:.4f} mm)",
+    )
+    network_checks = [_check_pinch_directions(bench), _check_abduction_neutrality(bench)]
+
+    root, sweep = Path(out_dir), []
+    for seed in seeds:
+        out = root if len(seeds) == 1 else root / f"seed_{seed}"
+        seed_checks = _seed_checks(bench, out, seed, trials_per_subject, config_hash)
+        checks = [calibration, *seed_checks, *network_checks]
+        lines = [c.line() for c in checks]
+        # no wall-clock content in the manifest: reruns must be byte-identical
+        lines.append(f"RESULT: {'PASS' if all(c.passed for c in checks) else 'FAIL'}")
+        write_text_atomic(out / "manifest.txt", "\n".join(lines) + "\n")
+        sweep.append((seed, checks, out / "manifest.txt"))
+    return sweep

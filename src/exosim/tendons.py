@@ -109,18 +109,15 @@ def moment_arms(hand: HandModel, net: TendonNetwork) -> np.ndarray:
     return arms
 
 
-def excursion_mm(
-    hand: HandModel, net: TendonNetwork, angles_deg, arms: np.ndarray | None = None
-) -> np.ndarray:
+def excursion_mm(hand: HandModel, net: TendonNetwork, angles_deg) -> np.ndarray:
     """Tendon length each branch pays out at a pose relative to the all-zero
     pose, shape ``(..., n_branches)`` for angles of shape ``(..., n_joints)``.
 
-    The moment-arm matrix (``arms``, built here when not given) times the
-    angles in radians: linear in the pose, zero at the zero pose.  Each branch
-    adds its terms in routing order, so every reader gets the same bits.
+    The moment-arm matrix times the angles in radians: linear in the pose,
+    zero at the zero pose.  Each branch adds its terms in routing order, so
+    every reader gets the same bits.
     """
-    if arms is None:
-        arms = moment_arms(hand, net)
+    arms = moment_arms(hand, net)
     columns = []
     for b, branch in enumerate(net.branches):
         total = 0.0
@@ -290,8 +287,7 @@ def network_state(
     rest = angles_deg if rest_deg is None else rest_deg
     if rest_deg is not None:
         hand.validate_pose(rest)
-    arms = moment_arms(hand, net)
-    free = excursion_mm(hand, net, rest, arms) - excursion_mm(hand, net, angles_deg, arms)
+    free = excursion_mm(hand, net, rest) - excursion_mm(hand, net, angles_deg)
     past_slack = np.asarray(displacement_mm)[..., None] - [b.slack_mm for b in net.branches]
     margin = past_slack - free
     taut = margin > -TAUT_TOL_MM

@@ -335,13 +335,9 @@ def test_c10_reproduction_determinism(tmp_path):
     calibration_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    checks_a, manifest_a = run_reproduction(
-        Bench(default_config()), tmp_path / "a", base_seed=0
-    )
+    ((_, checks_a, manifest_a),) = run_reproduction(Bench(default_config()), tmp_path / "a", [0])
     elapsed = time.perf_counter() - t0
-    checks_b, manifest_b = run_reproduction(
-        Bench(default_config()), tmp_path / "b", base_seed=0
-    )
+    ((_, checks_b, manifest_b),) = run_reproduction(Bench(default_config()), tmp_path / "b", [0])
 
     all_pass = all(c.passed for c in checks_a) and all(c.passed for c in checks_b)
     files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())

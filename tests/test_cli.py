@@ -395,14 +395,56 @@ def test_reproduce_passes_and_writes_manifest(tmp_path, capsys):
     assert (out / "summary.txt").exists()
 
 
-def test_reproduce_sweep_seed_matches_its_single_run(tmp_path):
-    """A sweep reads its config once: seed 1 of ``--seed 0..1`` writes the
-    same tree, byte for byte, as ``--seed 1`` alone."""
-    sweep, single = tmp_path / "sweep", tmp_path / "single"
-    assert run_cli(["reproduce", "--out", str(sweep), "--seed", "0..1"]) == 0
-    assert run_cli(["reproduce", "--out", str(single), "--seed", "1"]) == 0
-    assert len(tree(single)) == 22  # 5 traces + 5 sidecars + 10 reports, summary, manifest
-    assert tree(sweep / "seed_1") == tree(single)
+def test_reproduce_sweep_seed_matches_its_single_run(tmp_path, capsys):
+    """A sweep reads its config and calibrates once: each seed of ``--seed
+    0..2`` writes the same tree, byte for byte, and prints the same check
+    lines, behind its ``[seed n] `` prefix, as that seed alone."""
+    sweep = tmp_path / "sweep"
+    assert run_cli(["reproduce", "--out", str(sweep), "--seed", "0..2"]) == 0
+    sweep_lines = capsys.readouterr().out.splitlines()
+    assert sorted(p.name for p in sweep.iterdir()) == ["seed_0", "seed_1", "seed_2"]
+    for seed in range(3):
+        single = tmp_path / f"single_{seed}"
+        assert run_cli(["reproduce", "--out", str(single), "--seed", str(seed)]) == 0
+        single_lines = capsys.readouterr().out.splitlines()
+        assert len(tree(single)) == 22  # 5 traces + 5 sidecars + 10 reports, summary, manifest
+        assert tree(sweep / f"seed_{seed}") == tree(single)
+        prefix = f"[seed {seed}] "
+        lines = [x.removeprefix(prefix) for x in sweep_lines if x.startswith(prefix)]
+        assert len(lines) == len(single_lines) == 13  # 12 checks, then the manifest
+        assert lines[:-1] == single_lines[:-1]
+        assert lines[-1] == f"manifest: {sweep / f'seed_{seed}' / 'manifest.txt'}"
+        assert single_lines[-1] == f"manifest: {single / 'manifest.txt'}"
+
+
+def test_reproduce_sweep_runs_the_seed_independent_work_once(tmp_path, monkeypatch):
+    """A sweep calibrates, and checks the pinch directions and the abduction
+    neutrality of the calibrated bench, once for all its seeds."""
+    from exosim import config, reproduce
+
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(config.Bench, "calibrated")
+    counted(reproduce, "_check_pinch_directions")
+    counted(reproduce, "_check_abduction_neutrality")
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out), "--seed", "0..2"]) == 0
+    assert calls == {"calibrated": 1, "_check_pinch_directions": 1,
+                     "_check_abduction_neutrality": 1}
+    for seed in range(3):
+        lines = (out / f"seed_{seed}" / "manifest.txt").read_text().splitlines()
+        assert lines[0].startswith("PASS excursion_calibration: ")
+        assert lines[-3].startswith("PASS pinch_directions: ")
+        assert lines[-2].startswith("PASS abduction_neutrality: ")
 
 
 def test_reproduce_checks_each_subjects_first_trial(tmp_path):
@@ -423,18 +465,27 @@ def test_reproduce_checks_each_subjects_first_trial(tmp_path):
     assert len(list((out / "traces").glob("*.csv"))) == 15
 
 
-def test_reproduce_rejects_no_trials(tmp_path, capsys):
-    out = tmp_path / "rep"
-    assert run_cli(["reproduce", "--out", str(out), "--trials", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
-
-
 def _one_error_line(capsys, out):
     """The one stderr line of a command that wrote nothing."""
     (line,) = capsys.readouterr().err.splitlines()
     assert not out.exists()
     return line
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_no_trials_is_refused_before_anything_is_written(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out), "--trials", "0"]) == 1
+    assert _one_error_line(capsys, out) == "error: trials per subject must be >= 1, got 0"
+
+
+def test_a_library_sweep_with_no_trials_raises_before_writing(tmp_path):
+    from exosim.reproduce import run_reproduction
+
+    out = tmp_path / "rep"
+    with pytest.raises(ValueError, match=r"^trials per subject must be >= 1, got 0$"):
+        run_reproduction(Bench(default_config()), out, range(2), trials_per_subject=0)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("by", ["set", "config"])
