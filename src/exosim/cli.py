@@ -370,15 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 # different one moved analyze's peak RSS by 0.1 MB.  numpy.random (for the
 # trial seeds) and hashlib (for the config hash) still load when first used:
 # loaded here, before the config is read, they raised simulate's peak RSS by
-# 0.2-0.4 MB, with the same exit time.  Of the commands, only analyze loads
-# PyYAML here (to read sidecars), last, so that a forked child has it already.
-# Peak RSS of analyze over perfbench's 120-trace corpus against the layout in
-# which ``config`` imported PyYAML, medians of 15 runs on a 2 vCPU Xeon: +0.13
-# to +0.16 MB loaded last, about the same after ``.config`` or in each process
-# at its first sidecar (where a child imports it again), +0.5 MB before it.
+# 0.2-0.4 MB, with the same exit time.  No command loads PyYAML: exosim reads
+# and writes its YAML itself (``yamlio``).
 _COMMANDS = {
     "simulate": (_cmd_simulate, (".config", ".traceio")),
-    "analyze": (_cmd_analyze, (".analysis", ".config", ".traceio", "yaml")),
+    "analyze": (_cmd_analyze, (".analysis", ".config", ".traceio")),
     "calibrate": (_cmd_calibrate, (".config", ".traceio")),
     "reproduce": (_cmd_reproduce, (".config", ".reproduce")),
 }
@@ -412,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except (CliError, OSError, ValueError) as err:  # ConfigError is a ValueError
-        # One line, though a message may quote several (a YAML error does).
+        # One line, though a message may quote several (an override's text may).
         print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 1
 

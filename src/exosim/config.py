@@ -47,6 +47,7 @@ from .trial import (
     derive_seed,
     run_trial,
 )
+from .yamlio import dump_yaml, load_yaml
 
 # A subject id names output files (``S1_extension_t00.csv``), so it must be a
 # plain file-name stem: no path separator, no dot-only or empty name.  It is
@@ -60,116 +61,6 @@ NOTES = re.compile(r"[ -~]{0,200}")
 # Bench-wide default for synthetic sensor noise; library-level TrialConfig
 # stays noiseless unless asked.
 DEFAULT_NOISE_SIGMA_N = 0.4
-
-# exosim writes its YAML itself (``dump_yaml``), and PyYAML only reads it, so a
-# command that reads no YAML never imports PyYAML (15-23 ms after numpy in
-# ``-X importtime``, 2 vCPU Xeon).  Its loader is libyaml's parser when PyYAML
-# was built with it, the pure-Python one otherwise; it is set on first use,
-# unless already set.
-YAML_LOADER: Any = None
-
-# The strings written plain: words of these characters one space apart, each
-# of which may end in a comma, or the empty string.
-_WORDS = re.compile(r"(?:[A-Za-z0-9_.-]+,?(?: [A-Za-z0-9_.-]+,?)*)?")
-# Those of them that PyYAML's implicit resolvers read as null, a bool, an int,
-# a float or a date (its patterns, less the forms that need a character
-# outside ``_WORDS``), and those that start with a block indicator.  Such a
-# string is written single-quoted.
-_TYPED = re.compile(
-    r"""|null|Null|NULL
-    |yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
-    |[-+]?(?:0b[0-1_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)
-    |[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
-    |[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)
-    |[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
-    |-|-\ .*|---.*|\.\.\..*""",
-    re.X,
-)
-# The characters a double-quoted string escapes: all but printable ASCII, and
-# its '"' and backslash.
-_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
-
-
-def plain_word(text: str) -> bool:
-    """Whether ``text`` is written plain, which PyYAML reads back as that string."""
-    return bool(_WORDS.fullmatch(text)) and not _TYPED.fullmatch(text)
-
-
-def _escape(match: re.Match) -> str:
-    code = ord(match.group())
-    if code < 0x100:
-        return f"\\x{code:02X}"
-    return f"\\u{code:04X}" if code < 0x10000 else f"\\U{code:08X}"
-
-
-def _scalar(value: Any, key: str) -> str:
-    """``value`` as YAML if it is None, a bool, an int, a float or a string;
-    ValueError naming its dotted ``key`` for anything else."""
-    kind = type(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return str(value)
-    if kind is float:
-        if value != value:
-            return ".nan"
-        if math.isinf(value):
-            return ".inf" if value > 0 else "-.inf"
-        text = repr(value).lower()
-        # A repr such as 1e+17 is not a YAML float without its ".0".
-        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
-    if kind is str:
-        if _WORDS.fullmatch(value):
-            return f"'{value}'" if _TYPED.fullmatch(value) else value
-        return '"' + _ESCAPED.sub(_escape, value) + '"'
-    raise ValueError(f"cannot write {key} as YAML: a {kind.__name__} value")
-
-
-def dump_yaml(data: dict) -> str:
-    """``data`` as block-style YAML with sorted keys: the form of every file
-    exosim writes, and the bytes behind the config hash.  Each key is a word
-    (``_WORDS``, not empty); each value is a dict of the same kind, a list of
-    scalars or a scalar (``_scalar``).  ValueError naming the dotted key of
-    anything else."""
-    lines: list[str] = []
-
-    def mapping(node: dict, indent: int, at: str) -> None:
-        for key in node:
-            if type(key) is not str or not key or not _WORDS.fullmatch(key):
-                raise ValueError(f"cannot write key {at + str(key)!r} as YAML: not a word "
-                                 "of letters, digits, '_', '.' or '-'")
-        pad = " " * indent
-        for key in sorted(node):
-            head, value, path = f"{pad}{_scalar(key, at + key)}:", node[key], at + key
-            if type(value) is dict and value:
-                lines.append(head + "\n")
-                mapping(value, indent + 2, path + ".")
-            elif type(value) is list and value:  # a list's items go at its key's indent
-                lines.append(head + "\n")
-                lines.extend(f"{pad}- {_scalar(item, path)}\n" for item in value)
-            else:
-                empty = {dict: "{}", list: "[]"}.get(type(value))
-                lines.append(f"{head} {empty or _scalar(value, path)}\n")
-
-    mapping(data, 0, "")
-    return "".join(lines) or "{}\n"
-
-
-def load_yaml(text: str) -> Any:
-    """The document ``text`` holds; ValueError with PyYAML's message if it is
-    not YAML."""
-    global YAML_LOADER
-    import yaml
-
-    if YAML_LOADER is None:
-        YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        return yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as err:
-        raise ValueError(str(err)) from None
-
 
 def _keyword_defaults(defaults: Mapping[str, Any], *skip: str) -> dict:
     """Keyword-only parameter defaults (a function's ``__kwdefaults__``)
@@ -247,8 +138,8 @@ def load_config(path: str | Path | None = None) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides: Mapping[str, Any]) -> dict:
-    """Apply dotted-key overrides; text is parsed as YAML, a ``plain_word``
-    without PyYAML as the string it is, and any other value is taken as it is."""
+    """Apply dotted-key overrides; text is read as YAML (``load_yaml``), and
+    any other value is taken as it is."""
     merged = copy.deepcopy(cfg)
     for dotted, raw in overrides.items():
         keys = dotted.split(".")
@@ -259,7 +150,7 @@ def apply_overrides(cfg: dict, overrides: Mapping[str, Any]) -> dict:
                 nxt = {}
                 node[key] = nxt
             node = nxt
-        if not isinstance(raw, str) or plain_word(raw):
+        if not isinstance(raw, str):
             node[keys[-1]] = raw
             continue
         try:

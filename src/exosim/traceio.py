@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import TOOL_VERSION
-from .config import SUBJECT_ID, dump_yaml, finite_number, load_yaml
+from .config import SUBJECT_ID, finite_number
 from .trial import DEFAULT_SAMPLE_RATE_HZ, TrialTrace
+from .yamlio import dump_yaml, load_yaml
 
 CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
@@ -220,12 +221,13 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     non-finite values, a time not above the last kept row's) are skipped and
     reported as warnings with their line numbers; the rest of the file still
     loads.  A body of plain numbers is read in one call, any other line by
-    line.  Files are read as UTF-8 in any locale.  Without a sidecar the
-    stroke is taken as the largest recorded actuator position.
+    line.  Files are read as UTF-8 in any locale, a leading byte-order mark
+    skipped.  Without a sidecar the stroke is taken as the largest recorded
+    actuator position.
     """
     csv_path = Path(csv_path)
     try:
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines = csv_path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{csv_path.name}: {err}") from None
     table, warnings = _plain_rows(lines), []
@@ -239,9 +241,7 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
         try:
             fields = _sidecar_fields(load_yaml(side.read_text(encoding="utf-8")) or {})
         except (OSError, ValueError) as err:
-            # One line, though a YAML error's message has several.
-            reason = " ".join(str(err).splitlines())
-            warnings.append(f"{side.name}: unreadable sidecar ({reason})")
+            warnings.append(f"{side.name}: unreadable sidecar ({err})")
     if fields["stroke_mm"] is None:
         fields["stroke_mm"] = float(np.max(position)) if len(position) else 0.0
     trace = TrialTrace(t_s=t, actuator_mm=position, force_n=force, **fields)

@@ -347,15 +347,16 @@ def test_calibrate_near_float_range_writes_a_config_that_reads_back(tmp_path, ca
 
 
 def test_unreadable_sidecar_is_a_one_line_warning(tmp_path, capsys):
-    """A YAML error quotes several lines; its warning is one."""
+    """A sidecar outside exosim's YAML is one warning line naming the line
+    and column where it stops."""
     traces = tmp_path / "traces"
     assert run_cli(["simulate", "--out", str(traces), "--subjects", "S1"]) == 0
     (traces / "S1_extension_t00.meta.yaml").write_text("a: [\n")
     capsys.readouterr()
     assert run_cli(["analyze", str(traces), "--out", str(tmp_path / "an")]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("warning: S1_extension_t00.meta.yaml: unreadable sidecar (while ")
+    assert err == ["warning: S1_extension_t00.meta.yaml: unreadable sidecar "
+                   "(line 1, column 5: unexpected end of line)"]
 
 
 def test_env_var_supplies_config(tmp_path, monkeypatch):

@@ -1,14 +1,13 @@
 import math
 import re
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
-from exosim import analysis, config
+from exosim import analysis, yamlio
 from exosim.cli import main
 from exosim.config import (
     Bench,
@@ -63,9 +62,25 @@ def test_config_file_is_utf8_and_named_when_it_is_not(tmp_path):
     path = tmp_path / "bench.yaml"
     path.write_text("# Pr\u00fcfstand\ntrial:\n  noise_sigma_n: 0.9\n", encoding="utf-8")
     assert load_config(path)["trial"]["noise_sigma_n"] == 0.9
+    path.write_text("\ufeff# Pr\u00fcfstand\ntrial:\n  noise_sigma_n: 0.8\n", encoding="utf-8")
+    assert load_config(path)["trial"]["noise_sigma_n"] == 0.8  # a leading byte-order mark
     path.write_bytes(b"# Pr\xfcfstand\ntrial:\n  noise_sigma_n: 0.9\n")  # Latin-1
     with pytest.raises(ConfigError, match=f"^cannot parse config {re.escape(str(path))}: 'utf-8'"):
         load_config(path)
+
+
+def test_config_file_outside_the_dialect_is_one_error_naming_its_line(tmp_path, capsys):
+    """A config in a YAML style that exosim does not write (here an anchor)
+    stops the command with one error line naming the line and column."""
+    path = tmp_path / "bench.yaml"
+    path.write_text("trial:\n  noise_sigma_n: 0.3\nhand: &h {joint_center_depth_mm: 9.5}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config {path}: line 3, column 7: '&h' is none of null, true, "
+        "false, a number or a plain word\n"
+    )
+    assert not out.exists()
 
 
 def test_overrides_dotted_keys():
@@ -112,7 +127,6 @@ def _documents(strings, floats=_FLOATS):
 
 
 _DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if hasattr(yaml, "CSafeDumper") else [])
-_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
 def _pyyaml_dump(data, dumper):
@@ -135,7 +149,7 @@ def test_dump_yaml_writes_plain_documents_as_pyyaml_does(doc):
     """A document whose strings are written plain or single-quoted, in lines
     within 80 columns (PyYAML folds past them), is written as each of
     PyYAML's emitters writes it."""
-    text = config.dump_yaml(doc)
+    text = yamlio.dump_yaml(doc)
     assume(all(len(line) <= 80 for line in text.splitlines()))
     assert [text] * len(_DUMPERS) == [_pyyaml_dump(doc, dumper) for dumper in _DUMPERS]
 
@@ -146,7 +160,6 @@ for _reason in _analysis_errors():
     )(test_dump_yaml_writes_plain_documents_as_pyyaml_does)
 
 
-@pytest.mark.parametrize("loader", _LOADERS)
 @settings(max_examples=300, deadline=None)
 @given(doc=_documents(
     st.one_of(_STRINGS, st.text(st.characters(blacklist_categories=("Cs",)))),
@@ -154,14 +167,13 @@ for _reason in _analysis_errors():
 ))
 @example(doc={"a": "\\ \" \x00 \x7f \x85 \xa0 \u2028 \ufeff \U0001f600 \u00e9", "b": " x ", "c": "a:b"})
 @example(doc={"label": "S1 copy", "why": "grip: \"weak\", # not a comment", "x": "\n\t"})
-def test_dump_yaml_reads_back_as_written(loader, doc):
-    """Any writable document reads back as itself, under either of PyYAML's
-    loaders: a string that is not written plain is double-quoted, with every
-    character outside printable ASCII escaped."""
-    text = config.dump_yaml(doc)
+def test_dump_yaml_reads_back_as_written(doc):
+    """Any writable document reads back as itself, through exosim's reader
+    and PyYAML's alike: a string that is not written plain is double-quoted,
+    with every character outside printable ASCII escaped."""
+    text = yamlio.dump_yaml(doc)
     assert text.isascii()
-    with mock.patch.object(config, "YAML_LOADER", loader):
-        assert config.load_yaml(text) == doc
+    assert yamlio.load_yaml(text) == doc == yaml.safe_load(text)
 
 
 @pytest.mark.parametrize(
@@ -180,34 +192,43 @@ def test_dump_yaml_reads_back_as_written(loader, doc):
 )
 def test_dump_yaml_refuses_what_it_does_not_write(doc, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        config.dump_yaml(doc)
+        yamlio.dump_yaml(doc)
 
 
 def test_the_emitter_writes_the_documents_exosim_writes(tmp_path):
     """The default config, a sidecar and a report are written as PyYAML
     writes them."""
     cfg = default_config()
-    assert config.dump_yaml(cfg) == _pyyaml_dump(cfg, yaml.SafeDumper)
+    assert yamlio.dump_yaml(cfg) == _pyyaml_dump(cfg, yaml.SafeDumper)
     assert main(["simulate", "--out", str(tmp_path / "sim"), "--subjects", "S1"]) == 0
     assert main(["analyze", str(tmp_path / "sim"), "--out", str(tmp_path / "an")]) == 0
     for path in [*tmp_path.glob("sim/*.meta.yaml"), *tmp_path.glob("an/*.report.yaml")]:
         doc = yaml.safe_load(path.read_text())
-        assert config.dump_yaml(doc) == path.read_text() == _pyyaml_dump(doc, yaml.SafeDumper)
+        assert yamlio.dump_yaml(doc) == path.read_text() == _pyyaml_dump(doc, yaml.SafeDumper)
 
 
-@settings(max_examples=500, deadline=None)
-@given(text=_STRINGS)
-@example(text="pinch")
+# Pieces of YAML texts, in exosim's dialect and outside it.
+_PIECES = ["a", "b c", "1", "-0", ".5", "1.0e+5", "1e5", "-.inf", ".nan", "null", "true", "yes", "~",
+           "2019-01-01", "\u00e9", "-", "- ", ": ", ":", "#", " # c", ",", ", ", "[", "]", "{", "}", "'",
+           "''", '"', "\\", "\\x41", "\\u00e9", "\n", "\n  ", "\n- ", "  ", " ", "\t", "\r\n", "&a",
+           "*a", "!!binary ", "|", "k: v\n", "k:\n", "\ufeff"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join), _STRINGS))
 @example(text="index finger graded 2")
-def test_a_plain_word_override_is_what_pyyaml_reads(text):
-    """An override value that is a plain word is read without PyYAML, as
-    the string that PyYAML reads; any other goes to PyYAML."""
-    with mock.patch.object(config, "load_yaml", lambda raw: ("PyYAML", raw)):
-        got = apply_overrides({}, {"key": text})["key"]
-    if config.plain_word(text):
-        assert got == text == yaml.safe_load(text)
-    else:
-        assert got == ("PyYAML", text)
+@example(text="a:\n- 1\n- [1e308, 1.7e308]\nb:\n  c: {index: 0.5, d: '2'}  # note\n")
+@example(text='\ufeffnotes: "grip: \\x22weak\\x22, caf\\xE9"\n')
+def test_a_text_reads_as_pyyaml_reads_it_or_fails_naming_its_line(text):
+    """Any text, a config file's or an override's, reads as PyYAML's
+    SafeLoader reads it, or fails with one line naming the line and column
+    where it leaves exosim's dialect."""
+    try:
+        got = yamlio.load_yaml(text)
+    except ValueError as err:
+        assert re.fullmatch(r"line \d+, column \d+: .+", str(err))
+        return
+    assert repr(got) == repr(yaml.safe_load(text))  # repr: nan equals nan, and 0.0 not -0.0
 
 
 @pytest.mark.parametrize(
@@ -428,7 +449,9 @@ def test_subject_id_that_is_not_a_file_name_stem_is_rejected(sid):
 def test_simulate_writes_nothing_for_a_bad_subject_id(tmp_path, capsys):
     """``../evil`` would put its trace beside --out, not in it."""
     cfg_file = tmp_path / "evil.yaml"
-    cfg_file.write_text(yaml.safe_dump({"subjects": {"../evil": SUBJECT}}))
+    cfg_file.write_text("subjects:\n  \"../evil\": {mas: '2', stiffness_n_per_mm: 0.4, "
+                        "rest_flexion_fraction: 0.5}\n")
+    assert load_config(cfg_file)["subjects"] == {"../evil": SUBJECT}
     out = tmp_path / "box" / "out"
     assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid config: subject id '../evil'")

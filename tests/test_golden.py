@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 import yaml
 
-from exosim import config
+from exosim import config, traceio
 from exosim.cli import main
 
 HASHES = Path(__file__).with_name("golden") / "hashes.txt"
@@ -159,10 +159,11 @@ def test_golden_outputs(tmp_path):
     check_golden_outputs(tmp_path)
 
 
-def test_golden_outputs_with_pure_python_yaml(tmp_path, monkeypatch):
-    """The same bytes when PyYAML's own parser stands in for libyaml's, which
-    exosim reads YAML with whenever PyYAML was built with it."""
-    monkeypatch.setattr(config, "YAML_LOADER", yaml.SafeLoader)
+def test_golden_outputs_with_pyyaml_reading(tmp_path, monkeypatch):
+    """The same bytes when PyYAML reads every override and sidecar in the
+    place of exosim's own reader."""
+    for module in (config, traceio):
+        monkeypatch.setattr(module, "load_yaml", yaml.safe_load)
     check_golden_outputs(tmp_path)
 
 

@@ -1,10 +1,9 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
 command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
-campaign, only a command that reads YAML loads PyYAML (``analyze`` before it
-forks) and writing YAML never does, no command loads ``dataclasses``, a CLI
-process freezes what its command loaded, the default config does not depend
-on import order, and the CLI caps BLAS threads only for a numpy still to
-load.  Each check of what loads runs in a fresh interpreter, since this one
+campaign, no command loads PyYAML, to read YAML or to write it, no command
+loads ``dataclasses``, a CLI process freezes what its command loaded, the
+default config does not depend on import order, and the CLI caps BLAS
+threads only for a numpy still to load.  Each check of what loads runs in a fresh interpreter, since this one
 has loaded everything."""
 
 import json
@@ -71,47 +70,48 @@ def cli_process(argv: list[str], *modules: str, before: str = "", after: str = "
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """``analyze``, run as a CLI process, loads the analysis and PyYAML (once,
-    before it forks), but not hashlib nor numpy.random (both map OpenSSL) nor
-    the campaign; ``simulate`` and ``calibrate`` load no campaign, and they
-    and ``reproduce`` load PyYAML only to read a config file or a ``--set``
-    value that is not a plain word (a flag's parsed value is not read)."""
+    """``analyze``, run as a CLI process that forks, loads the analysis but
+    not hashlib nor numpy.random (both map OpenSSL) nor the campaign;
+    ``simulate`` and ``calibrate`` load no campaign; and no command loads
+    PyYAML, though it reads sidecars, a config file or a typed ``--set``."""
     traces = tmp_path / "traces"
     assert cli.main(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
     watched = ("exosim.analysis", "hashlib", "_hashlib", "numpy.random", "exosim.reproduce",
                "yaml")
-    split = (  # two shares, so analyze forks once; whether PyYAML is loaded at the fork
+    split = (  # two shares, so analyze forks once
         "import os\n"
         "forks = []\n"
         "fork = cli._fork\n"
-        "cli._fork = lambda *args: forks.append('yaml' in sys.modules) or fork(*args)\n"
+        "cli._fork = lambda *args: forks.append(args) or fork(*args)\n"
         "cli.TRACES_PER_PROCESS = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}"
     )
     analyze = ["analyze", str(traces), "--out", str(tmp_path / "an")]
-    assert cli_process(analyze, *watched, before=split, after="assert forks == [True]") == [
-        "exosim.analysis", "yaml"
+    assert cli_process(analyze, *watched, before=split, after="assert len(forks) == 1") == [
+        "exosim.analysis"
     ]
+    config = tmp_path / "calibrate" / "calibrated_config.yaml"  # written by the calibrate run
     for argv in (["simulate", "--tendon-config", "pinch"], ["simulate", "--noise-sigma", "0.3"],
-                 ["calibrate"], ["reproduce"]):
-        loaded = cli_process([*argv, "--out", str(tmp_path / argv[0])], "yaml", "exosim.reproduce")
+                 ["simulate", "--set", "trial.noise_sigma_n=0.3"], ["calibrate"], ["reproduce"],
+                 ["simulate", "--config", str(config)]):
+        out = tmp_path / "_".join(arg.strip("-") for arg in argv[:2])
+        loaded = cli_process([*argv, "--out", str(out)], "yaml", "exosim.reproduce")
         assert loaded == (["exosim.reproduce"] if argv == ["reproduce"] else [])
-    config = tmp_path / "calibrate" / "calibrated_config.yaml"  # written without PyYAML
-    for args in (["--config", str(config)], ["--set", "trial.noise_sigma_n=0.3"]):
-        out = tmp_path / args[0].strip("-")
-        assert cli_process(["simulate", *args, "--out", str(out)], "yaml") == ["yaml"]
-    assert "noise_sigma_n: 0.3\n" in (out / "S1_extension_t00.meta.yaml").read_text()
+    sidecar = tmp_path / "simulate_set" / "S1_extension_t00.meta.yaml"
+    assert "noise_sigma_n: 0.3\n" in sidecar.read_text()
 
 
 def test_a_double_quoted_document_is_written_without_pyyaml(tmp_path):
     """exosim writes every document itself, a string that is not a plain
-    word double-quoted and escaped; PyYAML stays unloaded."""
+    word double-quoted and escaped, and reads it back; PyYAML stays
+    unloaded."""
     path = tmp_path / "notes.yaml"
     run = (
-        "from exosim.config import default_config, write_config\n"
+        "from exosim.config import default_config, load_config, write_config\n"
         "cfg = default_config()\n"
         "cfg['subjects']['S1']['notes'] = 'grip: \"weak\", caf\u00e9'\n"
         f"write_config(cfg, {str(path)!r})\n"
+        f"assert load_config({str(path)!r}) == cfg\n"
     )
     assert loaded_after(run, "yaml") == []
     assert '  notes: "grip: \\x22weak\\x22, caf\\xE9"\n' in path.read_text()

@@ -204,6 +204,23 @@ def test_written_trace_is_read_in_one_loadtxt_call(tmp_path):
     assert loadtxt.call_count == 1
 
 
+def test_a_trace_saved_with_a_byte_order_mark_reads_alike(tmp_path, noiseless_traces):
+    """A UTF-8 byte-order mark, as spreadsheet tools save one, on a trace and
+    on its sidecar changes nothing that is read."""
+    plain = traceio.write_trace(noiseless_traces["S4"], tmp_path / "a.csv", config_hash="beef")
+    marked = tmp_path / "b.csv"
+    for source, copy in ((plain, marked), (traceio.sidecar_path(plain), traceio.sidecar_path(marked))):
+        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    (expected, expected_warnings), (trace, warnings) = read_trace(plain), read_trace(marked)
+    assert expected_warnings == warnings == []
+    for name, value in vars(expected).items():
+        got = getattr(trace, name)
+        if isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes()
+        else:
+            assert got == value, name
+
+
 def test_read_trace_matches_oracle_on_long_files(tmp_path):
     """Thousands of rows with faults scattered through them."""
     rng = np.random.default_rng(5)
@@ -334,7 +351,7 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("sample_rate_hz: null\n", "sample_rate_hz must be a finite number, got None)"),
         ("noise_sigma_n: [1]\n", "noise_sigma_n must be a finite number, got [1])"),
         ("sample_rate_hz: true\n", "sample_rate_hz must be a finite number, got True)"),
-        ("noise_sigma_n: !!binary MQ==\n", "noise_sigma_n must be a finite number, got b'1')"),
+        ("noise_sigma_n: !!binary MQ==\n", "line 1, column 16: '!!binary MQ==' is none of null"),
         ("stroke_mm: 1" + "0" * 400 + "\n", "stroke_mm must be a finite number, got 1000"),
         ("stroke_mm: .inf\n", "stroke_mm must be a finite number, got inf)"),
         ("breakaway:\n  time_s: abc\n", "breakaway.time_s must be a finite number, got 'abc')"),
@@ -342,13 +359,15 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("functional_time_s: {a: 1}\n",
          "functional_time_s must be a finite number, got {'a': 1})"),
         ("breakaway: [1, 2]\n", "breakaway: expected a mapping, got list"),
-        ("breakaway: yes\n", "breakaway: expected a mapping, got bool"),
-        ("stroke_mm: [1\n", "while parsing"),  # not YAML
+        ("breakaway: true\n", "breakaway: expected a mapping, got bool"),
+        ("breakaway: yes\n", "line 1, column 12: 'yes' is none of null"),  # YAML 1.1's bool
+        ("stroke_mm: [1\n", "line 1, column 14: unexpected end of line)"),  # not exosim's YAML
         (b"stroke_mm: \xff\n", "'utf-8' codec can't decode byte 0xff"),
         ("subject_id: null\n", "subject_id: expected a string, got NoneType"),
         ("subject_id: 7\n", "subject_id: expected a string, got int"),
-        ("subject_id: S\u00e4\n", "subject_id: 'S\u00e4' is not a bench's subject id"),
-        ("subject_id: ../S1\n", "subject_id: '../S1' is not a bench's subject id"),
+        ('subject_id: "S\u00e4"\n', "subject_id: 'S\u00e4' is not a bench's subject id"),
+        ("subject_id: '../S1'\n", "subject_id: '../S1' is not a bench's subject id"),
+        ("subject_id: ../S1\n", "line 1, column 13: '../S1' is none of null"),  # not a plain word
         ("functional_extension: maybe\n", "functional_extension: expected a bool or null"),
         ("functional_extension: 1\n", "functional_extension: expected a bool or null, got int"),
         ("breakaway:\n  occurred: maybe\n", "breakaway.occurred: expected a bool or null"),
@@ -360,15 +379,16 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
          "rate-bool", "noise-bytes", "stroke-past-float-range", "stroke-inf",
          "release-time-text", "release-time-nan", "functional-time-map", "breakaway-list", "breakaway-bool",
-         "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
-         "subject-path", "functional-text",
+         "breakaway-yes", "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
+         "subject-path", "subject-path-plain", "functional-text",
          "functional-int", "occurred-text", "seed-text", "seed-float", "seed-bool",
          "seed-list-text"],
 )
 def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
-    """A sidecar that is not YAML, not a mapping, or holds a field that is
-    not what it must be (a number field: a config's finite number) is named
-    in a warning, and the trace reads as if it had none."""
+    """A sidecar that is not in exosim's YAML (the warning names its line
+    and column), not a mapping, or holds a field that is not what it must be
+    (a number field: a config's finite number) is named in a warning, and the
+    trace reads as if it had none."""
     (tmp_path / "bare.csv").write_text(TRACE_TEXT)
     bare, bare_warnings = read_trace(tmp_path / "bare.csv")
     path = tmp_path / "t.csv"
