@@ -28,8 +28,7 @@ _EXPORTS = {
         "full_flexion_pose", "spastic_rest_pose",
     ),
     "spasticity": (
-        "MasLevel", "SubjectBank", "SubjectProfile", "calibrate_stiffness",
-        "resistance_force_n",
+        "MasLevel", "SubjectProfile", "calibrate_stiffness", "resistance_force_n",
     ),
     "tendons": (
         "NetworkKind", "TendonBranch", "TendonNetwork", "calibrate_depth",

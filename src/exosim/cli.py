@@ -121,7 +121,7 @@ def _cmd_simulate(args) -> int:
 
     bench = Bench(_effective_config(args))
     chash = config_hash(bench.config)  # of a config that the bench has checked
-    subjects = _parse_subjects(args.subjects, bench.bank.ids())
+    subjects = _parse_subjects(args.subjects, tuple(bench.trial_configs))
     (seed,) = _parse_seeds(args.seed, ranged=False)
 
     out = Path(args.out)
@@ -136,15 +136,12 @@ def _cmd_simulate(args) -> int:
 
 def _analyze_trace(path: Path, out: Path, analysis) -> tuple[list[str], AnalysisReport]:
     """Read, analyze and write the report files of one trace; returns its
-    warnings and its report without the normalized series, which only the
-    fit CSV needs."""
+    warnings and the report that ``write_report`` returns."""
     from .analysis import analyze
     from .traceio import read_trace, write_report
 
     trace, warnings = read_trace(path)
-    report = analyze(trace, label=path.stem, **analysis)
-    write_report(report, out)
-    return warnings, report._replace(position_frac=None, force_frac=None)
+    return warnings, write_report(analyze(trace, label=path.stem, **analysis), out)
 
 
 def _analyze_share(paths: list[Path], out: Path, analysis) -> list:
@@ -198,16 +195,22 @@ def _cmd_analyze(args) -> int:
     from .config import Bench
     from .traceio import FIT_SUFFIX, write_text_atomic
 
+    # A fit CSV is analyze's own output: a directory's are passed over, and
+    # one named on the command line is skipped with a warning.
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
         if p.is_dir():
-            paths.extend(sorted(c for c in p.glob("*.csv") if c.is_file()))
-        elif p.exists():
-            paths.append(p)
-        else:
+            paths.extend(sorted(
+                c for c in p.glob("*.csv") if c.is_file() and not c.name.endswith(FIT_SUFFIX)
+            ))
+        elif not p.exists():
             raise CliError(f"no such trace file or directory: {p}")
-    paths = [p for p in paths if not p.name.endswith(FIT_SUFFIX)]
+        elif p.name.endswith(FIT_SUFFIX):
+            print(f"warning: {p}: skipped, analyze writes files named *{FIT_SUFFIX}",
+                  file=sys.stderr)
+        else:
+            paths.append(p)
     if not paths:
         raise CliError("no trace CSVs to analyze")
     # A trace's report files are named after its stem, so two traces with one

@@ -26,7 +26,7 @@ from .hand import (
     full_flexion_pose,
     spastic_rest_pose,
 )
-from .spasticity import BANK_PARAMS, MasLevel, SubjectBank, SubjectProfile, resistance_force_n
+from .spasticity import BANK_PARAMS, MasLevel, SubjectProfile, resistance_force_n
 from .tendons import (
     DEFAULT_BRANCH_SLACK_MM,
     DEFAULT_DEPTH_TOLERANCE_MM,
@@ -243,7 +243,8 @@ def _notes(raw: Any, key: str) -> str:
     return raw
 
 
-def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
+def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> tuple[SubjectProfile, ...]:
+    """The profiles of the config's subjects, in its order, each pose on ``hand``."""
     # Readers of the keys a subject may leave out; those keep their
     # SubjectProfile defaults.
     optional = {
@@ -271,7 +272,7 @@ def subject_bank_from_config(cfg: Mapping, hand: HandModel) -> SubjectBank:
                 **given,
             )
         )
-    return SubjectBank(tuple(profiles))
+    return tuple(profiles)
 
 
 def _floats(section: Mapping, name: str) -> dict[str, float]:
@@ -349,7 +350,7 @@ class Bench:
             calibration = _floats(cfg["calibration"], "calibration")
             self.excursion_target_mm = calibration["excursion_target_mm"]
             self.depth_tolerance_mm = calibration["depth_tolerance_mm"]
-            if not self.bank.profiles:
+            if not self.bank:
                 raise ValueError("subjects must name at least one subject")
             if not self.depth_tolerance_mm > 0.0:
                 raise ValueError(
@@ -409,7 +410,7 @@ class Bench:
         ValueError, before the first trial, if ``per_subject`` is below 1."""
         if per_subject < 1:
             raise ValueError(f"trials per subject must be >= 1, got {per_subject}")
-        bank_ids = self.bank.ids()
+        bank_ids = list(self.trial_configs)
         for sid in bank_ids if ids is None else ids:
             cfg = self.trial_configs[sid]
             for t_idx in range(per_subject):

@@ -99,8 +99,7 @@ def _seed_checks(
     for profile, t_idx, trace in bench.trials(seed, trials_per_subject):
         label = f"{profile.subject_id}_t{t_idx:02d}"
         write_trace(trace, traces_dir / f"{label}.csv", config_hash=config_hash)
-        report = analyze(trace, label=label, **bench.analysis)
-        write_report(report, reports_dir)
+        report = write_report(analyze(trace, label=label, **bench.analysis), reports_dir)
         reports.append(report)
         first.setdefault(profile.subject_id, (trace, report))
 

@@ -89,23 +89,6 @@ def calibrate_stiffness(
     return stiffness
 
 
-class SubjectBank:
-    def __init__(self, profiles: tuple[SubjectProfile, ...] = ()) -> None:
-        self.profiles = profiles
-        ids = [p.subject_id for p in self.profiles]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate subject ids in bank")
-
-    def __iter__(self):
-        return iter(self.profiles)
-
-    def __len__(self) -> int:
-        return len(self.profiles)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.subject_id for p in self.profiles)
-
-
 # The five synthetic subjects, in the shape of the config's ``subjects``
 # section.  Peak midpoints for S1-S3 pin the stiffness through
 # calibrate_stiffness; S4/S5 are specified by stiffness directly, high enough
@@ -157,11 +140,9 @@ BANK_PARAMS: dict[str, dict] = {
 
 
 def in_peak_band(peak_n: float, band: tuple[float, float | None] | None) -> bool:
+    """True if ``peak_n`` lies in ``[lo, hi]`` (no ``hi``: unbounded), and
+    for any peak with no band; a NaN peak lies in no band."""
     if band is None:
         return True
     lo, hi = band
-    if math.isnan(peak_n):
-        return False
-    if peak_n < lo:
-        return False
-    return hi is None or peak_n <= hi
+    return lo <= peak_n and (hi is None or peak_n <= hi)

@@ -158,8 +158,9 @@ def _plain_rows(lines: list[str]) -> np.ndarray | None:
     """The rows of a trace CSV, read in one ``np.loadtxt`` call, when its
     header is ``CSV_HEADER`` and its body holds only ``_PLAIN_BYTES`` and
     three finite numbers a row, in increasing time; None for any other file.
-    A body whose comma count is not two a non-blank line has a row of
-    another width, so it is not handed to ``np.loadtxt`` at all."""
+    A body whose comma count is not twice its non-blank lines has a row of
+    another width, so it is not handed to ``np.loadtxt`` at all; the count is
+    the body's total, so a short row and a long row still reach it."""
     stripped = map(str.strip, lines)
     header = next((i for i, line in enumerate(stripped) if line[:1] not in ("", "#")), None)
     if header is None or lines[header].strip() != CSV_HEADER:
@@ -266,8 +267,10 @@ def render_fit_csv(report) -> str:
     return header + _render_rows(report.position_frac, report.force_frac, fitted)
 
 
-def write_report(report, out_dir: Path) -> None:
+def write_report(report, out_dir: Path):
     """Write a report's YAML and fit CSV into ``out_dir`` as
-    ``<label>.report.yaml`` and ``<label>_fit.csv``."""
+    ``<label>.report.yaml`` and ``<label>_fit.csv``; returns the report
+    without the two series, which the fit CSV now holds."""
     write_text_atomic(out_dir / f"{report.label}{REPORT_SUFFIX}", render_report_yaml(report))
     write_text_atomic(out_dir / f"{report.label}{FIT_SUFFIX}", render_fit_csv(report))
+    return report._replace(position_frac=None, force_frac=None)

@@ -5,8 +5,9 @@ displacement to every tendon branch, so a trial is a sweep of one scalar and
 every stage is evaluated once over the whole sample grid: the hand pose
 responds to the displacement, the aggregate spastic muscle resists as a
 spring, the true tension passes through the breakaway coupling, and the load
-cell quantizes what reaches it.  The trace records these; ``junction_state``
-gives the junction statics behind them on demand.  Inertia and friction are
+cell quantizes what reaches it.  The trace records the forces over the
+actuator's path; ``trace_pose`` and ``junction_state`` give the pose and the
+junction statics behind them on demand.  Inertia and friction are
 neglected: at 5 mm/s the system moves through force-balanced states.
 """
 
@@ -147,11 +148,11 @@ class PoseResponse:
 
 
 class TrialTrace:
-    """Sampled record of one trial.
+    """Sampled record of one trial: one value per sample in each array.
 
-    ``force_n`` is the quantized load-cell channel that an analysis sees;
-    ``true_force_n`` is the tension before it and ``angles_deg`` the pose, one
-    column per joint of ``cfg.hand.joints``.  ``junction_state`` reads them.
+    ``force_n`` is the quantized load-cell channel that an analysis sees and
+    ``true_force_n`` the tension before it.  ``trace_pose`` and
+    ``junction_state`` derive the rest from the trace and its config.
     """
 
     poses = None  # read by perfbench/tracer.py's trial-size counter
@@ -171,7 +172,6 @@ class TrialTrace:
         breakaway_time_s: float | None = None,
         functional_extension: bool | None = None,
         functional_time_s: float | None = None,
-        angles_deg: np.ndarray | None = None,
         true_force_n: np.ndarray | None = None,
     ) -> None:
         self.t_s = t_s
@@ -187,7 +187,6 @@ class TrialTrace:
         self.breakaway_time_s = breakaway_time_s
         self.functional_extension = functional_extension
         self.functional_time_s = functional_time_s
-        self.angles_deg = angles_deg
         self.true_force_n = true_force_n
 
     def __len__(self) -> int:
@@ -250,17 +249,10 @@ def run_trial(
     held = t <= opens_s  # coupling engaged as the sample begins
     transmits = t < opens_s  # ... and still engaged as it ends
 
-    # Once the coupling is open the tendon side is free: no displacement
-    # reaches the hand, which relaxes back to rest, and the muscle no longer
-    # loads the actuator.
-    angles = cfg.response.at(np.where(held, disp, 0.0))
+    # Once the coupling is open the muscle no longer loads the actuator.
     true_force = np.where(held, spring, 0.0) + noise
     transmitted = np.where(transmits, np.maximum(0.0, true_force), 0.0)
-    functional = np.flatnonzero(
-        held & is_functional_extension(cfg.hand, angles, cfg.functional_flexion_deg)
-    )
-
-    return TrialTrace(
+    trace = TrialTrace(
         t_s=t,
         actuator_mm=position,
         force_n=measure(transmitted, cfg.cell),
@@ -272,11 +264,23 @@ def run_trial(
         seed=seed.entropy if isinstance(seed, np.random.SeedSequence) else seed,
         breakaway=release_s is not None,
         breakaway_time_s=release_s,
-        functional_extension=bool(functional.size),
-        functional_time_s=float(t[functional[0]]) if functional.size else None,
-        angles_deg=angles,
         true_force_n=true_force,
     )
+    pose = trace_pose(cfg, trace)  # for the functional test only; the trace keeps none
+    functional = np.flatnonzero(
+        held & is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg)
+    )
+    trace.functional_extension = bool(functional.size)
+    trace.functional_time_s = float(t[functional[0]]) if functional.size else None
+    return trace
+
+
+def trace_pose(cfg: TrialConfig, trace: TrialTrace) -> np.ndarray:
+    """The pose at each sample of a trace of ``cfg`` (or of a window of one),
+    bit for bit what the trial evaluated: the hand follows the junction while
+    the coupling holds, and is back at rest once it has opened."""
+    release_s = math.inf if trace.breakaway_time_s is None else trace.breakaway_time_s
+    return cfg.response.at(np.where(trace.t_s <= release_s, trace.retraction_mm, 0.0))
 
 
 def junction_state(cfg: TrialConfig, trace: TrialTrace) -> NetworkState:
@@ -286,6 +290,6 @@ def junction_state(cfg: TrialConfig, trace: TrialTrace) -> NetworkState:
     release_s = math.inf if trace.breakaway_time_s is None else trace.breakaway_time_s
     transmitted = np.where(trace.t_s < release_s, np.maximum(0.0, trace.true_force_n), 0.0)
     return network_state(
-        cfg.hand, cfg.network, trace.angles_deg, trace.retraction_mm,
+        cfg.hand, cfg.network, trace_pose(cfg, trace), trace.retraction_mm,
         rest_deg=cfg.subject.rest_pose, total_tension_n=transmitted,
     )

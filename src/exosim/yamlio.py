@@ -6,7 +6,8 @@ on a 2 vCPU Xeon).  The dialect is block mappings and lists as ``dump_yaml``
 writes them, one-line flow lists and mappings of scalars, ``#`` comments, and
 the scalars ``_scalar`` writes.  ``load_yaml`` types each scalar as PyYAML's
 SafeLoader does under YAML 1.1, so ``1e308``, whose exponent has no sign, is a
-string; anything else is a ValueError naming its line and column.
+string; anything else, and a mapping that repeats a key (where PyYAML lets the
+last one win), is a ValueError naming its line and column.
 
 The dialect is a module of its own, not part of ``config``: the compiler's
 peak for one larger module raised analyze's peak RSS by about 0.35 MB.
@@ -172,10 +173,13 @@ def _value_at(line: str, pos: int) -> tuple[Any, int]:
     node: Any = [] if close == "]" else {}
     pos = _SPACES.match(line, pos + 1).end()
     while not line.startswith(close, pos):
+        start = pos
         item, pos = _scalar_at(line, pos, True)
         if close == "}":
             if not line.startswith(": ", pos):
                 raise _unexpected(line, pos)
+            if item in node:
+                raise ValueError(f"column {start + 1}: duplicate key {item!r}")
             node[item], pos = _scalar_at(line, _SPACES.match(line, pos + 1).end(), True)
         else:
             node.append(item)
@@ -208,9 +212,9 @@ def _line_node(line: str, indent: int) -> tuple[str, Any, Any]:
 
 def load_yaml(text: str) -> Any:
     """The document ``text`` holds, as PyYAML's SafeLoader reads it, if it is
-    in the dialect exosim writes; ValueError naming the line and column of
-    anything else.  A leading byte-order mark is skipped, and a document of
-    no value (blank or comments only) is None."""
+    in the dialect exosim writes and repeats no key of a mapping; ValueError
+    naming the line and column of anything else.  A leading byte-order mark
+    is skipped, and a document of no value (blank or comments only) is None."""
     doc: dict = {}  # the document, as the value of the key None
     stack = [(-1, doc)]  # (indent, node) of each open block, innermost last
     pending = (-1, doc, None, "")  # (indent, mapping, key, where) of a key whose block is next
@@ -242,6 +246,8 @@ def load_yaml(text: str) -> Any:
         if kind == "-" and type(node) is list:
             node.append(value)
         elif kind == ":" and type(node) is dict:
+            if key in node:
+                raise ValueError(f"{where}: duplicate key {key!r}")
             if value is _BLOCK:
                 pending = (indent, node, key, where)
             else:

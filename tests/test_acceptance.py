@@ -32,7 +32,9 @@ from exosim.tendons import (
     network_state,
 )
 from exosim.config import Bench, default_config
-from exosim.trial import PoseResponse, TrialConfig, derive_seed, junction_state, run_trial
+from exosim.trial import (
+    PoseResponse, TrialConfig, derive_seed, junction_state, run_trial, trace_pose,
+)
 from exosim.reproduce import run_reproduction
 
 
@@ -296,13 +298,12 @@ def test_c09_trace_constraint_consistency(hand, extension_net, profiles):
     cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=11)
     kin = junction_state(cfg, trace)
+    poses = trace_pose(cfg, trace)
     worst = 0.0
     balance_exact = True
     for i in range(len(trace)):
         d = trace.stroke_mm - trace.actuator_mm[i]
-        state = network_state(
-            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
-        )
+        state = network_state(hand, extension_net, poses[i], d, rest_deg=profile.rest_pose)
         if kin.taut[i].tolist() != state.taut.tolist():
             balance_exact = False
         gap = np.abs(kin.elongation_mm[i] - state.elongation_mm)

@@ -215,6 +215,40 @@ def test_analyze_takes_only_files_from_a_directory(tmp_path, capsys):
     ]
 
 
+def test_analyze_warns_of_a_fit_csv_named_on_the_command_line(tmp_path, capsys):
+    """A fit CSV is analyze's own output: one named on the command line is
+    skipped with a warning, and the other traces are analyzed."""
+    d = tmp_path / "d"
+    assert run_cli(["simulate", "--subjects", "S1,S2", "--out", str(d)]) == 0
+    capsys.readouterr()
+    fit = d / "S1_fit.csv"
+    fit.write_bytes((d / "S1_extension_t00.csv").read_bytes())
+    trace = d / "S2_extension_t00.csv"
+    assert run_cli(["analyze", str(fit), str(trace), "--out", str(tmp_path / "an")]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"warning: {fit}: skipped, analyze writes files named *_fit.csv\n"
+    assert "totals: 1 traces" in out
+    assert run_cli(["analyze", str(fit), "--out", str(tmp_path / "an2")]) == 1
+    assert capsys.readouterr().err == (
+        f"warning: {fit}: skipped, analyze writes files named *_fit.csv\n"
+        "error: no trace CSVs to analyze\n"
+    )
+
+
+def test_analyze_passes_over_the_fit_csvs_of_a_directory_quietly(tmp_path, capsys):
+    d = tmp_path / "d"
+    assert run_cli(["simulate", "--subjects", "S1,S2", "--out", str(d)]) == 0
+    assert run_cli(["analyze", str(d), "--out", str(d)]) == 0  # its fit CSVs land in d
+    assert sorted(p.name for p in d.glob("*_fit.csv")) == [
+        "S1_extension_t00_fit.csv", "S2_extension_t00_fit.csv"
+    ]
+    capsys.readouterr()
+    assert run_cli(["analyze", str(d), "--out", str(tmp_path / "an")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "totals: 2 traces" in out
+
+
 def test_analyze_names_a_trace_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "e.csv"
     bad.write_bytes(b"t_s,actuator_mm,force_N\n0.0,50.0,\xff\n")

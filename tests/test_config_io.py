@@ -36,9 +36,10 @@ def test_default_config_builds_everything():
     assert hand.depth_mm == pytest.approx(9.215)
     assert bench.network.kind is NetworkKind.EXTENSION
     assert bench.pinch.kind is NetworkKind.PINCH
-    bank = bench.bank
-    assert bank.ids() == ("S1", "S2", "S3", "S4", "S5")
-    _, _, s3, s4, _ = bank
+    assert [p.subject_id for p in bench.bank] == list(bench.trial_configs) == [
+        "S1", "S2", "S3", "S4", "S5"
+    ]
+    _, _, s3, s4, _ = bench.bank
     assert s3.rest_pose[hand.col((Digit.INDEX, JointKind.MCP))] == pytest.approx(67.5)
     assert s4.peak_band_n == (35.0, None)
 
@@ -79,6 +80,28 @@ def test_config_file_outside_the_dialect_is_one_error_naming_its_line(tmp_path, 
     assert capsys.readouterr().err == (
         f"error: cannot parse config {path}: line 3, column 7: '&h' is none of null, true, "
         "false, a number or a plain word\n"
+    )
+    assert not out.exists()
+
+
+def test_a_config_that_repeats_a_key_is_one_error_naming_its_line(tmp_path, capsys):
+    """A later key would silently win over an earlier one, so a block or flow
+    mapping that repeats a key is refused, in a config file and an override."""
+    with pytest.raises(ValueError, match=r"^line 1, column 11: duplicate key 'x'$"):
+        yamlio.load_yaml("a: {x: 1, x: 2}")
+    path = tmp_path / "bench.yaml"
+    path.write_text("trial:\n  noise_sigma_n: 0.3\ntrial:\n  sample_rate_hz: 50\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config {path}: line 3, column 1: duplicate key 'trial'\n"
+    )
+    value = "{index: 0.5, index: 0.7}"
+    assert main(["simulate", "--set", f"subjects.S3.rest_flexion_fraction={value}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse override subjects.S3.rest_flexion_fraction={value}: "
+        "line 1, column 14: duplicate key 'index'\n"
     )
     assert not out.exists()
 
@@ -432,7 +455,7 @@ SUBJECT = {"mas": "2", "stiffness_n_per_mm": 0.4, "rest_flexion_fraction": 0.5}
 def test_subject_id_that_is_a_file_name_stem_is_accepted(sid):
     cfg = default_config()
     cfg["subjects"][sid] = SUBJECT
-    assert sid in Bench(cfg).bank.ids()
+    assert sid in Bench(cfg).trial_configs
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exosim import traceio
-from exosim.analysis import AnalysisReport
+from exosim.analysis import AnalysisReport, analyze
 from exosim.traceio import CSV_HEADER, read_trace, render_fit_csv, render_trace_csv
-from exosim.trial import TrialTrace
+from exosim.trial import TrialConfig, TrialTrace, run_trial
 
 # libcst, which hypothesis loads to print a failing example, warns on import.
 pytestmark = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:libcst")
@@ -336,6 +336,21 @@ def test_render_fit_csv_matches_oracle(report):
         assert render_fit_csv(report) == oracle_render_fit_csv(report)
 
 
+def test_write_report_returns_the_report_without_its_series(tmp_path, hand, extension_net,
+                                                            profiles):
+    """The fit CSV holds the series, so the report kept after writing does
+    not, and its YAML is the written one."""
+    trace = run_trial(TrialConfig(hand, extension_net, profiles["S1"]), seed=0)
+    report = analyze(trace, label="S1")
+    kept = traceio.write_report(report, tmp_path)
+    assert report.position_frac is not None and report.force_frac is not None
+    assert kept.position_frac is None and kept.force_frac is None
+    assert kept._replace(position_frac=report.position_frac, force_frac=report.force_frac) == report
+    text = (tmp_path / "S1.report.yaml").read_text()
+    assert traceio.render_report_yaml(kept) == traceio.render_report_yaml(report) == text
+    assert (tmp_path / "S1_fit.csv").read_text() == render_fit_csv(report)
+
+
 # --- the sidecar ------------------------------------------------------------------
 
 TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
@@ -375,6 +390,7 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
         ("seed: 1.5\n", "seed: expected null, an int or a list of ints, got 1.5"),
         ("seed: true\n", "seed: expected null, an int or a list of ints, got True"),
         ("seed: [1, x]\n", "seed: expected null, an int or a list of ints, got [1, 'x']"),
+        ("stroke_mm: 40\nstroke_mm: 50\n", "line 2, column 1: duplicate key 'stroke_mm')"),
     ],
     ids=["list", "scalar", "stroke-text", "rate-text", "rate-null", "noise-list",
          "rate-bool", "noise-bytes", "stroke-past-float-range", "stroke-inf",
@@ -382,7 +398,7 @@ TRACE_TEXT = CSV_HEADER + "\n0.0,42.0,0.0\n0.1,41.0,3.0\n0.2,40.0,6.0\n"
          "breakaway-yes", "not-yaml", "not-utf8", "subject-null", "subject-int", "subject-non-ascii",
          "subject-path", "subject-path-plain", "functional-text",
          "functional-int", "occurred-text", "seed-text", "seed-float", "seed-bool",
-         "seed-list-text"],
+         "seed-list-text", "stroke-twice"],
 )
 def test_unreadable_sidecar_is_a_warning(tmp_path, sidecar, reason):
     """A sidecar that is not in exosim's YAML (the warning names its line

@@ -20,6 +20,7 @@ from exosim.trial import (
     is_functional_extension,
     junction_state,
     run_trial,
+    trace_pose,
     trial_sample_count,
 )
 
@@ -314,23 +315,44 @@ def test_trial_runs_the_subjects_own_magnet_by_default(hand, extension_net, prof
     assert standard.coupling.breakaway_force_n == 34.0
 
 
-def test_hand_relaxes_to_rest_after_release(hand, extension_net, profiles):
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+def test_a_trace_holds_one_value_per_sample_in_each_array(request, hand, profiles, network):
+    """A trace records what the bench records, one value a sample; the pose
+    and the junction statics are derived on demand."""
+    cfg = TrialConfig(hand, request.getfixturevalue(network), profiles["S5"], noise_sigma_n=0.4)
+    trace = run_trial(cfg, seed=1)
+    arrays = {name: v for name, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"t_s", "actuator_mm", "force_n", "true_force_n"}
+    for name, values in arrays.items():
+        assert values.shape == (len(trace),), name
+    assert trace_pose(cfg, trace).shape == (len(trace), len(hand.joints))
+
+
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_hand_relaxes_to_rest_after_release(request, hand, profiles, network, sigma):
     profile = profiles["S4"]
-    trace = run_trial(TrialConfig(hand, extension_net, profile), seed=0)
-    assert trace.angles_deg[-1].tolist() == profile.rest_pose.tolist()
+    cfg = TrialConfig(hand, request.getfixturevalue(network), profile, noise_sigma_n=sigma)
+    trace = run_trial(cfg, seed=0)
+    assert trace.breakaway
+    released = trace.t_s > trace.breakaway_time_s
+    rest = profile.rest_pose.tolist()
+    assert all(pose.tolist() == rest for pose in trace_pose(cfg, trace)[released])
+    assert trace_pose(cfg, trace.window(len(trace) - 5, len(trace))).tolist() == [rest] * 5
 
 
-def test_recorded_samples_satisfy_model_relations(hand, extension_net, profiles):
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+def test_recorded_samples_satisfy_model_relations(request, hand, profiles, network):
     """Re-evaluate the constitutive relations on recorded samples."""
+    net = request.getfixturevalue(network)
     profile = profiles["S5"]
-    cfg = TrialConfig(hand, extension_net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
     trace = run_trial(cfg, seed=3)
     kin = junction_state(cfg, trace)
+    poses = trace_pose(cfg, trace)
     for i in range(0, len(trace), 53):
         d = trace.stroke_mm - trace.actuator_mm[i]
-        state = network_state(
-            hand, extension_net, trace.angles_deg[i], d, rest_deg=profile.rest_pose
-        )
+        state = network_state(hand, net, poses[i], d, rest_deg=profile.rest_pose)
         assert kin.taut[i].tolist() == state.taut.tolist()
         assert kin.elongation_mm[i].tolist() == pytest.approx(
             state.elongation_mm.tolist(), abs=1e-9
@@ -342,17 +364,20 @@ def test_recorded_samples_satisfy_model_relations(hand, extension_net, profiles)
 
 @pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
 @pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4", "S5"])
-def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, network, sid):
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, network, sid, sigma):
     """The whole-grid trial against each law called one sample at a time, in
-    the order one retraction steps through them; every recorded value is
-    equal, not just close."""
+    the order one retraction steps through them; every recorded value and
+    every derived one (``trace_pose``, ``junction_state``) is equal, not just
+    close."""
     net = request.getfixturevalue(network)
     profile = profiles[sid]
     rest = profile.rest_pose
-    cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
+    cfg = TrialConfig(hand, net, profile, noise_sigma_n=sigma)
     trace = run_trial(cfg, seed=5)
+    poses = trace_pose(cfg, trace)
     state = junction_state(cfg, trace)
-    noise = np.random.default_rng(5).normal(0.0, 0.4, len(trace))
+    noise = np.random.default_rng(5).normal(0.0, sigma, len(trace)) if sigma else 0.0 * trace.t_s
     response = PoseResponse(hand, net, rest)
     release_time = None  # the coupling opens at the first crossing, for good
     functional_time = None
@@ -360,7 +385,7 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
         held = release_time is None
         d = trace.stroke_mm - trace.actuator_mm[i]
         pose = response.at(d) if held else rest
-        assert trace.angles_deg[i].tolist() == pose.tolist()
+        assert poses[i].tolist() == pose.tolist()
         # The spring sees the junction's pull past slack whatever the pose.
         spring = resistance_force_n(profile, net_elongation_mm(net, d)) if held else 0.0
         true_force = spring + noise[i]
@@ -382,12 +407,13 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
     assert trace.breakaway_time_s == release_time
     assert trace.functional_time_s == functional_time
     assert trace.functional_extension == (functional_time is not None)
-    assert trace.angles_deg[-1].tolist() == pose.tolist()
+    assert poses[-1].tolist() == pose.tolist()
 
     window = trace.window(150, 700)
-    for name in ("t_s", "force_n", "angles_deg", "true_force_n"):
+    for name in ("t_s", "actuator_mm", "force_n", "true_force_n"):
         assert np.array_equal(getattr(window, name), getattr(trace, name)[150:700])
-    # The junction of a window is the window of the junction, exactly.
+    # The pose and junction of a window are the window of the trace's, exactly.
+    assert np.array_equal(trace_pose(cfg, window), poses[150:700])
     for part, whole in zip(junction_state(cfg, window), state):
         assert np.array_equal(part, whole[150:700])
 
