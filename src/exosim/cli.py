@@ -12,15 +12,15 @@ failed.
 
 This module imports only the standard library; ``main`` imports what the
 chosen command runs, so ``--version``, ``--help`` and usage errors answer
-without numpy.  A CLI process then freezes the collector over what it loaded
-(see ``main``).
+without numpy.  A CLI process then freezes the collector over what it loaded,
+and refuses OpenSSL where it can do without (see ``main``).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import importlib
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -408,6 +408,11 @@ def main(argv: list[str] | None = None) -> int:
         # child copies none of their pages.  An in-process caller's collector
         # is left as it is.
         gc.freeze()
+        # numpy.random's hmac and the config hash's hashlib load OpenSSL (3.4 MB
+        # of peak RSS) only for what the interpreter has built in, so where it
+        # has its own SHA-256 (the same digest) a CLI process refuses _hashlib.
+        if importlib.util.find_spec("_sha2" if sys.version_info >= (3, 12) else "_sha256"):
+            sys.modules.setdefault("_hashlib", None)
     try:
         return command(args)
     except (CliError, OSError, ValueError) as err:  # ConfigError is a ValueError

@@ -28,17 +28,24 @@ FIT_SUFFIX = "_fit.csv"
 # cell alike.  Every body exosim writes holds only these; outside them the two
 # differ (``float`` reads "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).
 _PLAIN_BYTES = b"0123456789.,+-eE\n"
+RENDER_BLOCK = 65_536  # trace rows rendered at once, so no list holds every cell
 
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write through a temporary file of this process's own, made as ``open``
     makes a file (mode 0o666 less the umask), then renamed over ``path``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.unlink(missing_ok=True)  # left by a killed run of this pid
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):  # no directory yet, or a file there
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8")
+    except FileExistsError:  # left by a killed run of this pid
+        tmp.unlink()
+        fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -66,9 +73,11 @@ def _render_rows(*columns) -> str:
 
 
 def render_trace_csv(trace: TrialTrace, *, config_hash: str = "") -> str:
+    """The trace's CSV text, its rows rendered ``RENDER_BLOCK`` at a time."""
     seed_text = "-" if trace.seed is None else str(trace.seed)
-    rows = _render_rows(trace.t_s, trace.actuator_mm, trace.force_n) or "\n"
-    return _header_lines(seed_text, config_hash) + CSV_HEADER + "\n" + rows
+    blocks = (trace.window(a, a + RENDER_BLOCK) for a in range(0, len(trace), RENDER_BLOCK))
+    rows = [_render_rows(b.t_s, b.actuator_mm, b.force_n) for b in blocks] or ["\n"]
+    return "".join([_header_lines(seed_text, config_hash), CSV_HEADER, "\n", *rows])
 
 
 def render_sidecar(trace: TrialTrace, *, config_hash: str = "") -> str:

@@ -42,6 +42,7 @@ DEFAULT_SAMPLE_RATE_HZ = 100.0
 DEFAULT_FUNCTIONAL_FLEXION_DEG = 110.0
 # Samples one trial may hold: about 1000 times the default 1001-sample trial.
 MAX_SAMPLES = 1_000_000
+FUNCTIONAL_BLOCK = 4096  # samples whose pose the functional test holds at once
 
 
 class TrialConfig:
@@ -245,9 +246,7 @@ def run_trial(
     # tension reaches the breakaway force.
     spring = resistance_force_n(cfg.subject, net_elongation_mm(cfg.network, disp))
     release_s = update_coupling(spring + noise, cfg.coupling, t)
-    opens_s = math.inf if release_s is None else release_s
-    held = t <= opens_s  # coupling engaged as the sample begins
-    transmits = t < opens_s  # ... and still engaged as it ends
+    held, transmits = coupling_masks(t, release_s)
 
     # Once the coupling is open the muscle no longer loads the actuator.
     true_force = np.where(held, spring, 0.0) + noise
@@ -266,29 +265,40 @@ def run_trial(
         breakaway_time_s=release_s,
         true_force_n=true_force,
     )
-    pose = trace_pose(cfg, trace)  # for the functional test only; the trace keeps none
-    functional = np.flatnonzero(
-        held & is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg)
-    )
-    trace.functional_extension = bool(functional.size)
-    trace.functional_time_s = float(t[functional[0]]) if functional.size else None
+    # The first functional sample of the h held ones, scanned a block of poses
+    # at a time so the whole pose is never built (the pose is per sample).
+    h = np.count_nonzero(held)
+    for a in range(0, h, FUNCTIONAL_BLOCK):
+        pose = trace_pose(cfg, trace.window(a, min(a + FUNCTIONAL_BLOCK, h)))
+        hits = np.flatnonzero(is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg))
+        if hits.size:
+            trace.functional_time_s = float(t[a + hits[0]])
+            break
+    trace.functional_extension = trace.functional_time_s is not None
     return trace
+
+
+def coupling_masks(t_s: np.ndarray, release_s: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Where the coupling that opens at ``release_s`` (None: never) holds the
+    hand, up to and at the release, and where it passes the tension, before."""
+    opens_s = math.inf if release_s is None else release_s
+    return t_s <= opens_s, t_s < opens_s
 
 
 def trace_pose(cfg: TrialConfig, trace: TrialTrace) -> np.ndarray:
     """The pose at each sample of a trace of ``cfg`` (or of a window of one),
     bit for bit what the trial evaluated: the hand follows the junction while
     the coupling holds, and is back at rest once it has opened."""
-    release_s = math.inf if trace.breakaway_time_s is None else trace.breakaway_time_s
-    return cfg.response.at(np.where(trace.t_s <= release_s, trace.retraction_mm, 0.0))
+    held, _ = coupling_masks(trace.t_s, trace.breakaway_time_s)
+    return cfg.response.at(np.where(held, trace.retraction_mm, 0.0))
 
 
 def junction_state(cfg: TrialConfig, trace: TrialTrace) -> NetworkState:
     """The junction statics at each sample of a trace of ``cfg`` (or of a
     window of one), about the subject's rest pose and carrying the tension
     that the coupling passed: bit for bit what the trial's grid gives."""
-    release_s = math.inf if trace.breakaway_time_s is None else trace.breakaway_time_s
-    transmitted = np.where(trace.t_s < release_s, np.maximum(0.0, trace.true_force_n), 0.0)
+    _, transmits = coupling_masks(trace.t_s, trace.breakaway_time_s)
+    transmitted = np.where(transmits, np.maximum(0.0, trace.true_force_n), 0.0)
     return network_state(
         cfg.hand, cfg.network, trace_pose(cfg, trace), trace.retraction_mm,
         rest_deg=cfg.subject.rest_pose, total_tension_n=transmitted,

@@ -1,11 +1,13 @@
 """What a process loads: ``import exosim`` and the CLI answers that run no
 command load no numpy (nor pickle), ``analyze`` loads neither OpenSSL nor the
 campaign, no command loads PyYAML, to read YAML or to write it, no command
-loads ``dataclasses``, a CLI process freezes what its command loaded, the
+loads ``dataclasses``, a CLI process freezes what its command loaded and
+refuses OpenSSL where the interpreter has its own SHA-256, the
 default config does not depend on import order, and the CLI caps BLAS
 threads only for a numpy still to load.  Each check of what loads runs in a fresh interpreter, since this one
 has loaded everything."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +21,9 @@ from exosim import cli, trial
 from exosim.config import config_hash, default_config
 
 SRC = Path(exosim.__file__).resolve().parent.parent
+# The module of the interpreter's own SHA-256, which hashlib takes without OpenSSL.
+SHA256_MODULE = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+BUILTIN_SHA256 = importlib.util.find_spec(SHA256_MODULE) is not None
 
 
 def run_python(code: str) -> str:
@@ -32,8 +37,12 @@ def run_python(code: str) -> str:
 
 
 def loaded_after(code: str, *modules: str) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
-    report = f"\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    """Which of ``modules`` a fresh interpreter holds after running ``code``;
+    a ``None`` entry in ``sys.modules`` is an import refused, not a module."""
+    report = (
+        "\nimport json, sys\n"
+        f"print(json.dumps([m for m in {modules!r} if sys.modules.get(m) is not None]))"
+    )
     return json.loads(run_python(code + report).splitlines()[-1])
 
 
@@ -72,7 +81,8 @@ def cli_process(argv: list[str], *modules: str, before: str = "", after: str = "
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """``analyze``, run as a CLI process that forks, loads the analysis but
     not hashlib nor numpy.random (both map OpenSSL) nor the campaign;
-    ``simulate`` and ``calibrate`` load no campaign; and no command loads
+    ``simulate`` and ``calibrate`` load no campaign; no command loads
+    OpenSSL where the interpreter has its own SHA-256; and no command loads
     PyYAML, though it reads sidecars, a config file or a typed ``--set``."""
     traces = tmp_path / "traces"
     assert cli.main(["simulate", "--out", str(traces), "--subjects", "S1,S4"]) == 0
@@ -95,10 +105,40 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                  ["simulate", "--set", "trial.noise_sigma_n=0.3"], ["calibrate"], ["reproduce"],
                  ["simulate", "--config", str(config)]):
         out = tmp_path / "_".join(arg.strip("-") for arg in argv[:2])
-        loaded = cli_process([*argv, "--out", str(out)], "yaml", "exosim.reproduce")
-        assert loaded == (["exosim.reproduce"] if argv == ["reproduce"] else [])
+        loaded = cli_process([*argv, "--out", str(out)], "yaml", "exosim.reproduce", "_hashlib")
+        expected = ["exosim.reproduce"] if argv == ["reproduce"] else []
+        assert loaded == expected + ([] if BUILTIN_SHA256 else ["_hashlib"])
     sidecar = tmp_path / "simulate_set" / "S1_extension_t00.meta.yaml"
     assert "noise_sigma_n: 0.3\n" in sidecar.read_text()
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no builtin SHA-256: OpenSSL stays loadable")
+def test_a_cli_process_stamps_the_hash_of_an_openssl_run(tmp_path):
+    """A CLI process, which refuses OpenSSL, hashes the config with the
+    interpreter's own SHA-256: the hash that this process, which loaded
+    OpenSSL, stamps for the same config."""
+    assert cli.main(["simulate", "--subjects", "S1", "--out", str(tmp_path / "in")]) == 0
+    assert sys.modules.get("_hashlib") is not None
+    argv = ["simulate", "--subjects", "S1", "--out", str(tmp_path / "cli")]
+    assert cli_process(argv, "_hashlib", "hashlib") == ["hashlib"]
+    sidecar = "S1_extension_t00.meta.yaml"
+    stamped = [(tmp_path / run / sidecar).read_text() for run in ("in", "cli")]
+    assert stamped[0] == stamped[1]
+    assert f"config_hash: {config_hash(default_config())}\n" in stamped[1]
+    assert config_hash(default_config()) == "a28b7240be85"
+
+
+def test_a_cli_process_without_a_builtin_sha256_keeps_openssl(tmp_path):
+    """Where ``importlib.util.find_spec`` finds no builtin SHA-256, a CLI
+    process leaves ``_hashlib`` loadable, and hashlib loads it."""
+    before = (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *args: (\n"
+        f"    None if name == {SHA256_MODULE!r} else find_spec(name, *args))"
+    )
+    argv = ["simulate", "--subjects", "S1", "--out", str(tmp_path / "out")]
+    assert cli_process(argv, "_hashlib", before=before, after="import hashlib") == ["_hashlib"]
 
 
 def test_a_double_quoted_document_is_written_without_pyyaml(tmp_path):

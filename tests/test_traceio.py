@@ -290,21 +290,26 @@ def traces(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(trace=traces(), config_hash=st.sampled_from(["", "a28b7240be85"]))
+@given(
+    trace=traces(), config_hash=st.sampled_from(["", "a28b7240be85"]),
+    block=st.sampled_from([1, 7, traceio.RENDER_BLOCK]),
+)
 @example(  # empty: a lone newline after the header
     trace=TrialTrace(t_s=np.empty(0), actuator_mm=np.empty(0), force_n=np.empty(0)),
-    config_hash="",
+    config_hash="", block=traceio.RENDER_BLOCK,
 )
 @example(
     trace=TrialTrace(
         t_s=np.array([-0.0, 1e300]), actuator_mm=np.array([-1e-9, np.nan]),
         force_n=np.array([np.inf, -np.inf]),
     ),
-    config_hash="",
+    config_hash="", block=traceio.RENDER_BLOCK,
 )
-def test_render_trace_csv_matches_oracle(trace, config_hash):
+def test_render_trace_csv_matches_oracle(trace, config_hash, block):
+    """The same bytes whatever the number of rows rendered at once."""
     expected = oracle_render_trace_csv(trace, config_hash=config_hash)
-    assert render_trace_csv(trace, config_hash=config_hash) == expected
+    with mock.patch.object(traceio, "RENDER_BLOCK", block):
+        assert render_trace_csv(trace, config_hash=config_hash) == expected
 
 
 @st.composite
@@ -466,6 +471,20 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, target, text):
         traceio.write_text_atomic(tmp_path / target, text)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
     assert (tmp_path / "a.txt").read_text() == "old\n"
+
+
+def test_a_write_makes_its_directory_only_when_it_is_missing(tmp_path, monkeypatch):
+    """The first write into a new directory makes it, a file in its place is
+    refused as ``mkdir`` refuses it, and a write into a directory that exists
+    does not call ``mkdir``."""
+    traceio.write_text_atomic(tmp_path / "new" / "deeper" / "a.txt", "a\n")
+    (tmp_path / "file").write_text("")
+    with pytest.raises(FileExistsError):
+        traceio.write_text_atomic(tmp_path / "file" / "a.txt", "a\n")
+    monkeypatch.setattr(Path, "mkdir", lambda *args, **kwargs: pytest.fail("mkdir called"))
+    traceio.write_text_atomic(tmp_path / "new" / "deeper" / "b.txt", "b\n")
+    assert sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir()) == ["a.txt", "b.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "new"]
 
 
 def test_stale_temporary_file_does_not_stop_a_write(tmp_path):

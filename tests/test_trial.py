@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exosim import trial
 from exosim.actuation import (
     ActuatorSpec,
     measure,
@@ -13,6 +14,7 @@ from exosim.hand import Digit, FINGERS, JointKind, finger_flexion_deg, spastic_r
 from exosim.spasticity import resistance_force_n
 from exosim.tendons import excursion_mm, net_elongation_mm, network_state
 from exosim.trial import (
+    FUNCTIONAL_BLOCK,
     MAX_SAMPLES,
     PoseResponse,
     TrialConfig,
@@ -416,6 +418,40 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
     assert np.array_equal(trace_pose(cfg, window), poses[150:700])
     for part, whole in zip(junction_state(cfg, window), state):
         assert np.array_equal(part, whole[150:700])
+
+
+# In 43-sample blocks the first hit of S1, S3 and S5 (index 4127) is a block's last sample.
+@pytest.mark.parametrize("block", [FUNCTIONAL_BLOCK, 43])
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_functional_scan_over_pose_blocks_matches_the_whole_pose(
+    request, monkeypatch, hand, profiles, network, sigma, block
+):
+    """At 1000 Hz (10 001 samples) a trial's functional test spans several
+    pose blocks, and its first hit may lie past the first one; its flag and
+    time are those of the whole pose, held by the coupling, for every subject
+    and magnet, with the real blocks and with short ones."""
+    monkeypatch.setattr(trial, "FUNCTIONAL_BLOCK", block)
+    net = request.getfixturevalue(network)
+    hits = []
+    for profile in profiles.values():
+        for magnet in ("standard", "strong"):
+            cfg = TrialConfig(
+                hand, net, profile, magnet=magnet, sample_rate_hz=1000.0, noise_sigma_n=sigma
+            )
+            trace = run_trial(cfg, seed=7)
+            assert len(trace) == 10_001
+            release_s = trace.breakaway_time_s if trace.breakaway else math.inf
+            functional = np.flatnonzero((trace.t_s <= release_s) & is_functional_extension(
+                hand, trace_pose(cfg, trace), cfg.functional_flexion_deg
+            ))
+            assert trace.functional_extension == bool(functional.size)
+            if functional.size:
+                assert trace.functional_time_s == trace.t_s[functional[0]]
+                hits.append(int(functional[0]))
+            else:
+                assert trace.functional_time_s is None
+    assert max(hits) >= block
 
 
 def test_trial_reads_the_pose_response_its_config_built(monkeypatch, hand, pinch_net, profiles):
