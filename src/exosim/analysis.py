@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .trial import TrialTrace
+from .trial import TrialTrace, coupling_masks
 
 DEFAULT_TRIM_THRESHOLD_N = 3.0
 DEFAULT_DROP_THRESHOLD_N = 10.0
@@ -64,7 +64,8 @@ def truncate_breakaway(
     decides.  Traces without a release pass through unchanged.  Idempotent.
     """
     if trace.breakaway and trace.breakaway_time_s is not None:
-        keep = np.nonzero(trace.t_s < trace.breakaway_time_s)[0]
+        _, transmits = coupling_masks(trace.t_s, trace.breakaway_time_s)
+        keep = np.nonzero(transmits)[0]
         stop = int(keep[-1]) + 1 if keep.size else 0
         return trace.window(0, stop)
     idx = detect_breakaway_index(trace.force_n, drop_threshold_n, floor_n)

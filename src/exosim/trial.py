@@ -28,6 +28,7 @@ from .actuation import (
     update_coupling,
 )
 from .hand import Digit, HandModel, JointKind, finger_flexion_deg
+from .opening import FingerSums
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
     NetworkState,
@@ -42,7 +43,6 @@ DEFAULT_SAMPLE_RATE_HZ = 100.0
 DEFAULT_FUNCTIONAL_FLEXION_DEG = 110.0
 # Samples one trial may hold: about 1000 times the default 1001-sample trial.
 MAX_SAMPLES = 1_000_000
-FUNCTIONAL_BLOCK = 4096  # samples whose pose the functional test holds at once
 
 
 class TrialConfig:
@@ -107,6 +107,8 @@ class PoseResponse:
     an extension branch opens its finger uniformly, a pinch branch flexes the
     MCP (or adducts the thumb) while the distal joints straighten.  Poses
     never leave joint limits and saturate once a branch's range is spent.
+    ``finger_sums`` finds where the hand first opens under this law without
+    evaluating a pose.
     """
 
     def __init__(self, hand: HandModel, network: TendonNetwork, rest: np.ndarray):
@@ -132,6 +134,7 @@ class PoseResponse:
             for branch, scale, (straighten, advance) in zip(network.branches, scales, roles)
             if scale > 0.0
         ]
+        self.finger_sums = FingerSums(hand, rest.tolist(), self._end.tolist(), self._drives)
 
     def at(self, displacements_mm) -> np.ndarray:
         """Joint angles at each displacement, in the hand's joint order:
@@ -265,15 +268,9 @@ def run_trial(
         breakaway_time_s=release_s,
         true_force_n=true_force,
     )
-    # The first functional sample of the h held ones, scanned a block of poses
-    # at a time so the whole pose is never built (the pose is per sample).
-    h = np.count_nonzero(held)
-    for a in range(0, h, FUNCTIONAL_BLOCK):
-        pose = trace_pose(cfg, trace.window(a, min(a + FUNCTIONAL_BLOCK, h)))
-        hits = np.flatnonzero(is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg))
-        if hits.size:
-            trace.functional_time_s = float(t[a + hits[0]])
-            break
+    h = int(np.count_nonzero(held))
+    opens = cfg.response.finger_sums.first_open(disp, h, cfg.functional_flexion_deg)
+    trace.functional_time_s = None if opens is None else opens / cfg.sample_rate_hz
     trace.functional_extension = trace.functional_time_s is not None
     return trace
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exosim import trial
 from exosim.actuation import (
@@ -10,11 +10,27 @@ from exosim.actuation import (
     measure,
     update_coupling,
 )
-from exosim.hand import Digit, FINGERS, JointKind, finger_flexion_deg, spastic_rest_pose
-from exosim.spasticity import resistance_force_n
-from exosim.tendons import excursion_mm, net_elongation_mm, network_state
+from exosim.config import Bench, apply_overrides, default_config
+from exosim.hand import (
+    Digit,
+    FINGER_JOINT_KINDS,
+    FINGERS,
+    JointKind,
+    finger_flexion_deg,
+    spastic_rest_pose,
+)
+from exosim.spasticity import MasLevel, SubjectProfile, resistance_force_n
+from exosim.tendons import (
+    NetworkKind,
+    RoutingPoint,
+    Side,
+    TendonBranch,
+    TendonNetwork,
+    excursion_mm,
+    net_elongation_mm,
+    network_state,
+)
 from exosim.trial import (
-    FUNCTIONAL_BLOCK,
     MAX_SAMPLES,
     PoseResponse,
     TrialConfig,
@@ -420,18 +436,14 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
         assert np.array_equal(part, whole[150:700])
 
 
-# In 43-sample blocks the first hit of S1, S3 and S5 (index 4127) is a block's last sample.
-@pytest.mark.parametrize("block", [FUNCTIONAL_BLOCK, 43])
 @pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
-def test_functional_scan_over_pose_blocks_matches_the_whole_pose(
-    request, monkeypatch, hand, profiles, network, sigma, block
+def test_functional_opening_at_1000_hz_matches_the_whole_pose(
+    request, hand, profiles, network, sigma
 ):
-    """At 1000 Hz (10 001 samples) a trial's functional test spans several
-    pose blocks, and its first hit may lie past the first one; its flag and
-    time are those of the whole pose, held by the coupling, for every subject
-    and magnet, with the real blocks and with short ones."""
-    monkeypatch.setattr(trial, "FUNCTIONAL_BLOCK", block)
+    """At 1000 Hz (10 001 samples) a trial's functional flag and time are
+    those of the whole pose, held by the coupling, for every subject and
+    magnet."""
     net = request.getfixturevalue(network)
     hits = []
     for profile in profiles.values():
@@ -451,23 +463,189 @@ def test_functional_scan_over_pose_blocks_matches_the_whole_pose(
                 hits.append(int(functional[0]))
             else:
                 assert trace.functional_time_s is None
-    assert max(hits) >= block
+    assert hits
 
 
 def test_trial_reads_the_pose_response_its_config_built(monkeypatch, hand, pinch_net, profiles):
     """A subject's pose response is built with its config, once; a trial
-    builds none."""
+    builds none and evaluates no pose."""
     cfg = TrialConfig(hand, pinch_net, profiles["S5"], noise_sigma_n=0.4)
     before = run_trial(cfg, seed=2)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial built a PoseResponse")
+        raise AssertionError("a trial built a PoseResponse or evaluated a pose")
 
     monkeypatch.setattr(PoseResponse, "__init__", refuse)
+    monkeypatch.setattr(PoseResponse, "at", refuse)
     after = run_trial(cfg, seed=2)
     assert vars(after).keys() == vars(before).keys()
     for name, value in vars(before).items():
         assert np.array_equal(getattr(after, name), value), name
+
+
+def _s1_trial(overrides: dict):
+    """``simulate --subjects S1`` with ``--set`` overrides: its config and trace."""
+    bench = Bench(apply_overrides(default_config(), overrides))
+    _, _, trace = next(bench.trials(0, 1, ["S1"]))
+    return bench.trial_configs["S1"], trace
+
+
+# ``simulate --subjects S1 --set <override>``: the functional time each gave
+# before the opening was solved for (None: never open).
+PINNED_OPENINGS = {
+    "trial.functional_flexion_deg=-5": None,
+    "trial.functional_flexion_deg=1e308": 0.0,
+    "subjects.S1.rest_flexion_fraction=0": 0.0,  # no drive: the hand rests open
+    "network.branch_slack_mm=60": None,
+    "trial.sample_rate_hz=0.001": None,  # one sample
+    "network.extension.pip_guide_mm=0": 3.28,
+}
+
+
+@pytest.mark.parametrize("override", PINNED_OPENINGS)
+def test_pinned_functional_openings(override):
+    _, trace = _s1_trial(dict([override.split("=")]))
+    assert trace.functional_time_s == PINNED_OPENINGS[override]
+    assert trace.functional_extension == (PINNED_OPENINGS[override] is not None)
+
+
+_FRACTION = st.floats(min_value=0.0, max_value=1.0)
+_RANGES = st.dictionaries(
+    st.sampled_from(["finger_mcp", "finger_pip", "finger_dip", "thumb_abduction"]),
+    st.tuples(st.floats(min_value=-30.0, max_value=0.0), st.floats(min_value=1.0, max_value=180.0)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    overrides=st.fixed_dictionaries({
+        "network.kind": st.sampled_from(["extension", "pinch"]),
+        "network.branch_slack_mm": st.floats(min_value=0.0, max_value=60.0),
+        "subjects.S1.stiffness_n_per_mm": st.floats(min_value=0.01, max_value=3.0),
+        "subjects.S1.engage_slack_mm": st.floats(min_value=0.0, max_value=20.0),
+        "subjects.S1.magnet": st.sampled_from(["standard", "strong"]),
+        "subjects.S1.rest_flexion_fraction": _FRACTION | st.dictionaries(
+            st.sampled_from(["default"] + [d.value for d in Digit]), _FRACTION
+        ),
+        "hand.flexion_ranges_deg": _RANGES.map(lambda r: {k: list(v) for k, v in r.items()}),
+        "trial.sample_rate_hz": st.sampled_from([0.001, 1000.0]) | st.floats(0.05, 1000.0),
+        "trial.functional_flexion_deg": st.sampled_from([-5.0, 0.0, 1e308])
+        | st.floats(min_value=-10.0, max_value=300.0),
+        "trial.noise_sigma_n": st.sampled_from([0.0, 0.4]),
+    }),
+)
+@example(overrides={"trial.functional_flexion_deg": "-5"})
+@example(overrides={"trial.functional_flexion_deg": "1e308"})
+@example(overrides={"subjects.S1.rest_flexion_fraction": "0"})
+@example(overrides={"network.branch_slack_mm": "60"})
+@example(overrides={"trial.sample_rate_hz": "0.001"})
+@example(overrides={"network.extension.pip_guide_mm": "0"})
+@example(overrides={"network.kind": "pinch", "trial.sample_rate_hz": 1000.0})
+def test_functional_opening_is_the_first_held_open_pose(overrides):
+    """The flag and time of a trial's functional opening are those of the
+    first sample, while the coupling holds, whose whole pose is open."""
+    _assert_opens_at_first_held_open_pose(*_s1_trial(overrides))
+
+
+def _assert_opens_at_first_held_open_pose(cfg, trace):
+    held, _ = trial.coupling_masks(trace.t_s, trace.breakaway_time_s)
+    with np.errstate(over="ignore"):  # a tiny range scale: the share clips to 1
+        pose = trace_pose(cfg, trace)
+    open_ = is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg)
+    hits = np.flatnonzero(held & open_)
+    assert trace.functional_extension == bool(hits.size)
+    assert trace.functional_time_s == (trace.t_s[hits[0]] if hits.size else None)
+
+
+_ROUTE = st.lists(
+    st.tuples(
+        st.sampled_from([(d, k) for d in FINGERS for k in FINGER_JOINT_KINDS[:3]]),  # MCP, PIP, DIP
+        st.sampled_from(list(Side)),
+        st.floats(min_value=0.0, max_value=10.0),
+    ),
+    min_size=1, max_size=3, unique_by=lambda point: point[0],
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    branches=st.lists(
+        st.tuples(st.sampled_from(list(Digit)), _ROUTE, st.floats(min_value=0.0, max_value=30.0)),
+        min_size=1, max_size=4,
+    ),
+    fraction=_FRACTION,
+    threshold=st.floats(min_value=-10.0, max_value=300.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_functional_opening_on_any_network(hand, branches, fraction, threshold, seed):
+    """Branches that share a finger, cross another digit or advance a palmar
+    joint: the opening is still the whole pose's first held open sample."""
+    net = TendonNetwork(NetworkKind.EXTENSION, tuple(
+        TendonBranch(digit, tuple(RoutingPoint(*point) for point in route), slack_mm=slack)
+        for digit, route, slack in branches
+    ))
+    profile = SubjectProfile(
+        subject_id="X", mas=MasLevel.TWO, stiffness_n_per_mm=0.5,
+        rest_pose=spastic_rest_pose(hand, fraction),
+    )
+    cfg = TrialConfig(
+        hand, net, profile, noise_sigma_n=0.4, functional_flexion_deg=threshold
+    )
+    _assert_opens_at_first_held_open_pose(cfg, run_trial(cfg, seed=seed))
+
+
+@pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
+def test_functional_opening_at_a_threshold_equal_to_a_sum(request, hand, profiles, network):
+    """A threshold equal to the sample's largest finger sum opens the hand
+    there, however the search's own sums round: each held sample's largest
+    sum, as the threshold, gives the whole pose's first held open sample."""
+    net = request.getfixturevalue(network)
+    for profile in profiles.values():
+        cfg = TrialConfig(hand, net, profile, noise_sigma_n=0.4)
+        trace = run_trial(cfg, seed=1)
+        held, _ = trial.coupling_masks(trace.t_s, trace.breakaway_time_s)
+        largest = finger_flexion_deg(hand, trace_pose(cfg, trace)).max(axis=-1)
+        sums = cfg.response.finger_sums
+        for k in np.flatnonzero(held):
+            first = np.flatnonzero(held & (largest <= largest[k]))[0]
+            got = sums.first_open(trace.retraction_mm, int(held.sum()), float(largest[k]))
+            assert got == first, (profile.subject_id, k)
+
+
+class _CountedReads:
+    """An array that counts the samples read from it."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.values[i]
+
+
+@pytest.mark.parametrize("mcp_side", [Side.DORSAL, Side.PALMAR])
+def test_two_drives_on_one_finger_read_few_samples(hand, mcp_side):
+    """Two branches move the index finger, both to open it or (palmar MCP)
+    one each way.  Over 100 001 samples the opening is still the whole pose's
+    first held open sample, and finding it reads fewer than 1000 samples."""
+    index = Digit.INDEX
+    net = TendonNetwork(NetworkKind.EXTENSION, (
+        TendonBranch(index, (RoutingPoint((index, JointKind.MCP), mcp_side, 8.0),), slack_mm=1.0),
+        TendonBranch(index, (RoutingPoint((index, JointKind.PIP), Side.DORSAL, 3.0),), slack_mm=5.0),
+    ))
+    rest = spastic_rest_pose(hand, {"default": 0.1, index: 0.9})
+    profile = SubjectProfile("X", MasLevel.TWO, stiffness_n_per_mm=0.001, rest_pose=rest)
+    threshold = float(finger_flexion_deg(hand, rest)[1]) + 1.0  # the other fingers are open
+    cfg = TrialConfig(hand, net, profile, sample_rate_hz=10_000.0, functional_flexion_deg=threshold)
+    trace = run_trial(cfg)
+    _assert_opens_at_first_held_open_pose(cfg, trace)
+    assert trace.functional_extension == (mcp_side is Side.DORSAL)
+    disp = _CountedReads(trace.retraction_mm)
+    held, _ = trial.coupling_masks(trace.t_s, trace.breakaway_time_s)
+    opens = cfg.response.finger_sums.first_open(disp, int(held.sum()), threshold)
+    assert (opens is not None) == trace.functional_extension
+    assert opens is None or trace.t_s[opens] == trace.functional_time_s
+    assert disp.reads < 1000
 
 
 @settings(deadline=None, max_examples=25)
