@@ -1,89 +1,63 @@
 """Where a trial's hand first opens, found without its pose.
 
-Each joint follows the last branch that moves it (``trial.PoseResponse``), so
-a finger's MCP+PIP+DIP is ``a + Σ v·s`` over the shares ``s`` of the branches
-that move it, and every share rises with the sample.  Holding a finger's
-falling terms (``v < 0``) at the last sample gives a floor of its sum that only
-rises: once that floor passes the threshold, the finger stays closed.  Holding
-its rising terms at the first sample gives a floor that only falls: the finger
-is closed until that floor reaches the threshold.  Two bisections a finger
-bound the samples at which every finger may be open, and only those are
-tested, with the float operations of ``PoseResponse.at`` and
-``finger_flexion_deg`` in their order, up to the first open one.
+Each joint follows the last branch that moves it (``trial.PoseResponse``):
+past its slack a branch spends a ``share`` of its range, and every joint it
+moves takes its ``joint_angle`` at that share.  Over the held samples, a
+block at a time, the search computes each drive's share once, then each
+finger's MCP+PIP+DIP from those angles in ``finger_flexion_deg``'s order,
+so that every sum is the whole pose's bit for bit, and no pose is built.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
+import numpy as np
 
 from .hand import FINGER_JOINT_KINDS, FINGERS, HandModel
+
+SEARCH_BLOCK = 65_536  # held samples searched at once, so no array outgrows a block
+
+
+def share(d, slack_mm: float, scale_mm: float):
+    """A drive's share of its range at displacement ``d``: the pull past
+    slack, clipped to the range before it is divided, so that a subnormal
+    scale cannot overflow the quotient."""
+    return np.clip(d - slack_mm, 0.0, scale_mm) / scale_mm
+
+
+def joint_angle(s, rest, end, advanced: bool):
+    """A driven joint at share ``s`` of its drive's range: an advanced joint
+    at rest + s·(end - rest), a straightened one at (1 - s)·rest."""
+    return rest + s * (end - rest) if advanced else (1.0 - s) * rest
 
 
 class FingerSums:
     """Each finger's MCP+PIP+DIP as a pose response moves it."""
 
     def __init__(self, hand: HandModel, rest: list[float], end: list[float], drives) -> None:
-        self.rest, self.end = rest, end
-        # Each finger's MCP, PIP and DIP as ``at`` sets them: (column, the
-        # (slack, scale) of the last drive that moves it or None, straightened).
-        last = {}
-        for slack_mm, scale_mm, straighten, advance in drives:
+        self.drives = drives
+        # Each joint as ``at`` sets it: (the index of the last drive that
+        # moves it, advanced, rest, range end).  A joint that no drive moves
+        # reads the share 0 after the drives' shares, which keeps it at rest.
+        last = [(len(drives), False, r, e) for r, e in zip(rest, end)]
+        for k, (_, _, straighten, advance) in enumerate(drives):
             for c in straighten + advance:
-                last[c] = ((slack_mm, scale_mm), c not in advance)
-        self.fingers = []
-        for digit in FINGERS:
-            cols = [hand.col((digit, kind)) for kind in FINGER_JOINT_KINDS[:3]]
-            self.fingers.append([(c, *last.get(c, (None, False))) for c in cols])
-        # Each finger's sum as (a, the (drive, v) with v > 0, those with
-        # v < 0).  There are none where a sum might overflow, and then every
-        # sample is tested.
-        big = max(map(abs, rest + end))  # a finger's |a| + Σ|v| is at most 9·big
-        self.margin = 2.0**-40 * 3.0 * big  # past any rounding of a sum
-        self.floors = []
-        for finger in self.fingers if math.isfinite(16.0 * big) else ():
-            b = {}
-            for c, drive, straightened in finger:
-                if drive:
-                    b[drive] = b.get(drive, 0.0) + (0.0 if straightened else end[c]) - rest[c]
-            up = [(drive, v) for drive, v in b.items() if v > 0.0]
-            down = [(drive, v) for drive, v in b.items() if v < 0.0]
-            self.floors.append((sum(rest[c] for c, _, _ in finger), up, down))
-
-    def is_open(self, d: float, threshold: float) -> bool:
-        """Every finger's sum at displacement ``d`` is at or below the
-        threshold, computed as ``at`` and ``finger_flexion_deg`` compute it."""
-        r, e = self.rest, self.end
-        for finger in self.fingers:
-            total = 0.0
-            for c, drive, straightened in finger:
-                s = _share(d, drive) if drive else 0.0
-                total += (1.0 - s) * r[c] if straightened else r[c] + s * (e[c] - r[c])
-            if not total <= threshold:
-                return False
-        return True
+                last[c] = (k, c in advance, rest[c], end[c])
+        kinds = FINGER_JOINT_KINDS[:3]  # MCP, PIP, DIP
+        self.fingers = [[last[hand.col((digit, kind))] for kind in kinds] for digit in FINGERS]
 
     def first_open(self, disp, h: int, threshold: float) -> int | None:
         """The first of the ``h`` samples of junction displacement ``disp``
         at which the hand is open (None: none), bit for bit as
         ``is_functional_extension`` finds it in the pose."""
-        top = threshold + self.margin
-
-        def floor(a: float, terms: list, i: int) -> float:  # a + Σ v·s at sample i
-            d = float(disp[i])
-            for drive, v in terms:
-                a += v * _share(d, drive)
-            return a
-
-        lo, hi = 0, h  # the samples at which every finger may be open
-        for a, up, down in self.floors:
-            a_up, a_down = floor(a, down, h - 1), floor(a, up, 0)
-            hi = bisect.bisect_left(range(h), True, lo, hi, key=lambda i: floor(a_up, up, i) > top)
-            lo = bisect.bisect_left(range(h), True, lo, hi, key=lambda i: floor(a_down, down, i) <= top)
-        return next((i for i in range(lo, hi) if self.is_open(float(disp[i]), threshold)), None)
-
-
-def _share(d: float, drive: tuple[float, float]) -> float:
-    """A drive's share of its range at displacement ``d``, as ``at`` has it."""
-    slack_mm, scale_mm = drive
-    return min(max((d - slack_mm) / scale_mm, 0.0), 1.0)
+        for a in range(0, h, SEARCH_BLOCK):
+            d = disp[a:min(a + SEARCH_BLOCK, h)]
+            shares = [share(d, slack, scale) for slack, scale, _, _ in self.drives] + [0.0]
+            open_ = np.ones(len(d), dtype=bool)
+            with np.errstate(over="ignore"):  # a sum past float range is inf: closed
+                for finger in self.fingers:
+                    mcp, pip, dip = (joint_angle(shares[k], r, e, adv) for k, adv, r, e in finger)
+                    open_ &= mcp + pip + dip <= threshold
+            hits = np.flatnonzero(open_)
+            if hits.size:
+                return a + int(hits[0])
+        return None

@@ -28,7 +28,7 @@ from .actuation import (
     update_coupling,
 )
 from .hand import Digit, HandModel, JointKind, finger_flexion_deg
-from .opening import FingerSums
+from .opening import FingerSums, joint_angle, share
 from .spasticity import SubjectProfile, resistance_force_n
 from .tendons import (
     NetworkState,
@@ -101,14 +101,15 @@ class PoseResponse:
     the flexion limit; every other routed joint, and a finger's unrouted DIP
     (which follows the PIP through soft-tissue coupling), straightens.  Past
     its slack a branch spends a share s = min(1, past-slack / scale) of its
-    range: each straightened joint goes to (1 - s)·rest and the advanced one
-    to rest + s·(limit - rest).  The scale is the tendon the pose pays out
-    over the whole range, so the pose pays out the displacement past slack:
-    an extension branch opens its finger uniformly, a pinch branch flexes the
-    MCP (or adducts the thumb) while the distal joints straighten.  Poses
-    never leave joint limits and saturate once a branch's range is spent.
-    ``finger_sums`` finds where the hand first opens under this law without
-    evaluating a pose.
+    range (``opening.share``): each straightened joint goes to (1 - s)·rest
+    and the advanced one to rest + s·(limit - rest) (``opening.joint_angle``,
+    which the opening search shares).  The scale is the tendon the pose pays
+    out over the whole range, so the pose pays out the displacement past
+    slack: an extension branch opens its finger uniformly, a pinch branch
+    flexes the MCP (or adducts the thumb) while the distal joints straighten.
+    Poses never leave joint limits and saturate once a branch's range is
+    spent.  ``finger_sums`` finds where the hand first opens from each
+    finger's sum alone, without the pose.
     """
 
     def __init__(self, hand: HandModel, network: TendonNetwork, rest: np.ndarray):
@@ -145,9 +146,9 @@ class PoseResponse:
         rest, end = self.rest, self._end
         out = np.tile(rest, d.shape + (1,))
         for slack_mm, scale_mm, straighten, advance in self._drives:
-            s = np.clip((d - slack_mm) / scale_mm, 0.0, 1.0)[..., None]
-            out[..., straighten] = (1.0 - s) * rest[straighten]
-            out[..., advance] = rest[advance] + s * (end[advance] - rest[advance])
+            s = share(d, slack_mm, scale_mm)[..., None]
+            out[..., straighten] = joint_angle(s, rest[straighten], end[straighten], False)
+            out[..., advance] = joint_angle(s, rest[advance], end[advance], True)
         return out
 
 

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exosim import trial
+from exosim import opening, trial
 from exosim.actuation import (
     ActuatorSpec,
     measure,
@@ -438,12 +439,15 @@ def test_grid_kernel_matches_laws_stepped_per_sample(request, hand, profiles, ne
 
 @pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
+@pytest.mark.parametrize("block", [opening.SEARCH_BLOCK, 100])
 def test_functional_opening_at_1000_hz_matches_the_whole_pose(
-    request, hand, profiles, network, sigma
+    request, monkeypatch, hand, profiles, network, sigma, block
 ):
     """At 1000 Hz (10 001 samples) a trial's functional flag and time are
     those of the whole pose, held by the coupling, for every subject and
-    magnet."""
+    magnet, whether the search takes the held samples in one block or in
+    blocks of 100."""
+    monkeypatch.setattr(opening, "SEARCH_BLOCK", block)
     net = request.getfixturevalue(network)
     hits = []
     for profile in profiles.values():
@@ -549,8 +553,7 @@ def test_functional_opening_is_the_first_held_open_pose(overrides):
 
 def _assert_opens_at_first_held_open_pose(cfg, trace):
     held, _ = trial.coupling_masks(trace.t_s, trace.breakaway_time_s)
-    with np.errstate(over="ignore"):  # a tiny range scale: the share clips to 1
-        pose = trace_pose(cfg, trace)
+    pose = trace_pose(cfg, trace)
     open_ = is_functional_extension(cfg.hand, pose, cfg.functional_flexion_deg)
     hits = np.flatnonzero(held & open_)
     assert trace.functional_extension == bool(hits.size)
@@ -567,31 +570,85 @@ _ROUTE = st.lists(
 )
 
 
+# Index branch A (MCP and PIP dorsal), then branch B (MCP palmar), over an
+# index at full flexion: B pays out no tendon, so it has no range.
+_TWO_ON_THE_INDEX = [
+    (Digit.INDEX, [((Digit.INDEX, JointKind.MCP), Side.DORSAL, 8.5),
+                   ((Digit.INDEX, JointKind.PIP), Side.DORSAL, 7.5)], 2.0),
+    (Digit.INDEX, [((Digit.INDEX, JointKind.MCP), Side.PALMAR, 8.5)], 2.0),
+]
+_INDEX_CLOSED = {"default": 0.5, Digit.INDEX: 1.0}
+
+
+def _network(branches) -> TendonNetwork:
+    return TendonNetwork(NetworkKind.EXTENSION, tuple(
+        TendonBranch(digit, tuple(RoutingPoint(*point) for point in route), slack_mm=slack)
+        for digit, route, slack in branches
+    ))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     branches=st.lists(
         st.tuples(st.sampled_from(list(Digit)), _ROUTE, st.floats(min_value=0.0, max_value=30.0)),
         min_size=1, max_size=4,
     ),
-    fraction=_FRACTION,
+    fraction=_FRACTION | st.dictionaries(st.sampled_from(["default", *Digit]), _FRACTION),
     threshold=st.floats(min_value=-10.0, max_value=300.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
+@example(branches=_TWO_ON_THE_INDEX, fraction=_INDEX_CLOSED, threshold=150.0, seed=0)
 def test_functional_opening_on_any_network(hand, branches, fraction, threshold, seed):
     """Branches that share a finger, cross another digit or advance a palmar
     joint: the opening is still the whole pose's first held open sample."""
-    net = TendonNetwork(NetworkKind.EXTENSION, tuple(
-        TendonBranch(digit, tuple(RoutingPoint(*point) for point in route), slack_mm=slack)
-        for digit, route, slack in branches
-    ))
     profile = SubjectProfile(
         subject_id="X", mas=MasLevel.TWO, stiffness_n_per_mm=0.5,
         rest_pose=spastic_rest_pose(hand, fraction),
     )
     cfg = TrialConfig(
-        hand, net, profile, noise_sigma_n=0.4, functional_flexion_deg=threshold
+        hand, _network(branches), profile, noise_sigma_n=0.4, functional_flexion_deg=threshold
     )
     _assert_opens_at_first_held_open_pose(cfg, run_trial(cfg, seed=seed))
+
+
+def test_a_branch_without_range_leaves_its_joints_to_the_branch_before(hand):
+    """A joint follows the last branch that moves it: branch B routes the
+    index MCP but has no range, so A sets that MCP, and B's range end (the
+    MCP's flexion limit) is not where it goes."""
+    pose = PoseResponse(hand, _network(_TWO_ON_THE_INDEX), spastic_rest_pose(hand, _INDEX_CLOSED))
+    index = [pose.at(20.0)[hand.col((Digit.INDEX, kind))] for kind in FINGER_JOINT_KINDS[:3]]
+    assert index == pytest.approx([34.469705569883, 38.299672855426, 26.809770998798], rel=1e-12)
+
+
+def _warning_free(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+def test_a_subnormal_branch_scale_clips_before_it_divides():
+    """A rest fraction of 5e-324 leaves each branch a range of about 3e-322
+    mm of tendon: the pose and the junction of its trial come without an
+    overflow, and the trial opens where its pose does."""
+    cfg, trace = _warning_free(_s1_trial, {"subjects.S1.rest_flexion_fraction": "5e-324"})
+    assert all(0.0 < scale < 1e-300 for _, scale, _, _ in cfg.response._drives)
+    _warning_free(junction_state, cfg, trace)
+    _warning_free(_assert_opens_at_first_held_open_pose, cfg, trace)
+
+
+def test_a_finger_sum_past_float_range_stays_closed():
+    """Finger MCP and PIP ranges up to 1.7e308 take a finger's MCP+PIP+DIP
+    past float range: the sum is inf, so no subject's hand opens, and no
+    trial warns."""
+    bench = Bench(apply_overrides(default_config(), {
+        "hand.flexion_ranges_deg.finger_mcp": "[0, 1.7e308]",
+        "hand.flexion_ranges_deg.finger_pip": "[0, 1.7e308]",
+    }))
+    for _, _, trace in _warning_free(list, bench.trials(0, 1)):
+        assert trace.functional_extension is False and trace.functional_time_s is None
+        with np.errstate(over="ignore"):
+            sums = finger_flexion_deg(bench.hand, trace_pose(bench.trial_configs[trace.subject_id], trace))
+        assert np.isinf(sums).any(axis=-1).all()
 
 
 @pytest.mark.parametrize("network", ["extension_net", "pinch_net"])
@@ -612,22 +669,11 @@ def test_functional_opening_at_a_threshold_equal_to_a_sum(request, hand, profile
             assert got == first, (profile.subject_id, k)
 
 
-class _CountedReads:
-    """An array that counts the samples read from it."""
-
-    def __init__(self, values):
-        self.values, self.reads = values, 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return self.values[i]
-
-
 @pytest.mark.parametrize("mcp_side", [Side.DORSAL, Side.PALMAR])
-def test_two_drives_on_one_finger_read_few_samples(hand, mcp_side):
+def test_two_drives_on_one_finger(hand, mcp_side):
     """Two branches move the index finger, both to open it or (palmar MCP)
     one each way.  Over 100 001 samples the opening is still the whole pose's
-    first held open sample, and finding it reads fewer than 1000 samples."""
+    first held open sample."""
     index = Digit.INDEX
     net = TendonNetwork(NetworkKind.EXTENSION, (
         TendonBranch(index, (RoutingPoint((index, JointKind.MCP), mcp_side, 8.0),), slack_mm=1.0),
@@ -640,12 +686,10 @@ def test_two_drives_on_one_finger_read_few_samples(hand, mcp_side):
     trace = run_trial(cfg)
     _assert_opens_at_first_held_open_pose(cfg, trace)
     assert trace.functional_extension == (mcp_side is Side.DORSAL)
-    disp = _CountedReads(trace.retraction_mm)
     held, _ = trial.coupling_masks(trace.t_s, trace.breakaway_time_s)
-    opens = cfg.response.finger_sums.first_open(disp, int(held.sum()), threshold)
+    opens = cfg.response.finger_sums.first_open(trace.retraction_mm, int(held.sum()), threshold)
     assert (opens is not None) == trace.functional_extension
     assert opens is None or trace.t_s[opens] == trace.functional_time_s
-    assert disp.reads < 1000
 
 
 @settings(deadline=None, max_examples=25)
