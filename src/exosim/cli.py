@@ -36,9 +36,11 @@ ENV_CONFIG = "EXOSIM_CONFIG"
 # ``main`` sets each of these to 1 before numpy loads, unless it is set already.
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-# Each analysis process takes at least this many traces, so a fork pays for
-# itself: on 2 CPUs a split CLI run was slower than one process at 32 traces
-# and faster at 48.
+# Each analysis process takes at least this many traces.  On 2 shared vCPUs
+# (Python 3.11, numpy 2.4), a split CLI run against one process on one CPU, in
+# medians of 20 alternating pairs: 0.192 against 0.195 s at 48 traces (faster
+# in 7), 0.324 against 0.306 s at 120 (3), 0.458 against 0.573 s at 240 (17)
+# and 0.808 against 1.247 s at 600 (20); so it pays from between 120 and 240.
 TRACES_PER_PROCESS = 24
 
 

@@ -20,8 +20,9 @@ SEARCH_BLOCK = 65_536  # held samples searched at once, so no array outgrows a b
 def share(d, slack_mm: float, scale_mm: float):
     """A drive's share of its range at displacement ``d``: the pull past
     slack, clipped to the range before it is divided, so that a subnormal
-    scale cannot overflow the quotient."""
-    return np.clip(d - slack_mm, 0.0, scale_mm) / scale_mm
+    scale cannot overflow the quotient: ``np.clip``'s bits, 0.0 first so
+    that a pull of -0.0 clips to 0.0, without its dispatch cost."""
+    return np.minimum(np.maximum(0.0, d - slack_mm), scale_mm) / scale_mm
 
 
 def joint_angle(s, rest, end, advanced: bool):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,14 @@ CSV_HEADER = "t_s,actuator_mm,force_N"
 SIDECAR_SUFFIX = ".meta.yaml"
 REPORT_SUFFIX = ".report.yaml"
 FIT_SUFFIX = "_fit.csv"
-# The bytes of a trace body on which ``np.loadtxt`` and ``float`` read every
-# cell alike.  Every body exosim writes holds only these; outside them the two
-# differ (``float`` reads "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).
-_PLAIN_BYTES = b"0123456789.,+-eE\n"
+# The bytes of a number cell on which ``np.loadtxt`` and ``float`` read alike,
+# as in every body exosim writes; outside them the two differ (``float`` reads
+# "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).  A plain line is three
+# such cells: once they are deleted it leaves ",,".  In that skeleton of a body,
+# between two line breaks, ``_ODD_LINE`` finds the break before each other line;
+# ``re`` compiles it only in a process that meets such a line.
+_NUMBER_BYTES = b"0123456789.+-eE"
+_ODD_LINE = rb"\n(?!,,\n|\Z)"
 RENDER_BLOCK = 65_536  # trace rows rendered at once, so no list holds every cell
 
 
@@ -163,30 +168,50 @@ def _sidecar_fields(meta) -> dict:
     }
 
 
-def _plain_rows(lines: list[str]) -> np.ndarray | None:
-    """The rows of a trace CSV, read in one ``np.loadtxt`` call, when its
-    header is ``CSV_HEADER`` and its body holds only ``_PLAIN_BYTES`` and
-    three finite numbers a row, in increasing time; None for any other file.
-    A body whose comma count is not twice its non-blank lines has a row of
-    another width, so it is not handed to ``np.loadtxt`` at all; the count is
-    the body's total, so a short row and a long row still reach it."""
-    stripped = map(str.strip, lines)
-    header = next((i for i, line in enumerate(stripped) if line[:1] not in ("", "#")), None)
-    if header is None or lines[header].strip() != CSV_HEADER:
-        return None
-    body = lines[header + 1 :]
-    plain = "\n".join(body).encode()
-    if not plain.strip(b"\n") or plain.translate(None, _PLAIN_BYTES):
-        return None
-    if plain.count(b",") != 2 * (len(body) - body.count("")):
-        return None
+def _row(line: str):
+    """A stripped data line's three floats as the line loop reads them, or
+    the reason it skips the line."""
+    cells = line.split(",")
+    if len(cells) != 3:
+        return f"expected 3 columns, got {len(cells)}"
     try:
-        table = np.loadtxt(body, float, delimiter=",", comments=None, ndmin=2)
+        return tuple(map(float, cells))
+    except ValueError:
+        return f"non-numeric row {line!r}"
+
+
+def _plain_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]] | None:
+    """The rows of a trace CSV and its warnings, read in one ``np.loadtxt``
+    call from the body's plain lines.  Each other line gets the line loop's
+    warning (none for a blank or ``#`` line) and is blanked in a copy of the
+    body.  None where only ``_line_rows`` can tell: a line that ``float``
+    would keep as a row, a plain line that ``np.loadtxt`` rejects, a row
+    that is not finite, or a time not above the one before it."""
+    headers = ((i, s) for i, s in enumerate(map(str.strip, lines)) if s[:1] not in ("", "#"))
+    header, line = next(headers, (len(lines), CSV_HEADER))  # none: no rows and no warning
+    warnings = [] if line == CSV_HEADER else [f"{name}:{header + 1}: unexpected header {line!r}"]
+    body = lines[header + 1 :] or [""]  # an empty body reads as one blank line
+    skeleton = b"\n%s\n" % "\n".join(body).encode().translate(None, _NUMBER_BYTES)
+    odd = [] if skeleton == b"\n" + b",,\n" * len(body) else [  # no search when all are plain
+        skeleton.count(b"\n", 0, m.start()) for m in re.finditer(_ODD_LINE, skeleton)]
+    rows = body.copy() if odd else body
+    for i in odd:
+        rows[i] = ""
+        line = body[i].strip()
+        if line[:1] not in ("", "#"):
+            row = _row(line)
+            if not isinstance(row, str):
+                return None
+            warnings.append(f"{name}:{header + 2 + i}: {row}")
+    if len(odd) == len(body):  # no data: np.loadtxt would warn
+        return np.array([], float).reshape(-1, 3), warnings
+    try:
+        table = np.loadtxt(rows, float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != 3 or not np.isfinite(table).all():
+    if not np.isfinite(table).all() or not (table[1:, 0] > table[:-1, 0]).all():
         return None
-    return table if (table[1:, 0] > table[:-1, 0]).all() else None
+    return table, warnings
 
 
 def _line_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]]:
@@ -204,15 +229,11 @@ def _line_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]]:
             if line != CSV_HEADER:
                 warnings.append(f"{name}:{lineno}: unexpected header {line!r}")
             continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            warnings.append(f"{name}:{lineno}: expected 3 columns, got {len(cells)}")
+        row = _row(line)
+        if isinstance(row, str):
+            warnings.append(f"{name}:{lineno}: {row}")
             continue
-        try:
-            t, position, force = map(float, cells)
-        except ValueError:
-            warnings.append(f"{name}:{lineno}: non-numeric row {line!r}")
-            continue
+        t, position, force = row
         if not (math.isfinite(t) and math.isfinite(position) and math.isfinite(force)):
             warnings.append(f"{name}:{lineno}: non-finite row {line!r}")
             continue
@@ -230,8 +251,9 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
     header.  Malformed data rows (wrong column count, non-numeric or
     non-finite values, a time not above the last kept row's) are skipped and
     reported as warnings with their line numbers; the rest of the file still
-    loads.  A body of plain numbers is read in one call, any other line by
-    line.  Files are read as UTF-8 in any locale, a leading byte-order mark
+    loads.  The plain rows are read in one call and the other lines judged
+    one at a time; a file that only the line loop reads alike is read line
+    by line.  Files are read as UTF-8 in any locale, a leading byte-order mark
     skipped.  Without a sidecar the stroke is taken as the largest recorded
     actuator position.
     """
@@ -240,9 +262,7 @@ def read_trace(csv_path: str | Path) -> tuple[TrialTrace, list[str]]:
         lines = csv_path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{csv_path.name}: {err}") from None
-    table, warnings = _plain_rows(lines), []
-    if table is None:
-        table, warnings = _line_rows(lines, csv_path.name)
+    table, warnings = _plain_rows(lines, csv_path.name) or _line_rows(lines, csv_path.name)
     t, position, force = np.ascontiguousarray(table.T)
 
     fields = _sidecar_fields({})

@@ -163,12 +163,19 @@ def assert_reads_like_oracle(path: Path) -> None:
 @example(text=CSV_HEADER + "\n0.5,1,2\n1e999,1,2\n")
 @example(text=CSV_HEADER + "\r\n0.5,1,2\r\n-1.5,2e3,+3\r\n")
 @example(text=CSV_HEADER + "\r\n1_0,2,3\r\n#a,b,c\r\n1,2\f4,5,6,7\x1c-0.0,nan,1\n")
+# A short row and a long row: two commas a row in all, but not in each.
+@example(text=CSV_HEADER + "\n0,1,2\n1.0,2.0\n1,2,3\n1.0,2.0,3.0,4.0\n2,3,4\n")
+# Every data line malformed: no rows are left for np.loadtxt, which would warn.
+@example(text=CSV_HEADER + "\n1.0,2.0\noops,1,2\n\n# c\n1,2,3,4\n")
+@example(text=CSV_HEADER + "\n0,1,2\n1.0,2.0\n1,,2\n# x\n3,4,5\n")  # loadtxt rejects 1,,2
+@example(text=CSV_HEADER + "\n0,1,2\n5,1,2\noops,1,2\n4,1,2\n6,1,2\n")  # 4 is not above 5
+@example(text=CSV_HEADER + "\n0,1,2\n1.0,2.0\n1_0,2,3\n20,2,3\n")  # a masked row float keeps
 def test_read_trace_matches_line_loop_oracle(csv_file, text):
     csv_file.write_text(text, newline="")  # as written: no newline translation
     assert_reads_like_oracle(csv_file)
 
 
-PLAIN = NUMBERS.filter(lambda cell: not cell.encode().translate(None, traceio._PLAIN_BYTES))
+PLAIN = NUMBERS.filter(lambda cell: not cell.encode().translate(None, traceio._NUMBER_BYTES))
 PLAIN_ROWS = st.lists(PLAIN, min_size=3, max_size=3).map(",".join)
 
 
@@ -235,6 +242,25 @@ def test_read_trace_matches_oracle_on_long_files(tmp_path):
     assert_reads_like_oracle(path)
 
 
+def test_read_trace_reads_long_files_with_skipped_lines_in_one_call(tmp_path):
+    """Thousands of rows with wrong-width, non-numeric, blank and comment
+    lines scattered through them: each is skipped as the line loop skips it,
+    and the rest is read in one ``np.loadtxt`` call."""
+    rng = np.random.default_rng(6)
+    lines = ["# exosim 0.1.0", CSV_HEADER]
+    for i in range(3000):
+        lines.append(f"{i / 100:.6f},{50 - i / 60:.6f},{rng.normal(10, 4):.6f}")
+    faults = ["oops,1.0,2.0", "1.0,2.0", "1.0,2.0,3.0,4.0", " # a,b,c", "", "  ", "1,2,3,x"]
+    for at in sorted(rng.choice(len(lines), 40, replace=False), reverse=True):
+        lines.insert(int(at) + 2, faults[int(at) % len(faults)])
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(traceio, "_line_rows", wraps=traceio._line_rows) as line_rows:
+        assert_reads_like_oracle(path)
+    assert (loadtxt.call_count, line_rows.call_count) == (1, 0)
+
+
 @pytest.mark.parametrize("comment", ["", "# a comment sends the file to the line loop"])
 def test_row_whose_time_does_not_increase_is_dropped(tmp_path, comment):
     """Swapping data rows 100 and 101 (file lines 105 and 106) puts a time
@@ -254,16 +280,16 @@ def test_row_whose_time_does_not_increase_is_dropped(tmp_path, comment):
 
 
 @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,3.0,4.0", ",,,", "5"])
-def test_body_with_a_row_of_another_width_skips_loadtxt(tmp_path, row):
-    """A plain body whose comma count is not two a row cannot give three
-    columns, so it goes straight to the line loop."""
+def test_body_with_a_row_of_another_width_is_read_in_one_loadtxt_call(tmp_path, row):
+    """A row that does not have two commas is skipped with its warning, and
+    the rest of the body is read in one ``np.loadtxt`` call."""
     path = written_trace(tmp_path)
     lines = path.read_text().splitlines()
     lines.insert(300, row)
     path.write_text("\n".join(lines) + "\n")
     with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
         assert_reads_like_oracle(path)
-    assert loadtxt.call_count == 0
+    assert loadtxt.call_count == 1
 
 
 # --- the renders ------------------------------------------------------------------

@@ -636,6 +636,17 @@ def test_a_subnormal_branch_scale_clips_before_it_divides():
     _warning_free(_assert_opens_at_first_held_open_pose, cfg, trace)
 
 
+@pytest.mark.parametrize("slack", [0.0, -0.0, 3.5, 5e-324])
+@pytest.mark.parametrize("scale", [5e-324, 7.3, 1e308])
+def test_share_has_the_bits_of_np_clip(slack, scale):
+    """A drive's share is ``np.clip``'s, bit for bit, at a pull of -0.0 and
+    at nan too, one sample at a time and in a block."""
+    d = np.array([-1.0, -0.0, 0.0, 5e-324, 3.5, 7.0, 1e308, np.inf, -np.inf, np.nan])
+    for block in (d[1:2], d, np.tile(d, 41)[3:]):
+        expected = np.clip(block - slack, 0.0, scale) / scale
+        assert opening.share(block, slack, scale).tobytes() == expected.tobytes()
+
+
 def test_a_finger_sum_past_float_range_stays_closed():
     """Finger MCP and PIP ranges up to 1.7e308 take a finger's MCP+PIP+DIP
     past float range: the sum is inf, so no subject's hand opens, and no
