@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,8 @@ FIT_SUFFIX = "_fit.csv"
 # The bytes of a number cell on which ``np.loadtxt`` and ``float`` read alike,
 # as in every body exosim writes; outside them the two differ (``float`` reads
 # "1_0" and rejects "4\x1f", ``loadtxt`` the reverse).  A plain line is three
-# such cells: once they are deleted it leaves ",,".  In that skeleton of a body,
-# between two line breaks, ``_ODD_LINE`` finds the break before each other line;
-# ``re`` compiles it only in a process that meets such a line.
+# such cells: once they are deleted it leaves ",,".
 _NUMBER_BYTES = b"0123456789.+-eE"
-_ODD_LINE = rb"\n(?!,,\n|\Z)"
 RENDER_BLOCK = 65_536  # trace rows rendered at once, so no list holds every cell
 
 
@@ -183,21 +179,20 @@ def _row(line: str):
 def _plain_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]] | None:
     """The rows of a trace CSV and its warnings, read in one ``np.loadtxt``
     call from the body's plain lines.  Each other line gets the line loop's
-    warning (none for a blank or ``#`` line) and is blanked in a copy of the
-    body.  None where only ``_line_rows`` can tell: a line that ``float``
-    would keep as a row, a plain line that ``np.loadtxt`` rejects, a row
-    that is not finite, or a time not above the one before it."""
+    warning (none for a blank or ``#`` line) and is blanked in the body that
+    ``np.loadtxt`` reads.  None where only ``_line_rows`` can tell: a line
+    that ``float`` would keep as a row, a plain line that ``np.loadtxt``
+    rejects, a row that is not finite, or a time not above the one before
+    it."""
     headers = ((i, s) for i, s in enumerate(map(str.strip, lines)) if s[:1] not in ("", "#"))
     header, line = next(headers, (len(lines), CSV_HEADER))  # none: no rows and no warning
     warnings = [] if line == CSV_HEADER else [f"{name}:{header + 1}: unexpected header {line!r}"]
     body = lines[header + 1 :] or [""]  # an empty body reads as one blank line
-    skeleton = b"\n%s\n" % "\n".join(body).encode().translate(None, _NUMBER_BYTES)
-    odd = [] if skeleton == b"\n" + b",,\n" * len(body) else [  # no search when all are plain
-        skeleton.count(b"\n", 0, m.start()) for m in re.finditer(_ODD_LINE, skeleton)]
-    rows = body.copy() if odd else body
+    skeleton = "\n".join(body).encode().translate(None, _NUMBER_BYTES)
+    odd = [] if skeleton == b",,\n" * (len(body) - 1) + b",," else [  # all plain: no split
+        i for i, s in enumerate(skeleton.split(b"\n")) if s != b",,"]
     for i in odd:
-        rows[i] = ""
-        line = body[i].strip()
+        line, body[i] = body[i].strip(), ""
         if line[:1] not in ("", "#"):
             row = _row(line)
             if not isinstance(row, str):
@@ -206,7 +201,7 @@ def _plain_rows(lines: list[str], name: str) -> tuple[np.ndarray, list[str]] | N
     if len(odd) == len(body):  # no data: np.loadtxt would warn
         return np.array([], float).reshape(-1, 3), warnings
     try:
-        table = np.loadtxt(rows, float, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(body, float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if not np.isfinite(table).all() or not (table[1:, 0] > table[:-1, 0]).all():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+import timeit
 from pathlib import Path
 from unittest import mock
 
@@ -261,11 +262,28 @@ def test_read_trace_reads_long_files_with_skipped_lines_in_one_call(tmp_path):
     assert (loadtxt.call_count, line_rows.call_count) == (1, 0)
 
 
-@pytest.mark.parametrize("comment", ["", "# a comment sends the file to the line loop"])
+def test_a_long_file_of_padded_cells_reaches_the_line_loop_in_linear_time(tmp_path):
+    """Cells written as ``0.0, 50.0, 0.0`` are read by ``float``, not by the
+    one-call path, so every line of such a file is one that only the line
+    loop reads.  Finding that out must cost less than the line loop itself:
+    a search that rescans the body for each such line takes far longer on
+    50 000 of them."""
+    lines = [CSV_HEADER] + [f"{i / 100:.2f}, {50 - i / 2000:.4f}, 1.0" for i in range(50_000)]
+    assert traceio._plain_rows(lines, "p.csv") is None
+    plain = min(timeit.repeat(lambda: traceio._plain_rows(lines, "p.csv"), number=1, repeat=3))
+    loop = min(timeit.repeat(lambda: traceio._line_rows(lines, "p.csv"), number=1, repeat=3))
+    assert plain < loop
+    path = tmp_path / "padded.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("comment", ["", "# a comment, blanked before np.loadtxt reads"])
 def test_row_whose_time_does_not_increase_is_dropped(tmp_path, comment):
     """Swapping data rows 100 and 101 (file lines 105 and 106) puts a time
     below the one before it: that row is dropped with a ``file:line``
-    warning, on both reading paths."""
+    warning.  The one-call path reads the body, a comment line blanked, and
+    the time that does not increase sends the file to the line loop."""
     path = written_trace(tmp_path)
     lines = path.read_text().splitlines()
     assert lines[3] == CSV_HEADER
@@ -273,7 +291,10 @@ def test_row_whose_time_does_not_increase_is_dropped(tmp_path, comment):
     if comment:
         lines.insert(500, comment)
     path.write_text("\n".join(lines) + "\n")
-    trace, warnings = read_trace(path)
+    with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(traceio, "_line_rows", wraps=traceio._line_rows) as line_rows:
+        trace, warnings = read_trace(path)
+    assert (loadtxt.call_count, line_rows.call_count) == (1, 1)
     assert warnings == [f"t.csv:106: non-increasing time in row {lines[105]!r}"]
     assert len(trace) == 1000 and (np.diff(trace.t_s) > 0).all()
     assert_reads_like_oracle(path)
